@@ -455,9 +455,71 @@ def _parse_levels(text: str) -> tuple[int | None, ...]:
     return tuple(out)
 
 
+def _fault_alias(args):
+    """Install the fault plan ``--inject-fault PATTERN[@N]`` stands for.
+
+    A bare PATTERN crashes every attempt the executor will make
+    (``--retries`` + 1); ``@N`` crashes the first N.
+    """
+    from repro.resilience import faultplane
+
+    plan = None
+    if args.inject_fault:
+        plan = faultplane.FaultPlan.for_tasks(args.inject_fault,
+                                              attempts=args.retries + 1)
+    return faultplane.installed(plan)
+
+
+def _run_sweep(args, config, **kwargs):
+    """``run_sweep`` for ``sweep``/``taskgraph sweep``: per-task progress
+    lines, under the ``--inject-fault`` plan."""
+    from repro.runtime.sweep import run_sweep
+
+    def progress(result) -> None:
+        if args.quiet:
+            return
+        mark = {"ok": " ", "failed": "!", "skipped": "-"}[result.status]
+        cache = f" [{result.cache}]" if result.cache != "off" else ""
+        retries = f" (attempt {result.attempts})" if result.attempts > 1 else ""
+        print(f"  {mark} {result.task_id}{cache}{retries}"
+              + (f": {result.error}" if result.error else ""),
+              flush=True)
+
+    with _fault_alias(args):
+        return run_sweep(config, on_task=progress, **kwargs)
+
+
+def _sweep_exit(report) -> int:
+    """Print a sweep's degraded tasks and output paths; its exit code."""
+    for task_id in report.degraded_tasks:
+        print(f"  {task_id:<44s} DEGRADED: fallback tier schedule "
+              f"(verified, not proven optimal)", file=sys.stderr)
+    print(f"manifest: {report.manifest_path}")
+    if report.results_path is not None:
+        print(f"results : {report.results_path}")
+    if report.trace_path is not None:
+        print(f"trace   : {report.trace_path}")
+        print(f"metrics : {report.metrics_path}")
+
+    if report.interrupted:
+        print(f"interrupted: {len(report.results)}/{len(report.graph.tasks)} "
+              f"tasks journaled; rerun with --resume to finish",
+              file=sys.stderr)
+        return EXIT_INTERRUPTED
+    if report.verify_failures:
+        # The one unforgivable outcome: an emitted schedule that failed
+        # its independent verification.
+        return EXIT_FAILURE
+    degraded = (
+        [r for r in report.experiment_records if r["status"] == "failed"]
+        or report.degraded_tasks
+        or report.cache_stats.get("quarantined", 0)
+    )
+    return EXIT_DEGRADED if degraded else EXIT_OK
+
+
 def cmd_sweep(args) -> int:
-    from repro.runtime.executor import FaultSpec
-    from repro.runtime.sweep import SweepConfig, run_sweep
+    from repro.runtime.sweep import SweepConfig
 
     workloads = tuple(w.strip() for w in args.workloads.split(",") if w.strip())
     fracs = tuple(float(f) for f in args.deadline_fracs.split(","))
@@ -478,7 +540,6 @@ def cmd_sweep(args) -> int:
         jobs=args.jobs,
         task_timeout_s=args.timeout if args.timeout > 0 else None,
         retries=args.retries,
-        fault=FaultSpec.parse(args.inject_fault) if args.inject_fault else None,
         cache_dir=cache_dir,
         output_dir=args.output_dir,
         solver_budget_s=args.solver_budget,
@@ -489,19 +550,7 @@ def cmd_sweep(args) -> int:
         fastpath=not args.no_fastpath,
     )
 
-    total_tasks = 0
-
-    def progress(result) -> None:
-        if args.quiet:
-            return
-        mark = {"ok": " ", "failed": "!", "skipped": "-"}[result.status]
-        cache = f" [{result.cache}]" if result.cache != "off" else ""
-        retries = f" (attempt {result.attempts})" if result.attempts > 1 else ""
-        print(f"  {mark} {result.task_id}{cache}{retries}"
-              + (f": {result.error}" if result.error else ""),
-              flush=True)
-
-    report = run_sweep(config, on_task=progress)
+    report = _run_sweep(args, config)
 
     records = report.experiment_records
     ok = [r for r in records if r["status"] == "ok"]
@@ -526,31 +575,7 @@ def cmd_sweep(args) -> int:
         failed = ", ".join(sorted(record.get("failures", {"verify": None})))
         print(f"  {record['experiment']:<44s} {record['status'].upper()}: {failed}",
               file=sys.stderr)
-    for task_id in report.degraded_tasks:
-        print(f"  {task_id:<44s} DEGRADED: fallback tier schedule "
-              f"(verified, not proven optimal)", file=sys.stderr)
-    print(f"manifest: {report.manifest_path}")
-    if report.results_path is not None:
-        print(f"results : {report.results_path}")
-    if report.trace_path is not None:
-        print(f"trace   : {report.trace_path}")
-        print(f"metrics : {report.metrics_path}")
-
-    if report.interrupted:
-        print(f"interrupted: {len(report.results)}/{len(report.graph.tasks)} "
-              f"tasks journaled; rerun with --resume to finish",
-              file=sys.stderr)
-        return EXIT_INTERRUPTED
-    if report.verify_failures:
-        # The one unforgivable outcome: an emitted schedule that failed
-        # its independent verification.
-        return EXIT_FAILURE
-    degraded = (
-        [r for r in records if r["status"] == "failed"]
-        or report.degraded_tasks
-        or report.cache_stats.get("quarantined", 0)
-    )
-    return EXIT_DEGRADED if degraded else EXIT_OK
+    return _sweep_exit(report)
 
 
 def cmd_taskgraph(args) -> int:
@@ -576,8 +601,7 @@ def _cmd_taskgraph_verify(args) -> int:
 
 
 def _cmd_taskgraph_sweep(args) -> int:
-    from repro.runtime.executor import FaultSpec
-    from repro.runtime.sweep import SweepConfig, run_sweep
+    from repro.runtime.sweep import SweepConfig
     from repro.taskgraph.pipeline import build_tg_grid
 
     shapes = tuple(s.strip() for s in args.shapes.split(",") if s.strip())
@@ -600,33 +624,20 @@ def _cmd_taskgraph_sweep(args) -> int:
         jobs=args.jobs,
         task_timeout_s=args.timeout if args.timeout > 0 else None,
         retries=args.retries,
-        fault=FaultSpec.parse(args.inject_fault) if args.inject_fault else None,
         cache_dir=cache_dir,
         output_dir=args.output_dir,
         solver_budget_s=args.solver_budget,
         solver_backend=args.solver_backend,
-        continuous_prune=args.continuous_prune,
         resume=args.resume,
         trace=args.trace,
     )
 
-    def progress(result) -> None:
-        if args.quiet:
-            return
-        mark = {"ok": " ", "failed": "!", "skipped": "-"}[result.status]
-        cache = f" [{result.cache}]" if result.cache != "off" else ""
-        retries = f" (attempt {result.attempts})" if result.attempts > 1 else ""
-        print(f"  {mark} {result.task_id}{cache}{retries}"
-              + (f": {result.error}" if result.error else ""),
-              flush=True)
-
-    report = run_sweep(config, on_task=progress, experiments=grid,
-                       run_info_extra={
-                           "family": "taskgraph",
-                           "shapes": list(shapes),
-                           "graph_tasks": args.tasks,
-                           "cores": list(cores),
-                       })
+    report = _run_sweep(args, config, experiments=grid, run_info_extra={
+        "family": "taskgraph",
+        "shapes": list(shapes),
+        "graph_tasks": args.tasks,
+        "cores": list(cores),
+    })
 
     records = report.experiment_records
     ok = [r for r in records if r["status"] == "ok"]
@@ -648,29 +659,7 @@ def _cmd_taskgraph_sweep(args) -> int:
         failed = ", ".join(sorted(record.get("failures", {"tg-verify": None})))
         print(f"  {record['experiment']:<44s} {record['status'].upper()}: "
               f"{failed}", file=sys.stderr)
-    for task_id in report.degraded_tasks:
-        print(f"  {task_id:<44s} DEGRADED: fallback tier schedule "
-              f"(verified, not proven optimal)", file=sys.stderr)
-    print(f"manifest: {report.manifest_path}")
-    if report.results_path is not None:
-        print(f"results : {report.results_path}")
-    if report.trace_path is not None:
-        print(f"trace   : {report.trace_path}")
-        print(f"metrics : {report.metrics_path}")
-
-    if report.interrupted:
-        print(f"interrupted: {len(report.results)}/{len(report.graph.tasks)} "
-              f"tasks journaled; rerun with --resume to finish",
-              file=sys.stderr)
-        return EXIT_INTERRUPTED
-    if report.verify_failures:
-        return EXIT_FAILURE
-    degraded = (
-        [r for r in records if r["status"] == "failed"]
-        or report.degraded_tasks
-        or report.cache_stats.get("quarantined", 0)
-    )
-    return EXIT_DEGRADED if degraded else EXIT_OK
+    return _sweep_exit(report)
 
 
 def cmd_trace(args) -> int:
@@ -720,87 +709,40 @@ def cmd_cache(args) -> int:
 
 
 def cmd_chaos(args) -> int:
-    if args.campaign:
-        return _cmd_chaos_campaign(args)
-    if args.serve:
-        return _cmd_chaos_serve(args)
-    from repro.resilience.chaos import run_chaos
+    from repro.resilience import campaign
 
     workloads = tuple(w.strip() for w in args.workloads.split(",") if w.strip())
     fracs = tuple(float(f) for f in args.deadline_fracs.split(","))
 
-    def progress(result) -> None:
-        if args.quiet:
-            return
+    def progress(message: str) -> None:
+        if not args.quiet:
+            print(f"  {message}", flush=True)
+
+    def task_progress(result) -> None:
         mark = {"ok": " ", "failed": "!", "skipped": "-"}[result.status]
-        print(f"  {mark} {result.task_id} [{result.cache}]", flush=True)
+        progress(f"{mark} {result.task_id} [{result.cache}]")
 
-    report = run_chaos(
-        workloads=workloads,
-        deadline_fracs=fracs,
-        seed=args.seed,
-        output_dir=args.output_dir,
-        jobs=args.jobs,
-        solver_budget_s=args.solver_budget,
-        corrupt=args.corrupt,
-        fault_pattern=args.inject_fault or None,
-        chaos_seed=args.chaos_seed,
-        on_task=progress,
-    )
-    print(report.summary)
-    for violation in report.violations:
-        print(f"  VIOLATION: {violation}", file=sys.stderr)
-    return report.exit_code
-
-
-def _cmd_chaos_serve(args) -> int:
-    from repro.serve.chaos import run_serve_chaos
-
-    workloads = [w.strip() for w in args.workloads.split(",") if w.strip()]
-    fracs = [float(f) for f in args.deadline_fracs.split(",")]
-
-    def progress(message: str) -> None:
-        if not args.quiet:
-            print(f"  {message}", flush=True)
-
-    report = run_serve_chaos(
-        workload=workloads[0],
-        deadline_frac=fracs[0],
-        seed=args.seed,
-        jobs=args.jobs,
-        on_progress=progress,
-    )
-    print(report.summary)
-    for violation in report.violations:
-        print(f"  VIOLATION: {violation}", file=sys.stderr)
-    return report.exit_code
-
-
-def _cmd_chaos_campaign(args) -> int:
-    import os as _os
-
-    from repro.resilience.campaign import (
-        CampaignConfig,
-        run_campaign,
-        write_report,
-    )
-
-    workloads = [w.strip() for w in args.workloads.split(",") if w.strip()]
-    fracs = tuple(float(f) for f in args.deadline_fracs.split(","))
-
-    def progress(message: str) -> None:
-        if not args.quiet:
-            print(f"  {message}", flush=True)
-
-    config = CampaignConfig(
-        seeds=args.seeds,
-        workload=workloads[0],
-        traffic_fracs=fracs if len(fracs) >= 2 else (fracs[0], 0.5),
-        output_dir=args.output_dir,
-    )
-    report = run_campaign(config, on_progress=progress)
-    path = write_report(report,
-                        _os.path.join(args.output_dir, "campaign.json"))
+    if args.campaign:
+        report = campaign.run_campaign(campaign.CampaignConfig(
+            seeds=args.seeds,
+            workload=workloads[0],
+            traffic_fracs=fracs if len(fracs) >= 2 else (fracs[0], 0.5),
+            output_dir=args.output_dir,
+        ), on_progress=progress)
+    elif args.serve:
+        report = campaign.run_serve_scenario(
+            workload=workloads[0], deadline_frac=fracs[0], seed=args.seed,
+            jobs=args.jobs, output_dir=args.output_dir,
+            on_progress=progress)
+    else:
+        report = campaign.run_sweep_scenario(
+            workloads=workloads, deadline_fracs=fracs, seed=args.seed,
+            output_dir=args.output_dir, jobs=args.jobs,
+            solver_budget_s=args.solver_budget, corrupt=args.corrupt,
+            inject_fault=args.inject_fault or None,
+            chaos_seed=args.chaos_seed, on_task=task_progress)
+    path = campaign.write_report(
+        report, os.path.join(args.output_dir, "campaign.json"))
     print(report.summary)
     for violation in report.violations:
         print(f"  VIOLATION: {violation}", file=sys.stderr)
@@ -809,7 +751,6 @@ def _cmd_chaos_campaign(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    from repro.runtime.executor import FaultSpec
     from repro.serve.server import ServeConfig, run_server
 
     weights = {}
@@ -836,12 +777,11 @@ def cmd_serve(args) -> int:
         retries=args.retries,
         solver_backend=args.solver_backend,
         tenant_weights=weights,
-        fault=(FaultSpec.parse(args.inject_fault)
-               if args.inject_fault else None),
         store_dir=args.store_dir,
         resume=args.resume,
     )
-    return run_server(config)
+    with _fault_alias(args):
+        return run_server(config)
 
 
 def cmd_loadtest(args) -> int:
@@ -1166,8 +1106,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="simulate on the reference interpreter only "
                               "(results.jsonl is byte-identical either way)")
     p_sweep.add_argument("--inject-fault", default=None, metavar="PATTERN[@N]",
-                         help="kill task ids matching a glob (testing); "
-                              "@N fails only the first N attempts")
+                         help="crash task ids matching a glob (testing; "
+                              "a worker.crash fault plan); @N crashes "
+                              "only the first N attempts")
     p_sweep.add_argument("--cache-dir", default=None,
                          help="artifact-store directory (default: "
                               "$REPRO_CACHE_DIR or .repro-cache)")
@@ -1389,7 +1330,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "baseline and chaos sweeps (default 2)")
     p_chaos.add_argument("--inject-fault", default="simulate:*@1",
                          metavar="PATTERN[@N]",
-                         help="executor fault spec for the chaos sweep "
+                         help="task glob the chaos sweep crashes "
                               "(default simulate:*@1; empty disables)")
     p_chaos.add_argument("--chaos-seed", type=int, default=0,
                          help="seed for the corruption RNG (default 0)")
@@ -1399,9 +1340,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_chaos.add_argument("--quiet", action="store_true",
                          help="suppress per-task progress lines")
     p_chaos.add_argument("--serve", action="store_true",
-                         help="serve-mode chaos: boot an in-process "
-                              "server, SIGKILL its warm workers "
-                              "mid-request and audit the invariants "
+                         help="serve-mode chaos: spawn repro serve, "
+                              "SIGKILL its warm workers mid-request and "
+                              "audit the invariants "
                               "(uses the first workload/deadline only)")
     p_chaos.add_argument("--campaign", action="store_true",
                          help="seeded fault-matrix campaign: spawn real "

@@ -14,22 +14,19 @@ destroying it.  This package supplies those guarantees:
   ``repro sweep --resume``: completed tasks are recorded with an atomic,
   fsynced append, so a SIGKILL'd sweep resumes without repeating work
   and reproduces byte-identical results;
-* :mod:`repro.resilience.faultplane` — the unified fault-injection
-  plane: one deterministic seeded :class:`~repro.resilience.faultplane.FaultPlan`
+* :mod:`repro.resilience.faultplane` — the one fault injector: a
+  deterministic seeded :class:`~repro.resilience.faultplane.FaultPlan`
   schedules every injectable fault point (cache corruption, torn
-  journal writes, worker crashes/hangs, solver limits, dropped serve
-  connections) and propagates to child processes via
-  ``REPRO_FAULTPLAN``;
-* :mod:`repro.resilience.chaos` — the fault-injection harness behind
-  ``repro chaos``: corrupts cache entries, kills workers and starves the
-  solver, then asserts the invariants (no unverified schedule escapes,
-  degraded runs exit with the documented code, untouched rows stay
-  deterministic);
-* :mod:`repro.resilience.campaign` — the seeded chaos campaign behind
-  ``repro chaos --campaign``: a fault matrix over the whole catalog
-  against a real spawned server, with SIGKILL → ``serve --resume``
-  cycles, byte-identity checks against fault-free references, and a
-  machine-readable ``campaign.json`` report.
+  journal writes, task crashes by id glob, worker hangs, solver limits,
+  dropped serve connections) and propagates to child processes via
+  ``REPRO_FAULTPLAN``; ``--inject-fault PATTERN[@N]`` is an alias for a
+  ``worker.crash`` plan;
+* :mod:`repro.resilience.campaign` — the one chaos harness behind
+  ``repro chaos``, with three scenarios (a faulted sweep over a
+  corrupted store, killed warm workers under ``repro serve``, and a
+  seeded fault matrix with SIGKILL → ``serve --resume`` cycles) that
+  share one fault-free reference, one row comparator and one
+  ``campaign.json`` report.
 
 Exit codes (shared with the CLI) live in :data:`EXIT_OK` … so tests,
 docs and scripts agree on what "degraded" means.

@@ -1,28 +1,25 @@
-"""Unified deterministic fault-injection plane.
+"""The one fault injector.
 
-Earlier PRs grew three ad-hoc chaos mechanisms: cache corruption in
-:mod:`repro.resilience.chaos`, per-task ``inject_fault`` payload flags in
-the executor, and worker SIGKILLs in :mod:`repro.serve.chaos`.  This
-module replaces the scattered *injection hooks* with one registry of
-named fault points and one seeded :class:`FaultPlan` that decides, per
-point, on exactly which hit counts the fault fires.
+Every injectable site — cache reads and writes, journal appends, task
+attempts, solver dispatch, the serve connection path — is a named point
+in :data:`CATALOG`, and one seeded :class:`FaultPlan` decides on exactly
+which hits each point fires.  ``--inject-fault PATTERN[@N]`` on
+``sweep``, ``taskgraph sweep``, ``serve`` and ``chaos`` is a thin alias
+for a plan built by :meth:`FaultPlan.for_tasks`.
 
-Design:
-
-* every injectable site in the codebase calls :func:`fire` (or a helper
-  built on it) with its catalog name; with no plan installed this is a
-  dictionary miss and an early return — production cost is negligible;
-* a plan is a pure-data schedule ``{point: (hit numbers, ...)}`` built
-  either explicitly or via :meth:`FaultPlan.from_seed`, so a chaos
-  campaign can sweep seeds and still replay any failure exactly;
-* plans propagate to forked pool workers through the ``REPRO_FAULTPLAN``
-  environment variable (the same pattern ``$REPRO_SOLVER_ENGINE`` uses):
-  :func:`install` with ``env=True`` exports the plan, and each process
-  lazily loads it on the first :func:`fire` call.  Hit counters are
-  per-process; a worker forked after the parent counted hits inherits
-  the parent's counts, and a respawned worker restarts from the fork
-  snapshot — so a scheduled hit may fire once more after a pool respawn.
-  Retries absorb that; determinism of *results* is unaffected.
+* every site calls :func:`fire` (or a helper built on it); with no plan
+  installed this is a dictionary miss and an early return;
+* a plan is pure data, ``{point: (hit numbers, ...)}``, built explicitly
+  or by :meth:`FaultPlan.from_seed`, so any failure replays exactly;
+* ``worker.crash`` is decided by the executor's parent at submit time
+  (:func:`crash_due`): its hits are the attempt numbers of each task
+  whose id matches ``crash_tasks``, so ``@N`` means "the first N
+  attempts of every matching task" whichever worker a retry lands on;
+* plans reach child processes through ``REPRO_FAULTPLAN`` (like
+  ``$REPRO_SOLVER_ENGINE``): :func:`install` with ``env=True`` exports
+  the plan, and each process loads it on its first :func:`fire`.  Hits
+  of the other points count per process; a forked worker starts from
+  its parent's counts.
 
 Every injection increments the ``faultplane.injected.<point>`` counter,
 which worker transports ship back to the parent like every other observe
@@ -32,14 +29,16 @@ points were actually exercised.
 
 from __future__ import annotations
 
+import fnmatch
 import json
 import logging
 import os
 import random
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from repro import observe
 from repro.errors import OrchestrationError
@@ -54,7 +53,7 @@ CATALOG: dict[str, str] = {
     "cache.read.corrupt": "damage the artifact file before the store reads it",
     "cache.write.torn": "truncate an artifact file right after its atomic write",
     "io.slow": "sleep plan.slow_s inside artifact store get/put",
-    "worker.crash": "raise InjectedFault from a pool task entry",
+    "worker.crash": "fail a task attempt matching plan.crash_tasks (hit = attempt)",
     "worker.hang": "sleep plan.hang_s inside the task timeout window",
     "solver.limit": "raise SolverLimitError before backend dispatch",
     "serve.accept.drop": "close an accepted HTTP connection before reading",
@@ -92,14 +91,19 @@ class FaultPlan:
             seed when built via :meth:`from_seed`).
         schedule: mapping of catalog point -> 1-based hit numbers on
             which that point fires.  Hits are counted per process.
+            Hits are counted per process, except ``worker.crash``,
+            whose hits are per-task attempt numbers.
         hang_s: sleep injected by ``worker.hang``.
         slow_s: sleep injected by ``io.slow``.
+        crash_tasks: fnmatch glob over task ids that ``worker.crash``
+            targets (e.g. ``"optimize:gsm*"``).
     """
 
     seed: int
     schedule: dict[str, tuple[int, ...]] = field(default_factory=dict)
     hang_s: float = 0.5
     slow_s: float = 0.05
+    crash_tasks: str = "*"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "schedule", _canonical_schedule(self.schedule))
@@ -124,17 +128,33 @@ class FaultPlan:
             schedule[point] = tuple(sorted(rng.sample(range(1, horizon + 1), fires)))
         return cls(seed=seed, schedule=schedule, hang_s=hang_s, slow_s=slow_s)
 
+    @classmethod
+    def for_tasks(cls, spec: str, attempts: int) -> "FaultPlan":
+        """The plan behind ``--inject-fault PATTERN[@N]``: crash the
+        first N attempts of every task whose id matches the glob — or,
+        for a bare ``PATTERN``, all ``attempts`` (retries + 1) of them."""
+        pattern, count = spec, attempts
+        if "@" in spec:
+            pattern, _, tail = spec.rpartition("@")
+            try:
+                count = int(tail)
+            except ValueError:
+                raise OrchestrationError(
+                    f"malformed fault spec {spec!r} (want PATTERN or PATTERN@N)"
+                ) from None
+        return cls(seed=0, schedule={"worker.crash": range(1, count + 1)},
+                   crash_tasks=pattern)
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "seed": self.seed,
-                "schedule": {p: list(h) for p, h in self.schedule.items()},
-                "hang_s": self.hang_s,
-                "slow_s": self.slow_s,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
+        doc = {
+            "seed": self.seed,
+            "schedule": {p: list(h) for p, h in self.schedule.items()},
+            "hang_s": self.hang_s,
+            "slow_s": self.slow_s,
+        }
+        if self.crash_tasks != "*":
+            doc["crash_tasks"] = self.crash_tasks
+        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
     @classmethod
     def from_json(cls, text: str) -> "FaultPlan":
@@ -149,6 +169,7 @@ class FaultPlan:
             schedule={str(p): tuple(h) for p, h in doc["schedule"].items()},
             hang_s=float(doc.get("hang_s", 0.5)),
             slow_s=float(doc.get("slow_s", 0.05)),
+            crash_tasks=str(doc.get("crash_tasks", "*")),
         )
 
 
@@ -199,6 +220,19 @@ def install(plan: FaultPlan, env: bool = False) -> None:
         os.environ[PLAN_ENV] = plan.to_json()
 
 
+@contextmanager
+def installed(plan: FaultPlan | None) -> Iterator[None]:
+    """Run a block under ``plan`` (in this process only); None is a no-op."""
+    if plan is None:
+        yield
+        return
+    install(plan)
+    try:
+        yield
+    finally:
+        uninstall()
+
+
 def uninstall() -> None:
     """Deactivate fault injection and drop the environment export."""
     global _runtime, _env_loaded
@@ -236,17 +270,32 @@ def fire(point: str) -> bool:
     return True
 
 
-def stall(point: str) -> bool:
-    """Latency fault: sleep the plan's duration for ``point`` if it fires."""
+def crash_due(task_id: str, attempt: int) -> bool:
+    """The ``worker.crash`` decision for one task attempt.
+
+    Called by the executor's parent at submit time; the worker then
+    raises :class:`~repro.errors.InjectedFault` for the attempt.
+    """
     runtime = _current()
     if runtime is None:
-        # Still validate the point name on the cheap path.
-        if point not in CATALOG:
-            raise OrchestrationError(f"unknown fault point {point!r}")
         return False
+    plan = runtime.plan
+    hits = plan.schedule.get("worker.crash")
+    if (hits is None or attempt not in hits
+            or not fnmatch.fnmatchcase(task_id, plan.crash_tasks)):
+        return False
+    observe.add("faultplane.injected.worker.crash")
+    logger.warning("faultplane: injected worker.crash in %s (attempt %d)",
+                   task_id, attempt)
+    return True
+
+
+def stall(point: str) -> bool:
+    """Latency fault: sleep the plan's duration for ``point`` if it fires."""
     if not fire(point):
         return False
-    time.sleep(runtime.plan.slow_s if point == "io.slow" else runtime.plan.hang_s)
+    plan = _current().plan
+    time.sleep(plan.slow_s if point == "io.slow" else plan.hang_s)
     return True
 
 
@@ -261,21 +310,29 @@ def torn_text(text: str, point: str = "journal.torn") -> str | None:
     return text[: max(1, len(text) // 2)]
 
 
-def damage_file(path: os.PathLike | str) -> bool:
-    """Shared corruption primitive: truncate a file to half its bytes.
+def damage_file(path: os.PathLike | str,
+                rng: random.Random | None = None) -> bool:
+    """Shared corruption primitive for the cache points and the chaos
+    harness, so "disk damage" means the same thing everywhere.
 
-    Used by the cache fault points and by the chaos harness, so "disk
-    damage" means the same thing everywhere.  Returns False when the
-    file is missing or empty.
+    Without ``rng`` the file is truncated to half its bytes (a torn
+    write).  With ``rng`` a coin flip picks between that and flipping
+    one byte in place (bit rot; XOR never maps a byte to itself).
+    Returns False when the file is missing or empty.
     """
     try:
-        size = os.path.getsize(path)
+        with open(path, "rb") as handle:
+            data = bytearray(handle.read())
     except OSError:
         return False
-    if size == 0:
+    if not data:
         return False
-    with open(path, "r+b") as handle:
-        handle.truncate(max(1, size // 2))
+    if rng is None or len(data) < 2 or rng.random() < 0.5:
+        del data[len(data) // 2:]
+    else:
+        data[rng.randrange(len(data))] ^= 0xFF
+    with open(path, "wb") as handle:
+        handle.write(data)
     return True
 
 
@@ -284,9 +341,11 @@ __all__ = [
     "PLAN_ENV",
     "FaultPlan",
     "active_plan",
+    "crash_due",
     "damage_file",
     "fire",
     "install",
+    "installed",
     "stall",
     "torn_text",
     "uninstall",

@@ -47,7 +47,6 @@ from repro.runtime.dag import (
 )
 from repro.runtime.executor import (
     ExecutorConfig,
-    FaultSpec,
     TaskResult,
     run_graph,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "CacheStats",
     "ExecutorConfig",
     "ExperimentSpec",
-    "FaultSpec",
     "MachineSpec",
     "SweepConfig",
     "SweepReport",

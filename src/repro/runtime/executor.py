@@ -21,14 +21,15 @@ Failure semantics, in order of application:
   proceeds.  The executor itself only raises for malformed graphs,
   never for failing experiments.
 
-Fault injection (:class:`FaultSpec`) deliberately kills matching task
-attempts inside the worker — the degradation path is tested, not
-assumed.
+Fault injection goes through :mod:`repro.resilience.faultplane`: the
+parent asks :func:`~repro.resilience.faultplane.crash_due` at submit
+time whether an attempt should crash, and the worker raises
+:class:`~repro.errors.InjectedFault` for it — the degradation path is
+tested, not assumed.
 """
 
 from __future__ import annotations
 
-import fnmatch
 import logging
 import multiprocessing
 import os
@@ -51,38 +52,6 @@ logger = logging.getLogger("repro.executor")
 
 
 @dataclass(frozen=True)
-class FaultSpec:
-    """Kill worker tasks whose id matches a glob pattern.
-
-    Args:
-        pattern: fnmatch glob over task ids (e.g. ``"optimize:gsm*"``).
-        fail_attempts: how many leading attempts to kill; ``None`` kills
-            every attempt (the task can never succeed).
-    """
-
-    pattern: str
-    fail_attempts: int | None = None
-
-    def applies(self, task_id: str, attempt: int) -> bool:
-        if not fnmatch.fnmatch(task_id, self.pattern):
-            return False
-        return self.fail_attempts is None or attempt <= self.fail_attempts
-
-    @classmethod
-    def parse(cls, text: str) -> "FaultSpec":
-        """Parse ``PATTERN`` or ``PATTERN@N`` (fail the first N attempts)."""
-        if "@" in text:
-            pattern, _, count = text.rpartition("@")
-            try:
-                return cls(pattern, fail_attempts=int(count))
-            except ValueError:
-                raise OrchestrationError(
-                    f"malformed fault spec {text!r} (want PATTERN or PATTERN@N)"
-                ) from None
-        return cls(text)
-
-
-@dataclass(frozen=True)
 class ExecutorConfig:
     """Knobs for one :func:`run_graph` invocation."""
 
@@ -90,7 +59,6 @@ class ExecutorConfig:
     task_timeout_s: float | None = None
     retries: int = 1
     backoff_s: float = 0.05
-    fault: FaultSpec | None = None
 
 
 @dataclass
@@ -119,11 +87,24 @@ class TaskResult:
 # -- worker side -----------------------------------------------------------------
 
 
-def _init_worker(parent_sys_path: list[str]) -> None:
-    """Make the parent's import roots visible under spawn-style start."""
+def _init_worker(parent_sys_path: list[str], parent_pid: int) -> None:
+    """Make the parent's import roots visible under spawn-style start,
+    and make the worker exit when its parent dies.
+
+    A SIGKILLed server or sweep never runs its pool shutdown, so without
+    the watchdog its idle workers would live on as orphans.
+    """
     for entry in reversed(parent_sys_path):
         if entry not in sys.path:
             sys.path.insert(0, entry)
+    threading.Thread(target=_exit_with_parent, args=(parent_pid,),
+                     name="repro-parent-watchdog", daemon=True).start()
+
+
+def _exit_with_parent(parent_pid: int, poll_s: float = 0.25) -> None:
+    while os.getppid() == parent_pid:
+        time.sleep(poll_s)
+    os._exit(1)
 
 
 def _with_timeout(
@@ -141,8 +122,6 @@ def _with_timeout(
     Returns:
         (result of ``fn``, warnings).
     """
-    import threading
-
     warnings: list[str] = []
     wanted = timeout_s is not None and timeout_s > 0
     on_main = threading.current_thread() is threading.main_thread()
@@ -193,7 +172,7 @@ def _run_task_entry(payload: dict[str, Any]) -> dict[str, Any]:
         attempt=payload["attempt"],
     )
     try:
-        if payload.get("inject_fault") or faultplane.fire("worker.crash"):
+        if payload["inject_fault"]:
             raise InjectedFault(
                 f"injected fault in {payload['task_id']} "
                 f"(attempt {payload['attempt']})"
@@ -293,7 +272,7 @@ class WorkerPool:
             max_workers=self.jobs,
             mp_context=_pool_context(),
             initializer=_init_worker,
-            initargs=(list(sys.path),),
+            initargs=(list(sys.path), os.getpid()),
         )
         return self._executor
 
@@ -382,7 +361,7 @@ def run_graph(
         graph: a validated :class:`TaskGraph`.
         store: optional artifact store consulted before running any
             cacheable task and written through by workers.
-        config: parallelism/timeout/retry/fault settings.
+        config: parallelism/timeout/retry settings.
         on_task: progress callback, invoked once per finished task.
         completed: task outputs recovered from a previous run's journal
             (task id → output dict); these tasks are finished immediately
@@ -490,9 +469,7 @@ def run_graph(
             "timeout_s": config.task_timeout_s,
             "cache_key": task.cache_key,
             "store_root": str(store.root) if store is not None else None,
-            "inject_fault": bool(
-                config.fault and config.fault.applies(task.task_id, attempt)
-            ),
+            "inject_fault": faultplane.crash_due(task.task_id, attempt),
             "trace": observe.enabled(),
             "trace_parent": tspan.span_id or None,
             "trace_fresh": pool is not None,

@@ -27,7 +27,7 @@ from repro.runtime.dag import (
     TaskGraph,
     build_task_graph,
 )
-from repro.runtime.executor import ExecutorConfig, FaultSpec, TaskResult, run_graph
+from repro.runtime.executor import ExecutorConfig, TaskResult, run_graph
 from repro.workloads import get_workload
 
 logger = logging.getLogger("repro.sweep")
@@ -47,7 +47,6 @@ class SweepConfig:
     task_timeout_s: float | None = 600.0
     retries: int = 1
     backoff_s: float = 0.05
-    fault: FaultSpec | None = None
     cache_dir: str | None = None  # None -> caching disabled
     output_dir: str = "sweep-results"
     solver_budget_s: float | None = None  # anytime optimize budget
@@ -236,7 +235,6 @@ def run_sweep(
                 task_timeout_s=config.task_timeout_s,
                 retries=config.retries,
                 backoff_s=config.backoff_s,
-                fault=config.fault,
             ),
             on_task=journal_task,
             completed=completed,

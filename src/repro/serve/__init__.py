@@ -25,10 +25,10 @@ one warm process pool and one artifact cache:
 * :mod:`repro.serve.client` — the resilient stdlib client (timeouts,
   capped jittered backoff, ``Retry-After`` honoring, idempotent
   resubmission by content hash, circuit breaker) shared by
-  ``repro loadtest`` and the chaos campaign.
-* :mod:`repro.serve.chaos` — the serve-mode chaos harness behind
-  ``repro chaos --serve`` (kill a warm worker mid-request; the request
-  must finish via retry or fail closed with a clean 5xx).
+  ``repro loadtest`` and the chaos harness
+  (:mod:`repro.resilience.campaign`, whose serve scenario kills a warm
+  worker mid-request: the request must finish via retry or fail closed
+  with a clean 5xx).
 
 ``repro loadtest`` (:mod:`repro.perf.loadtest`) replays thousands of
 concurrent mixed requests against a server and writes

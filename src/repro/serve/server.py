@@ -51,7 +51,7 @@ from repro.resilience import EXIT_INTERRUPTED, EXIT_OK, faultplane
 from repro.runtime import manifest as manifest_mod
 from repro.runtime.cache import ArtifactStore
 from repro.runtime.dag import build_task_graph
-from repro.runtime.executor import ExecutorConfig, FaultSpec, WorkerPool, run_graph
+from repro.runtime.executor import ExecutorConfig, WorkerPool, run_graph
 from repro.serve import protocol
 from repro.serve.coalesce import DEFAULT_DONE_MAX_BYTES, Job, JobTable
 from repro.serve.jobstore import JobStore, StoredJob
@@ -84,7 +84,6 @@ class ServeConfig:
     solver_backend: str = "auto"  # default when a request does not choose
     tenant_weights: dict[str, float] = field(default_factory=dict)
     retry_after_s: int = 1  # the 429 Retry-After hint
-    fault: FaultSpec | None = None  # chaos: fault-inject executor tasks
 
 
 def _dump(document: Any) -> bytes:
@@ -373,7 +372,6 @@ class ReproServer:
                     jobs=self.config.jobs,
                     task_timeout_s=self.config.task_timeout_s,
                     retries=self.config.retries,
-                    fault=self.config.fault,
                 ),
                 on_task=on_task,
                 pool=self.pool,

@@ -1,5 +1,6 @@
-"""Chaos-campaign tests: report mechanics, the torn-journal leg, and a
-single-seed end-to-end smoke against real subprocess servers."""
+"""Chaos-harness tests: report mechanics, the torn-journal leg, and
+end-to-end runs of the campaign and serve scenarios against real
+subprocess servers (the sweep scenario lives in test_chaos.py)."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ from repro.resilience.campaign import (
     _torn_journal_check,
     reference_rows,
     run_campaign,
+    run_serve_scenario,
     write_report,
 )
 from repro.resilience.faultplane import CATALOG
@@ -71,6 +73,14 @@ class TestTornJournalLeg:
         # And the harness plan did not leak into this process.
         assert faultplane.active_plan() is None
 
+    def test_unfired_tear_is_not_counted(self, tmp_path):
+        result = SeedResult(seed=0)
+        _torn_journal_check(0, tmp_path / "torn", result, hit=99)
+        assert "journal.torn" not in result.fired
+        assert result.violations == [
+            "torn-journal check: the scheduled tear never fired"]
+        assert faultplane.active_plan() is None
+
     def test_reference_rows_are_deterministic(self):
         once = reference_rows("adpcm", (0.5,))
         twice = reference_rows("adpcm", (0.5,))
@@ -100,3 +110,16 @@ def test_single_seed_campaign_end_to_end(tmp_path):
     assert len(report.points_exercised) >= 5
     path = write_report(report, tmp_path / "campaign" / "campaign.json")
     assert json.loads(path.read_text())["violations"] == []
+
+
+@pytest.mark.slow
+def test_serve_kill_scenario_end_to_end(tmp_path):
+    """Warm workers SIGKILLed mid-request: absorbed, reported, exit 3."""
+    report = run_serve_scenario(workload="adpcm", deadline_frac=0.5,
+                                jobs=1, output_dir=tmp_path)
+    assert report.violations == []
+    assert report.exit_code == EXIT_DEGRADED
+    details = report.seeds[0].details
+    assert details["killed_pids"]
+    assert details["respawns"] >= 1 or details["worker_crashes"] >= 1
+    assert details["victim_state"] in ("done", "failed")

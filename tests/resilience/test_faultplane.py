@@ -117,3 +117,31 @@ def test_stall_uses_slow_budget_for_io(monkeypatch):
     faultplane.stall("io.slow")
     faultplane.stall("worker.hang")
     assert naps == [0.25, 9.0]
+
+
+def test_damage_file_with_rng_tears_or_flips_one_byte(tmp_path):
+    import random
+
+    seen = set()
+    for seed in range(8):
+        victim = tmp_path / f"artifact-{seed}.json"
+        victim.write_bytes(b"a" * 100)
+        assert faultplane.damage_file(victim, random.Random(seed))
+        data = victim.read_bytes()
+        if len(data) == 100:
+            assert sum(byte != ord("a") for byte in data) == 1
+            seen.add("bit rot")
+        else:
+            assert len(data) == 50
+            seen.add("torn write")
+    assert seen == {"bit rot", "torn write"}
+    assert not faultplane.damage_file(tmp_path / "missing.json")
+
+
+def test_installed_scopes_a_plan_to_its_block():
+    plan = FaultPlan.for_tasks("optimize:*@1", attempts=2)
+    with faultplane.installed(plan):
+        assert faultplane.active_plan() == plan
+    assert faultplane.active_plan() is None
+    with faultplane.installed(None):
+        assert faultplane.active_plan() is None

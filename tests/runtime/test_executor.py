@@ -6,10 +6,13 @@ the executor is exercised against genuine task payloads, not mocks.
 
 import pytest
 
+from repro import observe
 from repro.errors import OrchestrationError
+from repro.resilience import faultplane
+from repro.resilience.faultplane import FaultPlan
 from repro.runtime.cache import ArtifactStore
 from repro.runtime.dag import ExperimentSpec, build_task_graph
-from repro.runtime.executor import ExecutorConfig, FaultSpec, run_graph
+from repro.runtime.executor import ExecutorConfig, WorkerPool, run_graph
 
 
 @pytest.fixture(scope="module")
@@ -51,12 +54,22 @@ class TestHappyPath:
         assert by_kind(pooled)["simulate"].output == by_kind(inline)["simulate"].output
 
 
+@pytest.fixture
+def inject_fault():
+    """Install the plan ``--inject-fault SPEC`` stands for, per test."""
+    def install(spec: str, attempts: int = 2) -> FaultPlan:
+        plan = FaultPlan.for_tasks(spec, attempts=attempts)
+        faultplane.install(plan)
+        return plan
+
+    yield install
+    faultplane.uninstall()
+
+
 class TestFaultsAndRetries:
-    def test_persistent_fault_degrades_gracefully(self, graph):
-        config = ExecutorConfig(
-            jobs=1, retries=1, backoff_s=0.0,
-            fault=FaultSpec("optimize:*"),
-        )
+    def test_persistent_fault_degrades_gracefully(self, graph, inject_fault):
+        inject_fault("optimize:*", attempts=2)  # every attempt crashes
+        config = ExecutorConfig(jobs=1, retries=1, backoff_s=0.0)
         results = run_graph(graph, config=config)
         kinds = by_kind(results)
         assert kinds["optimize"].status == "failed"
@@ -67,36 +80,84 @@ class TestFaultsAndRetries:
         # Upstream and sibling tasks are untouched by the failure.
         assert kinds["profile"].ok and kinds["bound"].ok and kinds["params"].ok
 
-    def test_transient_fault_is_retried_to_success(self, graph):
-        config = ExecutorConfig(
-            jobs=1, retries=1, backoff_s=0.0,
-            fault=FaultSpec("optimize:*", fail_attempts=1),
-        )
+    def test_transient_fault_is_retried_to_success(self, graph, inject_fault):
+        inject_fault("optimize:*@1")
+        config = ExecutorConfig(jobs=1, retries=1, backoff_s=0.0)
         results = run_graph(graph, config=config)
         kinds = by_kind(results)
         assert kinds["optimize"].ok
         assert kinds["optimize"].attempts == 2
         assert kinds["verify"].ok
 
-    def test_skip_reason_names_the_failed_dependency(self, graph):
-        results = run_graph(graph, config=ExecutorConfig(
-            jobs=1, retries=0, fault=FaultSpec("profile:*")))
+    def test_skip_reason_names_the_failed_dependency(self, graph,
+                                                     inject_fault):
+        inject_fault("profile:*", attempts=1)
+        results = run_graph(graph, config=ExecutorConfig(jobs=1, retries=0))
         verify = by_kind(results)["verify"]
         assert verify.status == "skipped"
         assert "profile:" in verify.error
 
     def test_fault_spec_parsing(self):
-        spec = FaultSpec.parse("optimize:gsm*@2")
-        assert spec.pattern == "optimize:gsm*" and spec.fail_attempts == 2
-        assert FaultSpec.parse("simulate:*").fail_attempts is None
+        plan = FaultPlan.for_tasks("optimize:gsm*@2", attempts=5)
+        assert plan.crash_tasks == "optimize:gsm*"
+        assert plan.schedule == {"worker.crash": (1, 2)}
+        # A bare pattern crashes every attempt the executor will make.
+        every = FaultPlan.for_tasks("simulate:*", attempts=3)
+        assert every.schedule == {"worker.crash": (1, 2, 3)}
+        assert FaultPlan.from_json(plan.to_json()) == plan
         with pytest.raises(OrchestrationError):
-            FaultSpec.parse("x@notanumber")
+            FaultPlan.for_tasks("x@notanumber", attempts=2)
 
-    def test_fault_applies_matching(self):
-        spec = FaultSpec("optimize:*", fail_attempts=1)
-        assert spec.applies("optimize:gsm", attempt=1)
-        assert not spec.applies("optimize:gsm", attempt=2)
-        assert not spec.applies("profile:gsm", attempt=1)
+    def test_fault_applies_matching(self, inject_fault):
+        inject_fault("optimize:*@1")
+        assert faultplane.crash_due("optimize:gsm", attempt=1)
+        assert not faultplane.crash_due("optimize:gsm", attempt=2)
+        assert not faultplane.crash_due("profile:gsm", attempt=1)  # glob miss
+
+    def test_glob_miss_runs_clean(self, graph, inject_fault):
+        inject_fault("optimize:gsm*")
+        results = run_graph(graph, config=ExecutorConfig(jobs=1, retries=0))
+        assert all(r.ok and r.attempts == 1 for r in results.values())
+
+    def test_first_attempt_fault_at_two_jobs_spares_the_retry_worker(
+            self, graph, inject_fault):
+        # Every retry is routed to a separate pool, so it runs on a
+        # worker that never saw the crash.  The crash decision is taken
+        # per task attempt in the parent, so @1 fires exactly once per
+        # matching task, whichever worker the retry lands on.
+        class RetriesElsewhere(WorkerPool):
+            def __init__(self) -> None:
+                super().__init__(2)
+                self.retry_pool = WorkerPool(1)
+
+            def submit(self, fn, payload):
+                if payload["attempt"] > 1:
+                    return self.retry_pool.submit(fn, payload)
+                return super().submit(fn, payload)
+
+        inject_fault("optimize:*@1")
+        observe.enable()
+        pool = RetriesElsewhere()
+        try:
+            before = observe.counter_value("faultplane.injected.worker.crash")
+            results = run_graph(graph, pool=pool, config=ExecutorConfig(
+                jobs=2, retries=1, backoff_s=0.0))
+            retry_pids = pool.retry_pool.worker_pids()
+            spans = observe.snapshot()["spans"]
+        finally:
+            pool.retry_pool.close()
+            pool.close()
+            observe.disable()
+        kinds = by_kind(results)
+        assert kinds["optimize"].ok and kinds["optimize"].attempts == 2
+        assert all(r.attempts == 1 for r in results.values()
+                   if r.kind != "optimize")
+        assert (observe.counter_value("faultplane.injected.worker.crash")
+                == before + 1)
+        retried = [span for span in spans if span["name"] == "worker.task"
+                   and span["attrs"]["kind"] == "optimize"
+                   and span["attrs"]["attempt"] == 2]
+        assert [span["pid"] for span in retried] == retry_pids
 
 
 class TestTimeouts:

@@ -1,13 +1,19 @@
-"""Kill -> ``--resume`` recovery tests against live in-process servers."""
+"""Kill -> ``--resume`` recovery tests against live in-process servers,
+and a spawned server whose pool workers must not outlive a SIGKILL."""
 
 from __future__ import annotations
 
+import contextlib
+import os
+import signal
 import time
 
 import pytest
 
 from repro import observe
+from repro.resilience.campaign import _server_env, _spawn_server
 from repro.serve import protocol
+from repro.serve.client import ReproClient
 from repro.serve.jobstore import JobStore
 from repro.serve.server import ServeConfig
 
@@ -116,3 +122,39 @@ def test_fresh_start_truncates_stale_store(server_factory, tmp_path):
         server.close()
     jobs = JobStore(tmp_path / "jobs").load()
     assert jobs == {}
+
+
+def test_sigkilled_server_leaves_no_pool_workers(tmp_path):
+    """Pool workers exit when their server dies without a drain."""
+    server = _spawn_server(["--jobs", "1", "--no-cache"],
+                           tmp_path / "serve.log", _server_env(), 90.0)
+    pids: list[int] = []
+    try:
+        client = ReproClient(server.host, server.port)
+        pids = client.get_json("/healthz").document["pool"]["pids"]
+        assert pids
+        server.sigkill()
+        deadline = time.monotonic() + 5.0
+        while any(_alive(pid) for pid in pids) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert not any(_alive(pid) for pid in pids), pids
+    finally:
+        server.ensure_dead()
+        for pid in filter(_alive, pids):  # never leak one past the test
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+
+
+def _alive(pid: int) -> bool:
+    """True while ``pid`` runs (an unreaped zombie counts as gone)."""
+    if os.path.isdir("/proc/self"):
+        try:
+            with open(f"/proc/{pid}/stat") as handle:
+                return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+        except FileNotFoundError:
+            return False
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True

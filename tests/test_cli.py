@@ -198,6 +198,19 @@ class TestSweepCommand:
         assert record["status"] == "failed"
         assert record["failures"]["optimize"]["error_type"] == "InjectedFault"
 
+    def test_taskgraph_sweep_fault_injection_fails_but_completes(
+            self, capsys, tmp_path):
+        assert main([
+            "taskgraph", "sweep", "--shapes", "fork-join", "--tasks", "3",
+            "--cores", "1", "--deadline-fracs", "0.5", "--no-cache",
+            "--retries", "0", "--inject-fault", "tg-solve:*",
+            "--output-dir", str(tmp_path / "out"),
+        ]) == 3
+        assert "FAILED" in capsys.readouterr().err
+        record = json.loads(
+            (tmp_path / "out" / "results.jsonl").read_text().strip())
+        assert record["failures"]["tg-solve"]["error_type"] == "InjectedFault"
+
     def test_sweep_rejects_bad_fraction(self, capsys, tmp_path):
         assert main([
             "sweep", "--workloads", "adpcm", "--deadline-fracs", "1.5",
