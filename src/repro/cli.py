@@ -526,11 +526,6 @@ def cmd_sweep(args) -> int:
     cache_dir = None if args.no_cache else (
         args.cache_dir or os.environ.get(CACHE_DIR_ENV) or DEFAULT_CACHE_DIR
     )
-    if args.solver_engine is not None:
-        # Through the environment so --jobs N pool workers inherit it.
-        from repro.solver.engine import ENGINE_ENV
-
-        os.environ[ENGINE_ENV] = args.solver_engine
     config = SweepConfig(
         workloads=workloads,
         deadline_fracs=fracs,
@@ -857,26 +852,23 @@ def _cmd_bench_solver(args) -> int:
 
     workloads = tuple(w.strip() for w in args.workloads.split(",")
                       if w.strip())
-    document = run_solver_bench(workloads=workloads, repeats=args.repeats,
-                                dense_budget_s=args.dense_budget)
-    print(f"{'case':<22s} {'dense cold':>11s} {'warm revised':>13s} "
-          f"{'speedup':>8s}  identical")
+    document = run_solver_bench(workloads=workloads)
+    print(f"{'case':<10s} {'warm':>9s} {'cold':>9s} {'HiGHS':>9s} "
+          f"{'warm piv':>9s} {'cold piv':>9s}  identical")
     for case in document["cases"]:
-        print(f"{case['name']:<22s} {case['dense_cold_s']:>10.3f}s "
-              f"{case['revised_warm_s']:>12.3f}s {case['speedup']:>7.2f}x  "
-              f"{'yes' if case['identical'] else 'NO'}")
-        if case["dense_dnf_deadlines"]:
-            dnf = ",".join(f"D{i}" for i in case["dense_dnf_deadlines"])
-            print(f"{'':<22s} (dense DNF at {dnf} within "
-                  f"{case['dense_budget_s']:g}s/deadline; revised solved "
-                  f"the full chain in "
-                  f"{case['revised_full_chain_s']:.3f}s)")
+        for row in case["deadlines"]:
+            print(f"{case['name'] + ' D' + str(row['deadline']):<10s} "
+                  f"{row['warm_s']:>8.2f}s {row['cold_s']:>8.2f}s "
+                  f"{row['highs_s']:>8.2f}s {row['warm_pivots']:>9d} "
+                  f"{row['cold_pivots']:>9d}  "
+                  f"{'yes' if row['identical'] else 'NO'}")
     path = write_bench_json(document, args.output or "BENCH_solver.json")
-    print(f"\nheadline {document['headline_speedup']:.2f}x, "
-          f"{document['warm_pivots']} warm pivots vs "
-          f"{document['cold_pivots']} cold [written to {path}]")
+    print(f"\nwarm {document['warm_s']:.2f}s / {document['warm_pivots']} "
+          f"pivots vs cold {document['cold_s']:.2f}s / "
+          f"{document['cold_pivots']} pivots (ratio "
+          f"{document['pivot_ratio']:.2f}) [written to {path}]")
     if not document["all_identical"]:
-        print("bench: revised engine diverged from the dense tableau",
+        print("bench: warm, cold and HiGHS rows are not byte-identical",
               file=sys.stderr)
         return EXIT_FAILURE
     return EXIT_OK
@@ -1052,11 +1044,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_fuzz.add_argument("--runs", type=int, default=50,
                         help="programs to generate (0 with --lp-runs to "
-                             "fuzz only the LP cores)")
+                             "fuzz only the LP core)")
     p_fuzz.add_argument("--lp-runs", type=int, default=0, metavar="N",
-                        help="also differential-fuzz the LP solver cores "
-                             "with N pathological instances (revised vs "
-                             "dense vs HiGHS)")
+                        help="also differential-fuzz the native LP core "
+                             "against HiGHS with N pathological instances")
     p_fuzz.add_argument("--continuous-runs", type=int, default=0,
                         metavar="N",
                         help="also fuzz the continuous engine against the "
@@ -1136,11 +1127,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="warm-start the native branch and bound with "
                               "the continuous round-up incumbent (pure "
                               "accelerator: results are byte-identical)")
-    p_sweep.add_argument("--solver-engine", default=None,
-                         choices=("revised", "dense"),
-                         help="native LP core (default revised; dense is "
-                              "the kill switch — results.jsonl is "
-                              "byte-identical either way)")
     p_sweep.add_argument("--trace", action="store_true",
                          help="collect spans/metrics and write trace.jsonl "
                               "+ metrics.json next to the manifest "
@@ -1226,8 +1212,8 @@ def build_parser() -> argparse.ArgumentParser:
         "bench",
         help="benchmark the accelerated simulator against the reference "
              "interpreter (writes BENCH_simulator.json), or with "
-             "--solver the warm-started revised simplex against cold "
-             "dense solves (writes BENCH_solver.json)",
+             "--solver the warm-started native simplex against cold "
+             "solves and HiGHS (writes BENCH_solver.json)",
     )
     p_bench.add_argument("--suite", action="store_true",
                          help="also benchmark every suite workload")
@@ -1236,8 +1222,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--mode", type=int, default=2,
                          help="mode index to simulate at (default 2)")
     p_bench.add_argument("--solver", action="store_true",
-                         help="benchmark the LP solver engines over the "
-                              "Fig. 17/18 deadline sweep instead of the "
+                         help="benchmark warm vs cold native solves over "
+                              "the Fig. 17/18 deadline sweep instead of the "
                               "simulator")
     p_bench.add_argument("--continuous", action="store_true",
                          help="benchmark the continuous-voltage engine: "
@@ -1265,11 +1251,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--workloads", default="adpcm,gsm",
                          help="comma-joined workloads for --solver "
                               "(default adpcm,gsm)")
-    p_bench.add_argument("--dense-budget", type=float, default=60.0,
-                         metavar="SECONDS",
-                         help="per-deadline wall-clock budget for the cold "
-                              "dense chain before a deadline counts as DNF "
-                              "(default 60)")
     p_bench.add_argument("-o", "--output", default=None,
                          help="output JSON path (default "
                               "BENCH_simulator.json / BENCH_solver.json)")

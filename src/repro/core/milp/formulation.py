@@ -18,10 +18,16 @@ Deadline constraint (seconds)::
 Filtered edges reuse their representative's ``k`` variables, so they still
 contribute their time and energy terms — deadlines remain exact, only
 optimality can be affected (the paper's Table 3 result).
+
+Canonical pricing: a schedule's predicted energy and time are evaluated
+from its integer assignment alone (:meth:`MilpFormulation.price`), never
+read off the solver, so every backend and pivot path that picks the same
+modes emits the same bytes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro import observe
@@ -99,9 +105,10 @@ class MilpFormulation:
         Returns ``(x, objective, time_s)`` — the full variable vector
         (binaries set, transition auxiliaries at their implied absolute
         values), the model objective at that point, and the deadline-row
-        value.  The point is feasible by construction whenever
-        ``time_s <= deadline_s``, which makes it a sound warm incumbent
-        for branch and bound over this exact model.
+        value, both summed exactly (:func:`exact_value`).  The point is
+        feasible by construction whenever ``time_s <= deadline_s``, which
+        makes it a sound warm incumbent for branch and bound over this
+        exact model.
         """
         import numpy as np
 
@@ -115,8 +122,34 @@ class MilpFormulation:
             m_out = next(m for m, var in enumerate(out_vars) if x[var.index] > 0.5)
             x[e_var.index] = abs(v_squared[m_in] - v_squared[m_out])
             x[t_var.index] = abs(voltages[m_in] - voltages[m_out])
-        objective = self.model.objective.value(x)
-        return x, float(objective), float(self.deadline_expr.value(x))
+        return (x, exact_value(self.model.objective, x),
+                exact_value(self.deadline_expr, x))
+
+    def price(self, schedule: DVSSchedule) -> tuple[float, float]:
+        """Canonical ``(energy_nj, time_s)`` of an extracted schedule.
+
+        The schedule's representative modes are lifted with
+        :meth:`incumbent_vector`, so the price depends on the integer
+        assignment alone: HiGHS, the native simplex, warm or cold, all
+        price one assignment to the same bits.  Pass the schedule as
+        :meth:`extract_schedule` returns it, before hoisting.
+        """
+        rep_modes = {rep: schedule.assignment[rep]
+                     for rep in self.independent_edges}
+        _x, energy, time_s = self.incumbent_vector(rep_modes)
+        return energy, time_s
+
+
+def exact_value(expr: LinExpr, x) -> float:
+    """``expr`` at ``x`` as the correctly rounded sum of its terms.
+
+    Terms are taken in variable-index order and summed with
+    :func:`math.fsum`, so the value is a function of the point alone, not
+    of the order the expression was built in.
+    """
+    terms = sorted((var.index, coef) for var, coef in expr.terms.items())
+    return math.fsum([coef * float(x[index]) for index, coef in terms]
+                     + [expr.constant])
 
 
 def build_formulation(

@@ -103,6 +103,7 @@ def build_multidata_formulation(
     # Shared transition auxiliaries per local path (they depend only on the
     # mode variables, not the category).
     aux: dict[tuple[str, str, str], tuple[Variable, Variable]] = {}
+    aux_paths: list = []
 
     def get_aux(h: str, i: str, j: str) -> tuple[Variable, Variable] | None:
         key = (h, i, j)
@@ -126,6 +127,7 @@ def build_multidata_formulation(
         model.add_constraint(delta_v <= t_var, name=f"abs_t+[{h}->{i}->{j}]")
         model.add_constraint(-1.0 * t_var <= delta_v, name=f"abs_t-[{h}->{i}->{j}]")
         aux[key] = (e_var, t_var)
+        aux_paths.append((in_vars, out_vars, e_var, t_var))
         return aux[key]
 
     objective = LinExpr()
@@ -171,4 +173,5 @@ def build_multidata_formulation(
         deadline_s=categories[0].deadline_s,
         num_paths=num_paths,
         build_time_s=observe.end_span(build_span).elapsed_s,
+        aux_paths=aux_paths,
     )

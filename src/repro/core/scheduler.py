@@ -50,6 +50,8 @@ class OptimizationOutcome:
     solution: Solution
     formulation: MilpFormulation
     profile: ProfileData
+    # The schedule's canonical price (MilpFormulation.price): a function
+    # of the mode assignment alone, never of the backend that found it.
     predicted_energy_nj: float
     predicted_time_s: float
     solve_time_s: float
@@ -98,8 +100,7 @@ class DVSOptimizer:
             :mod:`repro.core.continuous`, whose rounded-up discrete
             schedule is feasible but not proven optimal).
         solver_options: extra keyword options forwarded to every solve
-            (e.g. ``solver_engine`` to pick the native LP core, or
-            ``warm_key`` so a sweep's consecutive deadlines hand their
+            (e.g. ``warm_key`` so a sweep's consecutive deadlines hand their
             basis and pseudocosts to each other; ``continuous_prune``
             seeds the native branch-and-bound with the continuous
             round-up as a warm incumbent).  Execution hints only — they
@@ -230,6 +231,7 @@ class DVSOptimizer:
         certificate = verify_certificate(formulation, solution)
         certificate.raise_if_invalid()
         schedule = formulation.extract_schedule(solution)
+        energy, time_s = formulation.price(schedule)
         schedule.validate_against(cfg)
         if hoist:
             schedule = schedule.hoist_silent(profile)
@@ -238,8 +240,8 @@ class DVSOptimizer:
             solution=solution,
             formulation=formulation,
             profile=profile,
-            predicted_energy_nj=solution.objective,
-            predicted_time_s=formulation.predicted_time(solution),
+            predicted_energy_nj=energy,
+            predicted_time_s=time_s,
             solve_time_s=solve_time,
             filter_result=filter_result,
             certificate=certificate,
@@ -400,6 +402,7 @@ class DVSOptimizer:
         certificate = verify_certificate(formulation, solution)
         certificate.raise_if_invalid()
         schedule = formulation.extract_schedule(solution)
+        energy, time_s = formulation.price(schedule)
         schedule.validate_against(cfg)
         if hoist:
             # Removal is safe only when the mode-set is silent on every
@@ -410,8 +413,8 @@ class DVSOptimizer:
             solution=solution,
             formulation=formulation,
             profile=categories[0].profile,
-            predicted_energy_nj=solution.objective,
-            predicted_time_s=formulation.predicted_time(solution),
+            predicted_energy_nj=energy,
+            predicted_time_s=time_s,
             solve_time_s=solve_time,
             filter_result=filter_result,
             certificate=certificate,

@@ -13,7 +13,7 @@ Quick use::
         ...
     manifest["wall_time_s"] = sp.elapsed_s   # works traced or not
 
-    observe.add("solver.simplex.pivots")
+    observe.add("solver.revised.pivots")
     observe.record("executor.queue_wait_s", wait)
 
     @observe.traced()

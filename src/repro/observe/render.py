@@ -154,8 +154,9 @@ def render_stats(metrics: dict[str, Any]) -> str:
     iterations = take("solver.iterations")
     nodes_all = take("solver.nodes")
     lp_solves = take("solver.lp_solves")
-    pivots = take("solver.simplex.pivots")
-    degenerate = take("solver.simplex.degenerate_pivots")
+    pivots = take("solver.revised.pivots")
+    warm_pivots = take("solver.revised.warm_pivots")
+    refactors = take("solver.revised.refactor")
     nodes = take("solver.bnb.nodes_explored")
     pruned = take("solver.bnb.nodes_pruned")
     incumbents = take("solver.bnb.incumbents")
@@ -167,11 +168,12 @@ def render_stats(metrics: dict[str, Any]) -> str:
         if lp_solves or pivots or nodes:
             row("native LP solves", int(lp_solves))
             row("native simplex pivots", int(pivots))
-            row("native degenerate pivots", int(degenerate))
+            row("native warm-started pivots", int(warm_pivots))
+            row("native refactorizations", int(refactors))
             row("native B&B nodes explored", int(nodes))
             row("native B&B nodes pruned", int(pruned))
             row("native B&B incumbents found", int(incumbents))
-        for tier in ("milp-scipy", "milp-native", "greedy"):
+        for tier in ("milp-scipy", "milp-native", "continuous", "greedy"):
             name = f"anytime.tier.{tier}"
             if name in counters:
                 row(f"anytime tier used: {tier}", int(take(name)))

@@ -1,23 +1,20 @@
 """Solver benchmark harness behind ``repro bench --solver``.
 
 Times the paper's Figure 17/18 experiment — the five-deadline sweep per
-workload — the two ways the repo can run it:
+workload — on the native revised simplex two ways:
 
-* **dense cold**: the classic tableau simplex (``--solver-engine=dense``
-  kill switch), every deadline solved from scratch;
-* **revised warm**: the sparse revised simplex with the optimal basis
-  and branching pseudocosts handed from each deadline to the next
-  (exactly what ``repro sweep`` does through the warm-start registry).
+* **warm**: the optimal basis and branching pseudocosts handed from each
+  deadline to the next (exactly what ``repro sweep`` does through the
+  warm-start registry);
+* **cold**: every deadline solved from scratch;
 
-At the stringent deadlines (D1, often D2) the dense tableau stalls in
-hundreds of thousands of degenerate pivots and does not terminate within
-any practical budget, while the revised engine finishes in seconds.  The
-bench therefore gives every dense solve a per-deadline wall-clock budget
-and reports deadlines it cannot finish as DNF; the speedup and the
-schedule-identity check cover the comparable subset, which is the
-*favourable* subset for the dense engine.  Emits ``BENCH_solver.json``
-for CI to archive; the repo's acceptance floor is a >= 3x warm-revised
-speedup on the comparable chain.
+and solves each deadline once more with HiGHS as the independent
+reference.  Every row is checked for identity across the three: the
+same serialized schedule and the same canonical ``predicted_energy_nj``
+bits.  Pivot counts are deterministic, so the CI gate is on them
+(``warm_pivots <= 0.9 * cold_pivots``) rather than on wall time.  Warm
+starting does not win at every deadline; the per-deadline rows say where.
+Emits ``BENCH_solver.json`` for CI to archive.
 """
 
 from __future__ import annotations
@@ -30,42 +27,37 @@ from typing import Any
 
 from repro import observe
 from repro.core import DVSOptimizer
-from repro.errors import ScheduleError
 from repro.lang import compile_program
 from repro.profiling.serialize import schedule_to_dict
 from repro.simulator import Machine, SCALE_CONFIG, TransitionCostModel, XSCALE_3
 from repro.solver import warmstart
-from repro.solver.engine import use_engine
 from repro.workloads import derive_deadlines, get_workload
 
-#: Schema tag for BENCH_solver.json consumers.
-BENCH_FORMAT = 1
+#: Schema tag for BENCH_solver.json consumers.  v2: warm vs cold revised
+#: plus a HiGHS identity row (v1 timed a dense tableau instead).
+BENCH_FORMAT = 2
 
-#: Wall-clock budget per dense solve before a deadline counts as DNF.
-DENSE_BUDGET_S = 60.0
+_PIVOTS = "solver.revised.pivots"
 
 
-def _solve_one(optimizer: DVSOptimizer, cfg, deadline, profile,
-               pivot_counter: str) -> dict[str, Any]:
-    """One optimize call; seconds, pivots and the serialized schedule
-    (``schedule`` None when the solver hit its budget)."""
-    pivots0 = observe.counter_value(pivot_counter)
+def _solve_one(optimizer: DVSOptimizer, cfg, deadline, profile) -> dict[str, Any]:
+    """One optimize call: seconds, native pivots and the emitted row."""
+    pivots0 = observe.counter_value(_PIVOTS)
     t0 = time.perf_counter()
-    try:
-        outcome = optimizer.optimize(cfg, deadline, profile=profile)
-        schedule = schedule_to_dict(outcome.schedule)
-    except ScheduleError:
-        schedule = None  # solver limit: DNF at this deadline
+    outcome = optimizer.optimize(cfg, deadline, profile=profile)
     return {
         "seconds": time.perf_counter() - t0,
-        "pivots": int(observe.counter_value(pivot_counter) - pivots0),
-        "schedule": schedule,
+        "pivots": int(observe.counter_value(_PIVOTS) - pivots0),
+        "row": json.dumps({
+            "schedule": schedule_to_dict(outcome.schedule),
+            "predicted_energy_nj": outcome.predicted_energy_nj,
+            "predicted_time_s": outcome.predicted_time_s,
+        }, sort_keys=True),
     }
 
 
-def bench_workload(name: str, repeats: int = 1,
-                   dense_budget_s: float = DENSE_BUDGET_S) -> dict[str, Any]:
-    """Benchmark one workload's Fig 17/18 sweep, dense-cold vs revised-warm.
+def bench_workload(name: str) -> dict[str, Any]:
+    """Benchmark one workload's Fig 17/18 sweep, warm vs cold vs HiGHS.
 
     The profile (simulation) is built once, untimed: this benchmark
     isolates solver time, which is what Figure 18 plots.
@@ -81,95 +73,65 @@ def bench_workload(name: str, repeats: int = 1,
     warm_optimizer = DVSOptimizer(
         machine, backend="native",
         solver_options={"warm_key": f"bench.{name}"})
-    cold_optimizer = DVSOptimizer(
-        machine, backend="native",
-        solver_options={"time_limit": dense_budget_s})
+    cold_optimizer = DVSOptimizer(machine, backend="native")
+    highs_optimizer = DVSOptimizer(machine, backend="scipy")
 
-    best: dict[str, Any] | None = None
-    for _ in range(repeats):
-        # Warm chain: reset the registry so the first deadline solves
-        # cold and the remaining ones warm-start, as a real sweep does.
+    # Reset the registry so the first deadline solves cold and the rest
+    # warm-start, as a real sweep does.
+    warmstart.reset()
+    observe.enable(reset=True)
+    try:
+        warm = [_solve_one(warm_optimizer, cfg, d, profile) for d in deadlines]
+        cold = [_solve_one(cold_optimizer, cfg, d, profile) for d in deadlines]
+        highs = [_solve_one(highs_optimizer, cfg, d, profile) for d in deadlines]
+    finally:
+        observe.disable()
         warmstart.reset()
-        observe.enable(reset=True)
-        try:
-            with use_engine("revised"):
-                warm = [_solve_one(warm_optimizer, cfg, d, profile,
-                                   "solver.revised.pivots")
-                        for d in deadlines]
-            with use_engine("dense"):
-                cold = [_solve_one(cold_optimizer, cfg, d, profile,
-                                   "solver.simplex.pivots")
-                        for d in deadlines]
-        finally:
-            observe.disable()
 
-        comparable = [i for i, c in enumerate(cold)
-                      if c["schedule"] is not None]
-        warm_s = sum(warm[i]["seconds"] for i in comparable)
-        cold_s = sum(cold[i]["seconds"] for i in comparable)
-        sample = {
-            "name": name,
-            "deadlines": len(deadlines),
-            "repeats": repeats,
-            # Speedup/identity cover only the deadlines the dense engine
-            # finished — its favourable subset.
-            "comparable_deadlines": [i + 1 for i in comparable],
-            "dense_dnf_deadlines": [i + 1 for i in range(len(deadlines))
-                                    if i not in comparable],
-            "dense_budget_s": dense_budget_s,
-            "dense_cold_s": cold_s,
-            "revised_warm_s": warm_s,
-            "revised_full_chain_s": sum(w["seconds"] for w in warm),
-            "speedup": cold_s / warm_s if warm_s > 0 else float("inf"),
-            "identical": all(
-                json.dumps(warm[i]["schedule"], sort_keys=True)
-                == json.dumps(cold[i]["schedule"], sort_keys=True)
-                for i in comparable
-            ) and all(w["schedule"] is not None for w in warm),
-            "warm_pivots": sum(warm[i]["pivots"] for i in comparable),
-            "cold_pivots": sum(cold[i]["pivots"] for i in comparable),
-        }
-        if best is None:
-            best = sample
-        else:  # best-of-N on each chain independently
-            best["revised_warm_s"] = min(best["revised_warm_s"],
-                                         sample["revised_warm_s"])
-            best["dense_cold_s"] = min(best["dense_cold_s"],
-                                       sample["dense_cold_s"])
-            best["identical"] = best["identical"] and sample["identical"]
-            best["speedup"] = (best["dense_cold_s"] / best["revised_warm_s"]
-                               if best["revised_warm_s"] > 0 else float("inf"))
-    return best
+    rows = [{
+        "deadline": index + 1,
+        "warm_s": w["seconds"],
+        "cold_s": c["seconds"],
+        "highs_s": h["seconds"],
+        "warm_pivots": w["pivots"],
+        "cold_pivots": c["pivots"],
+        "identical": w["row"] == c["row"] == h["row"],
+    } for index, (w, c, h) in enumerate(zip(warm, cold, highs))]
+    warm_s = sum(r["warm_s"] for r in rows)
+    cold_s = sum(r["cold_s"] for r in rows)
+    return {
+        "name": name,
+        "deadlines": rows,
+        "warm_s": warm_s,
+        "cold_s": cold_s,
+        "highs_s": sum(r["highs_s"] for r in rows),
+        "speedup": cold_s / warm_s if warm_s > 0 else float("inf"),
+        "warm_pivots": sum(r["warm_pivots"] for r in rows),
+        "cold_pivots": sum(r["cold_pivots"] for r in rows),
+        "identical": all(r["identical"] for r in rows),
+    }
 
 
-def run_solver_bench(workloads: tuple[str, ...] = ("adpcm", "gsm"),
-                     repeats: int = 1,
-                     dense_budget_s: float = DENSE_BUDGET_S
+def run_solver_bench(workloads: tuple[str, ...] = ("adpcm", "gsm")
                      ) -> dict[str, Any]:
-    """The full benchmark document (the BENCH_solver.json payload).
-
-    The headline speedup is aggregate: total dense-cold seconds over
-    total revised-warm seconds on the comparable deadlines across every
-    workload.
-    """
-    was_enabled = observe.enabled()
-    cases = [bench_workload(name, repeats=repeats,
-                            dense_budget_s=dense_budget_s)
-             for name in workloads]
-    if was_enabled and not observe.enabled():  # pragma: no cover - defensive
-        observe.enable()
-    total_cold = sum(c["dense_cold_s"] for c in cases)
-    total_warm = sum(c["revised_warm_s"] for c in cases)
+    """The full benchmark document (the BENCH_solver.json payload)."""
+    cases = [bench_workload(name) for name in workloads]
+    warm_pivots = sum(c["warm_pivots"] for c in cases)
+    cold_pivots = sum(c["cold_pivots"] for c in cases)
+    warm_s = sum(c["warm_s"] for c in cases)
+    cold_s = sum(c["cold_s"] for c in cases)
     return {
         "format": BENCH_FORMAT,
         "benchmark": "solver-warmstart",
         "python": platform.python_version(),
         "platform": platform.platform(),
-        "headline_speedup": (total_cold / total_warm if total_warm > 0
-                             else float("inf")),
         "all_identical": all(c["identical"] for c in cases),
-        "warm_pivots": sum(c["warm_pivots"] for c in cases),
-        "cold_pivots": sum(c["cold_pivots"] for c in cases),
+        "warm_pivots": warm_pivots,
+        "cold_pivots": cold_pivots,
+        "pivot_ratio": warm_pivots / cold_pivots if cold_pivots else 1.0,
+        "warm_s": warm_s,
+        "cold_s": cold_s,
+        "speedup": cold_s / warm_s if warm_s > 0 else float("inf"),
         "cases": cases,
     }
 

@@ -27,7 +27,7 @@ BENCHES: tuple[tuple[str, str, tuple[str, ...]], ...] = (
     ("BENCH_simulator.json", "simulator",
      ("headline_speedup", "all_identical")),
     ("BENCH_solver.json", "solver",
-     ("headline_speedup", "warm_pivots", "cold_pivots", "all_identical")),
+     ("pivot_ratio", "warm_pivots", "cold_pivots", "all_identical")),
     ("BENCH_serve.json", "serve",
      ("throughput_rps", "coalescing_ratio", "latency_s.p50")),
     ("BENCH_taskgraph.json", "taskgraph",

@@ -188,6 +188,7 @@ def optimize_anytime(
                 continue
             try:
                 schedule = formulation.extract_schedule(solution, allow_incumbent=True)
+                energy, time_s = formulation.price(schedule)
                 schedule.validate_against(cfg)
             except ScheduleError as error:
                 reject(TierAttempt(tier, False, str(error), tier_time))
@@ -220,8 +221,8 @@ def optimize_anytime(
             solution=solution,
             formulation=formulation,
             profile=profile,
-            predicted_energy_nj=solution.objective,
-            predicted_time_s=formulation.predicted_time(solution),
+            predicted_energy_nj=energy,
+            predicted_time_s=time_s,
             solve_time_s=observe.clock() - start,
             filter_result=filter_result,
             certificate=certificate,

@@ -15,11 +15,10 @@ for a plan built by :meth:`FaultPlan.for_tasks`.
   (:func:`crash_due`): its hits are the attempt numbers of each task
   whose id matches ``crash_tasks``, so ``@N`` means "the first N
   attempts of every matching task" whichever worker a retry lands on;
-* plans reach child processes through ``REPRO_FAULTPLAN`` (like
-  ``$REPRO_SOLVER_ENGINE``): :func:`install` with ``env=True`` exports
-  the plan, and each process loads it on its first :func:`fire`.  Hits
-  of the other points count per process; a forked worker starts from
-  its parent's counts.
+* plans reach child processes through ``REPRO_FAULTPLAN``: :func:`install`
+  with ``env=True`` exports the plan, and each process loads it on its
+  first :func:`fire`.  Hits of the other points count per process; a
+  forked worker starts from its parent's counts.
 
 Every injection increments the ``faultplane.injected.<point>`` counter,
 which worker transports ship back to the parent like every other observe

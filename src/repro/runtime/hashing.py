@@ -40,9 +40,13 @@ from repro.simulator.machine import Machine
 #: outputs change for identical inputs.  v2: compensated (Neumaier)
 #: energy accounting and the canonical nJ-space transition-cost path
 #: perturb run summaries in the last few ulps, so v1 artifacts must not
-#: be served.  The fast path is deliberately *not* part of any key:
-#: it is bit-exact, so fast and reference runs share artifacts.
-KEY_VERSION = 2
+#: be served.  v3: schedules carry their canonical price (the integer
+#: assignment's objective and deadline row, summed exactly) instead of
+#: the backend's floats, which moves the last bits of
+#: ``predicted_energy_nj``/``predicted_time_s``.  The fast path is
+#: deliberately *not* part of any key: it is bit-exact, so fast and
+#: reference runs share artifacts.
+KEY_VERSION = 3
 
 
 def canonical_json(obj: Any) -> str:

@@ -5,13 +5,18 @@ subpackage provides the equivalent functionality:
 
 * :mod:`repro.solver.model` — an AMPL-like modelling layer (variables,
   linear expressions, constraints, objective) that compiles to matrix form.
-* :mod:`repro.solver.simplex` — a from-scratch dense two-phase simplex LP
-  solver with Bland anti-cycling.
+* :mod:`repro.solver.revised` — a from-scratch sparse revised simplex LP
+  solver with bounded variables, dual warm starts and Bland anti-cycling.
 * :mod:`repro.solver.branch_bound` — a best-first branch-and-bound MILP
-  solver built on the simplex solver.
+  solver built on the revised simplex.
 * :mod:`repro.solver.scipy_backend` — an optional accelerated backend that
   delegates to ``scipy.optimize`` (HiGHS).  The native solver is validated
   against it in the test suite.
+
+Neither backend's floats reach a results row: the schedule optimizer
+prices every emitted schedule from its integer assignment alone (see
+:meth:`repro.core.milp.formulation.MilpFormulation.price`), so the bytes
+do not depend on which backend or pivot path found it.
 
 Typical use::
 
@@ -27,7 +32,7 @@ Typical use::
 """
 
 from repro.solver.model import Constraint, LinExpr, Model, Sense, Variable
-from repro.solver.simplex import SimplexResult, solve_lp
+from repro.solver.revised import SimplexResult, solve_lp
 from repro.solver.branch_bound import BranchBoundOptions, solve_milp
 from repro.solver.solution import Solution, SolveStatus
 

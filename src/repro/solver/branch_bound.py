@@ -1,9 +1,8 @@
 """Best-first branch-and-bound MILP solver over the native simplex.
 
-Together with :mod:`repro.solver.simplex` and
-:mod:`repro.solver.revised` this forms the from-scratch replacement for
-CPLEX used by the paper's DVS formulation.  The search is classic
-LP-based branch and bound:
+Together with :mod:`repro.solver.revised` this forms the from-scratch
+replacement for CPLEX used by the paper's DVS formulation.  The search is
+classic LP-based branch and bound:
 
 * each node is an LP relaxation with tightened variable bounds;
 * nodes are explored best-bound-first (a heap keyed on the parent
@@ -16,18 +15,15 @@ LP-based branch and bound:
 * a node is pruned when its relaxation is infeasible or its bound cannot
   beat the incumbent.
 
-Under the revised engine each node's LP is warm-started from its
-parent's optimal basis (a bound change on one branched variable is a
-couple of dual pivots), and the root can be warm-started from a related
-earlier solve (the previous deadline in a sweep).
+Each node's LP is warm-started from its parent's optimal basis (a bound
+change on one branched variable is a couple of dual pivots), and the root
+can be warm-started from a related earlier solve (the previous deadline
+in a sweep).
 
-Engine independence of the output: whatever engine explored the tree,
-the final incumbent is *polished* — the integer variables are fixed to
-their rounded values and the continuous remainder is re-solved with the
-dense tableau.  The reported floats therefore depend only on the integer
-assignment, not on the pivot path, which is what keeps ``results.jsonl``
-byte-identical between ``--solver-engine=revised`` and ``=dense`` and
-between warm and cold sweeps.
+The returned point is the incumbent's node relaxation with its integer
+variables snapped to integers; its continuous part carries the pivot
+path's last-bit noise.  Callers that need bytes independent of the path
+price the integer assignment themselves (the DVS optimizer does).
 
 The solver is exact: when it returns ``OPTIMAL`` the incumbent is a proven
 optimum (within ``int_tol``/``gap_tol``).  A ``node_limit``/``time_limit``
@@ -45,12 +41,10 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro import observe
-from repro.solver import engine as engine_mod
-from repro.solver.simplex import solve_lp_dense
+from repro.solver.revised import Basis, RevisedProblem
 from repro.solver.solution import SolveStatus
 
 if TYPE_CHECKING:
-    from repro.solver.revised import Basis
     from repro.solver.warmstart import PseudocostStore
 
 _INF = float("inf")
@@ -77,9 +71,9 @@ class MilpResult:
     iterations: int = 0
     nodes: int = 0
     best_bound: float = float("-inf")
-    #: Optimal basis of the root relaxation (revised engine only) — the
-    #: warm-start hand-off for the next related solve in a sweep.
-    root_basis: "Basis | None" = None
+    #: Optimal basis of the root relaxation — the warm-start hand-off
+    #: for the next related solve in a sweep.
+    root_basis: Basis | None = None
     #: Prunes attributable to an injected external incumbent (the
     #: continuous-relaxation upper bound) before the search found any
     #: incumbent of its own.
@@ -133,21 +127,18 @@ def solve_milp(
     bounds=None,
     integrality=None,
     options: BranchBoundOptions | None = None,
-    engine: str | None = None,
-    warm_start: "Basis | None" = None,
+    warm_start: Basis | None = None,
     pseudocosts: "PseudocostStore | None" = None,
     incumbent: "tuple[np.ndarray, float] | None" = None,
 ) -> MilpResult:
     """Solve a mixed-integer LP by branch and bound on the native simplex.
 
-    Arguments mirror :func:`repro.solver.simplex.solve_lp`, plus
+    Arguments mirror :func:`repro.solver.revised.solve_lp`, plus
     ``integrality``: a boolean mask marking the integer variables.
 
     Args:
-        engine: LP core for node relaxations ("revised"/"dense"); None
-            follows the ambient :mod:`repro.solver.engine` selection.
         warm_start: basis to warm-start the *root* relaxation from
-            (revised engine only; ignored otherwise).  The returned
+            (ignored when its shape does not match).  The returned
             ``root_basis`` closes the loop for the next solve.
         pseudocosts: shared branching-history store; when given, branch
             variables are chosen by pseudocost score instead of maximum
@@ -199,45 +190,21 @@ def solve_milp(
         if nodes_enqueued:
             observe.add("solver.bnb.nodes_enqueued", nodes_enqueued)
 
-    engine_name = engine_mod.resolve(engine)
-    if engine_name == "revised":
-        from repro.solver.revised import RevisedProblem
+    # One compiled problem for the whole tree: nodes only override
+    # bounds, so the sparse columns and cost vector are shared.
+    problem = RevisedProblem(c, a_ub, b_ub, a_eq, b_eq, bounds)
 
-        # One compiled problem for the whole tree: nodes only override
-        # bounds, so the sparse columns and cost vector are shared.
-        problem = RevisedProblem(c, a_ub, b_ub, a_eq, b_eq, bounds)
-
-        def node_solve(node_bounds, warm_basis):
-            outcome = problem.solve(
-                warm=warm_basis, bounds=node_bounds,
-                max_iter=options.max_lp_iter, time_limit_s=lp_budget())
-            return outcome.result, outcome.basis
-    else:
-        def node_solve(node_bounds, warm_basis):
-            result = solve_lp_dense(
-                c, a_ub, b_ub, a_eq, b_eq, node_bounds,
-                max_iter=options.max_lp_iter, time_limit_s=lp_budget())
-            return result, None
+    def node_solve(node_bounds, warm_basis):
+        outcome = problem.solve(
+            warm=warm_basis, bounds=node_bounds,
+            max_iter=options.max_lp_iter, time_limit_s=lp_budget())
+        return outcome.result, outcome.basis
 
     def pick_branch(x: np.ndarray) -> int | None:
         if pseudocosts is not None:
             return _pseudocost_branch(x, integer_idx, options.int_tol,
                                       pseudocosts)
         return _most_fractional(x, integer_idx, options.int_tol)
-
-    def polish(snapped: np.ndarray, obj: float) -> tuple[np.ndarray, float]:
-        """Canonicalize the incumbent: fix integers, re-solve the
-        continuous remainder with the dense engine (no deadline, so the
-        output is deterministic even when the budget is exhausted)."""
-        fixed = bounds.copy()
-        fixed[integer_idx, 0] = snapped[integer_idx]
-        fixed[integer_idx, 1] = snapped[integer_idx]
-        res = solve_lp_dense(c, a_ub, b_ub, a_eq, b_eq, fixed,
-                             max_iter=options.max_lp_iter)
-        if (res.status is SolveStatus.OPTIMAL
-                and abs(res.objective - obj) <= 1e-6 * (1.0 + abs(obj))):
-            return res.x, res.objective
-        return snapped, obj  # polish disagreed: keep the proven incumbent
 
     root, root_basis = node_solve(bounds, warm_start)
     total_lp_iters += root.iterations
@@ -365,11 +332,9 @@ def solve_milp(
             nodes_enqueued=nodes_enqueued,
         )
 
-    # Snap near-integer values exactly to integers for downstream
-    # consumers, then canonicalize the continuous part.
+    # Snap near-integer values exactly to integers for downstream consumers.
     snapped = incumbent_x.copy()
     snapped[integer_idx] = np.round(snapped[integer_idx])
-    snapped, incumbent_obj = polish(snapped, incumbent_obj)
     status = SolveStatus.LIMIT if limit_hit else SolveStatus.OPTIMAL
     best_bound = min([bound for bound, *_ in heap], default=incumbent_obj)
     return MilpResult(

@@ -19,8 +19,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from repro import observe
-from repro.errors import ModelError
-from repro.solver import engine
+from repro.errors import ModelError, SolverLimitError
 from repro.solver.solution import Solution, SolveStatus
 
 _INF = float("inf")
@@ -340,7 +339,7 @@ class Model:
         """
         if backend not in ("auto", "scipy", "native"):
             raise ModelError(f"unknown backend {backend!r}")
-        engine.check_fault_budget()
+        check_fault_budget()
         # An externally constructed integral incumbent (x0, objective) —
         # the continuous-bound round-up.  Only the native branch-and-bound
         # can consume it; scipy solves from scratch, so it is popped here
@@ -371,15 +370,13 @@ class Model:
 
     def _solve_native(self, relax: bool = False, incumbent=None,
                       **options) -> Solution:
-        from repro.solver import engine as engine_mod
         from repro.solver.branch_bound import BranchBoundOptions, solve_milp
-        from repro.solver.simplex import solve_lp
+        from repro.solver.revised import solve_lp
 
         c, a_ub, b_ub, a_eq, b_eq, bounds, integrality, c0 = self.to_arrays()
         lp_time_limit = options.pop("lp_time_limit", None) or options.get("time_limit")
-        # Warm-start plumbing: both knobs are execution hints, popped
-        # before the remaining options become BranchBoundOptions.
-        solver_engine = options.pop("solver_engine", None)
+        # Warm-start plumbing: an execution hint, popped before the
+        # remaining options become BranchBoundOptions.
         warm_key = options.pop("warm_key", None)
         if relax:
             integrality = np.zeros_like(integrality)
@@ -397,11 +394,10 @@ class Model:
 
                 reg = warmstart.registry()
                 pseudocosts = reg.pseudocosts(warm_key)
-                if engine_mod.resolve(solver_engine) == "revised":
-                    warm_basis = reg.get_basis(warm_key)
+                warm_basis = reg.get_basis(warm_key)
             bb_options = BranchBoundOptions(**options)
             result = solve_milp(c, a_ub, b_ub, a_eq, b_eq, bounds, integrality,
-                                options=bb_options, engine=solver_engine,
+                                options=bb_options,
                                 warm_start=warm_basis, pseudocosts=pseudocosts,
                                 incumbent=incumbent)
             if warm_key is not None and result.root_basis is not None and result.ok:
@@ -417,7 +413,7 @@ class Model:
                             if np.isfinite(result.best_bound) else None),
             )
         lp = solve_lp(c, a_ub, b_ub, a_eq, b_eq, bounds,
-                      time_limit_s=lp_time_limit, engine=solver_engine)
+                      time_limit_s=lp_time_limit)
         objective = lp.objective + c0 if np.isfinite(lp.objective) else lp.objective
         return Solution(
             status=lp.status,
@@ -443,9 +439,26 @@ class Model:
         )
 
 
+def check_fault_budget() -> None:
+    """Fault-plane hook: deterministic solver budget exhaustion.
+
+    Called by :meth:`Model.solve` before backend dispatch, so the
+    ``solver.limit`` point fires for the scipy and native backends alike.
+    Downstream this looks exactly like a real exhausted iteration/node
+    budget: the anytime chain falls through to its next tier, and an
+    unbudgeted solve fails the task and is retried by the executor (the
+    hit count has advanced, so the retry proceeds).
+    """
+    from repro.resilience import faultplane
+
+    if faultplane.fire("solver.limit"):
+        raise SolverLimitError(
+            "injected solver budget exhaustion (fault point solver.limit)")
+
+
 def _record_solve_metrics(solution: Solution) -> None:
     # Backend-agnostic effort counters; the native simplex / B&B add
-    # finer-grained ones (solver.simplex.*, solver.bnb.*) themselves.
+    # finer-grained ones (solver.revised.*, solver.bnb.*) themselves.
     observe.add("solver.solves")
     if solution.iterations:
         observe.add("solver.iterations", solution.iterations)

@@ -1,7 +1,7 @@
 """Sparse revised simplex with bounded variables and dual warm starts.
 
-This is the default native LP core (``engine="revised"``; the dense
-tableau in :mod:`repro.solver.simplex` remains as the kill switch).  The
+This is the native LP core (the paper used CPLEX; scipy's HiGHS is the
+other backend and the independent reference it is tested against).  The
 problem is held in bounded-variable form::
 
     minimize    c @ x
@@ -42,12 +42,11 @@ the column count stays stable for warm starts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro import observe
-from repro.solver.simplex import SimplexResult
 from repro.solver.solution import SolveStatus
 
 _INF = float("inf")
@@ -64,6 +63,20 @@ BLAND_AFTER = 2000
 #: letting them enter only causes zero-length churn (see
 #: ``tests/solver/test_revised_simplex.py::TestFixedColumnInvariant``).
 BASIC, AT_LB, AT_UB, FREE_NB, FIXED = 0, 1, 2, 3, 4
+
+
+@dataclass
+class SimplexResult:
+    """Outcome of an LP solve in the original variable space."""
+
+    status: SolveStatus
+    objective: float = float("nan")
+    x: np.ndarray = field(default_factory=lambda: np.empty(0))
+    iterations: int = 0
+
+    @property
+    def ok(self) -> bool:
+        return self.status.ok
 
 
 class SparseColumns:
@@ -371,7 +384,7 @@ class RevisedProblem:
         if not np.isfinite(best):
             return _INF, None
         # Relative tie window: an absolute 1e-9 window misses genuinely
-        # tied rows once ratios are large (see the dense engine's fix).
+        # tied rows once ratios are large.
         window = best + _TOL * (1.0 + abs(best))
         ties = np.nonzero((limits <= window) & (dec | inc))[0]
         if bland:
@@ -722,7 +735,7 @@ def solve_lp_revised(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None,
                      warm: Basis | None = None,
                      pricing: str = "dantzig"
                      ) -> tuple[SimplexResult, Basis]:
-    """One-shot convenience wrapper matching :func:`simplex.solve_lp`.
+    """One-shot solve; :func:`solve_lp` without the basis.
 
     Returns the result plus the final :class:`Basis` so callers chaining
     related solves (deadline sweeps) can warm-start the next one.
@@ -731,3 +744,30 @@ def solve_lp_revised(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None,
     outcome = problem.solve(warm=warm, max_iter=max_iter,
                             time_limit_s=time_limit_s, pricing=pricing)
     return outcome.result, outcome.basis
+
+
+def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=None,
+             max_iter: int = 20000,
+             time_limit_s: float | None = None) -> SimplexResult:
+    """Solve a bounded-variable LP with the native solver::
+
+        minimize c @ x  s.t.  a_ub @ x <= b_ub,  a_eq @ x == b_eq,
+                              bounds[i, 0] <= x[i] <= bounds[i, 1]
+
+    Args:
+        c: objective coefficients, length n.
+        a_ub, b_ub: inequality system (may be None).
+        a_eq, b_eq: equality system (may be None).
+        bounds: (n, 2) array of [lb, ub]; defaults to x >= 0.
+        max_iter: per-phase pivot limit.
+        time_limit_s: optional wall-clock budget; an exhausted budget
+            returns ``LIMIT`` mid-phase, so anytime callers never block
+            on a single long LP.
+
+    Returns:
+        :class:`SimplexResult` with values in the original variable space.
+    """
+    result, _basis = solve_lp_revised(c, a_ub, b_ub, a_eq, b_eq, bounds,
+                                      max_iter=max_iter,
+                                      time_limit_s=time_limit_s)
+    return result

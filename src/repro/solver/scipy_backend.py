@@ -29,7 +29,7 @@ def solve_model(
     """Solve a :class:`repro.solver.model.Model` with HiGHS.
 
     Extra keyword options accepted by the native backend (node limits,
-    ``solver_engine``, ``warm_key`` — the warm-start plumbing) are
+    ``warm_key`` — the warm-start plumbing) are
     ignored so callers can pass one option set to either backend; HiGHS
     manages its own basis reuse internally, so warm-start hints are a
     native-only concern.

@@ -12,9 +12,9 @@ experiment's ``shared_id`` so consecutive deadlines of the same
 Everything here is *ephemeral per-sweep execution state* — like the
 simulator fastpath knob, it is deliberately excluded from cache keys and
 from anything serialized into ``results.jsonl``.  Warm starts change how
-fast a solve converges, never what it converges to (and the incumbent
-polish in :mod:`repro.solver.branch_bound` makes even the float bits
-independent of the pivot path).  Dropping the registry at any point is
+fast a solve converges, never what it converges to (and the optimizer
+prices each schedule from its integer assignment alone, so even the
+float bits are independent of the pivot path).  Dropping the registry at any point is
 always safe; ``run_sweep`` resets it at the start of every run so
 resumed and cold sweeps start from the same (empty) state.
 

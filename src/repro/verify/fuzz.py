@@ -248,6 +248,8 @@ def verify_program(
                     optimizer, cfg, outcome, inputs=inputs, registers=registers
                 ),
                 oracles.schedule_replay_matches_objective(optimizer, cfg, outcome),
+                oracles.canonical_price_matches_solver(outcome),
+                oracles.canonical_price_matches_replay(optimizer, outcome),
                 oracles.never_worse_than_single_mode(optimizer, outcome),
                 oracles.continuous_dominance(optimizer, outcome),
                 oracles.analytical_bound_dominates(
@@ -372,43 +374,41 @@ class LpFuzzReport:
 
 
 def verify_lp_case(case) -> list[str]:
-    """Differential-test one generated LP/MILP across every solver.
+    """Differential-test one generated LP/MILP: native against HiGHS.
 
-    Runs the revised simplex, the dense tableau and (when available)
-    scipy's HiGHS on the same instance and cross-checks status,
-    objective, primal feasibility, and — for MILP instances — that both
-    native engines report bit-identical polished solutions.
+    Runs the revised simplex (under branch and bound for MILP instances)
+    and scipy's HiGHS on the same instance and cross-checks status,
+    objective and primal feasibility.  Each backend's point is also
+    priced exactly (``c @ x`` with :func:`math.fsum`, the generic-LP
+    analogue of the DVS canonical price) and must reproduce the
+    objective that backend reported, within the certificate tolerance.
 
     Returns a list of human-readable disagreement descriptions (empty
     when all solvers agree).
     """
+    import math
+
     import numpy as np
 
     from repro.solver.branch_bound import solve_milp
-    from repro.solver.engine import use_engine
     from repro.solver.revised import solve_lp_revised
-    from repro.solver.simplex import solve_lp_dense
     from repro.solver.solution import SolveStatus
 
     tag = f"{case.profile}/s{case.seed}"
     problems: list[str] = []
     kwargs = case.lp_kwargs()
 
+    def check_price(who: str, x, objective: float) -> None:
+        price = math.fsum(float(ci) * float(xi)
+                          for ci, xi in zip(kwargs["c"], x))
+        if tolerances.rel_err(price, objective) > tolerances.OBJECTIVE_REL_TOL:
+            problems.append(f"{tag}: {who} reported objective {objective!r} "
+                            f"but its point prices at {price!r}")
+
     if case.integrality.any():
-        with use_engine("revised"):
-            rev = solve_milp(integrality=case.integrality, **kwargs)
-        with use_engine("dense"):
-            den = solve_milp(integrality=case.integrality, **kwargs)
-        if rev.status != den.status:
-            return [f"{tag}: MILP status revised={rev.status.name} "
-                    f"dense={den.status.name}"]
+        rev = solve_milp(integrality=case.integrality, **kwargs)
         if rev.ok:
-            if abs(rev.objective - den.objective) > 1e-7 * (1 + abs(den.objective)):
-                problems.append(f"{tag}: MILP objective revised="
-                                f"{rev.objective!r} dense={den.objective!r}")
-            if not np.array_equal(rev.x, den.x):
-                problems.append(f"{tag}: MILP solutions not bit-identical "
-                                f"across engines")
+            check_price("native MILP", rev.x, rev.objective)
         try:
             from scipy.optimize import Bounds, LinearConstraint, milp as scipy_milp
 
@@ -425,22 +425,18 @@ def verify_lp_case(case) -> list[str]:
             if rev.ok != (ref.status == 0):
                 problems.append(f"{tag}: MILP status native="
                                 f"{rev.status.name} highs={ref.status}")
-            elif rev.ok and abs(rev.objective - ref.fun) > 1e-6 * (1 + abs(ref.fun)):
-                problems.append(f"{tag}: MILP objective native="
-                                f"{rev.objective!r} highs={ref.fun!r}")
+            elif rev.ok:
+                if abs(rev.objective - ref.fun) > 1e-6 * (1 + abs(ref.fun)):
+                    problems.append(f"{tag}: MILP objective native="
+                                    f"{rev.objective!r} highs={ref.fun!r}")
+                check_price("HiGHS MILP", ref.x, ref.fun)
         except ImportError:  # pragma: no cover - scipy is a hard dep here
             pass
         return problems
 
     rev, _basis = solve_lp_revised(**kwargs)
-    den = solve_lp_dense(**kwargs)
-    if rev.status != den.status:
-        return [f"{tag}: status revised={rev.status.name} "
-                f"dense={den.status.name}"]
     if rev.status is SolveStatus.OPTIMAL:
-        if abs(rev.objective - den.objective) > 1e-6 * (1 + abs(den.objective)):
-            problems.append(f"{tag}: objective revised={rev.objective!r} "
-                            f"dense={den.objective!r}")
+        check_price("native LP", rev.x, rev.objective)
         # The revised point must be primal feasible in its own right.
         scale = max(1.0, float(np.max(np.abs(kwargs["b_ub"])))
                     if kwargs["b_ub"] is not None else 1.0)
@@ -470,6 +466,8 @@ def verify_lp_case(case) -> list[str]:
                 1e-6 * (1 + abs(ref.fun))):
             problems.append(f"{tag}: objective revised={rev.objective!r} "
                             f"highs={ref.fun!r}")
+        if ref.status == 0:
+            check_price("HiGHS LP", ref.x, ref.fun)
     except ImportError:  # pragma: no cover - scipy is a hard dep here
         pass
     return problems
@@ -481,7 +479,7 @@ def fuzz_lps(
     profiles: tuple[str, ...] = LP_PROFILES,
     on_progress=None,
 ) -> LpFuzzReport:
-    """Differential-fuzz the LP cores with pathological instances.
+    """Differential-fuzz the native LP core against HiGHS.
 
     Cycles ``runs`` instances through the torture profiles (degenerate
     vertices, near-singular bases, rank-deficient rows, wide coefficient

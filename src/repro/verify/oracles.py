@@ -13,6 +13,13 @@ fuzz driver can collect and report the first failure with full context.
 * :func:`schedule_replay_matches_objective` — replaying the profiled
   counts under the extracted schedule (pure profile arithmetic) must
   reproduce the solver's objective;
+* :func:`canonical_price_matches_solver` — the schedule's canonical price
+  (its integer assignment priced exactly, which is what results rows
+  carry) equals the objective the solver reported, within the
+  certificate tolerance;
+* :func:`canonical_price_matches_replay` — the canonical price equals
+  :meth:`~repro.core.milp.schedule.DVSSchedule.predict`, an independent
+  replay of the profiled edge and path counts;
 * :func:`analytical_bound_dominates` — the Section 3 analytical model is
   an upper bound: no MILP result may save more energy than it predicts
   (beyond the paper's own rounding allowance);
@@ -214,6 +221,73 @@ def schedule_replay_matches_objective(
             f"replayed time {duration:.6g}s exceeds deadline {deadline:.6g}s",
         )
     return _passed(name, f"replayed energy matches objective ({energy:.6g} nJ)")
+
+
+def canonical_price_matches_solver(
+    outcome: OptimizationOutcome,
+    rel_tol: float = tolerances.OBJECTIVE_REL_TOL,
+) -> OracleResult:
+    """The canonical energy reproduces the solver's reported objective.
+
+    Two-sided, within the certificate's objective tolerance.  Only the
+    energy is compared: the transition time auxiliaries carry no cost,
+    so a solver may leave them above their implied values and its
+    deadline row is not a price (the replay oracle checks the time).
+    Vacuous for tiers without a solver point.
+    """
+    name = "canonical-price-matches-solver"
+    solution = outcome.solution
+    if solution.x.size == 0:
+        return _passed(name, f"no solver point ({solution.backend}); skipped")
+    error = tolerances.rel_err(outcome.predicted_energy_nj, solution.objective)
+    if error > rel_tol:
+        return _failed(
+            name,
+            f"canonical price {outcome.predicted_energy_nj!r} nJ vs solver "
+            f"objective {solution.objective!r} nJ (rel err {error:.2e})",
+        )
+    return _passed(name, f"canonical price within {error:.1e} of the "
+                         f"{solution.backend} objective")
+
+
+def canonical_price_matches_replay(
+    optimizer: DVSOptimizer,
+    outcome: OptimizationOutcome,
+    rel_tol: float = tolerances.OBJECTIVE_REL_TOL,
+) -> OracleResult:
+    """The canonical price equals the schedule's path-count replay.
+
+    :meth:`DVSSchedule.predict` walks the profile's edge and path counts
+    under the decoded (unhoisted) assignment and shares no code with the
+    formulation.  With filtering off the two price the same sum; filtered
+    edges share their representative's variables, so ties change nothing
+    either.  Two-sided on energy and time.
+    """
+    from repro.core.milp.transition import TransitionCosts
+
+    name = "canonical-price-matches-replay"
+    if outcome.solution.x.size == 0:
+        return _passed(name, f"no solver point ({outcome.solution.backend}); "
+                             "skipped")
+    schedule = outcome.formulation.extract_schedule(
+        outcome.solution, allow_incumbent=True)
+    machine = optimizer.machine
+    energy, duration = schedule.predict(
+        outcome.profile, machine.mode_table,
+        TransitionCosts.from_model(machine.transition_model))
+    if not tolerances.close(outcome.predicted_energy_nj, energy, rel_tol):
+        return _failed(
+            name,
+            f"canonical price {outcome.predicted_energy_nj!r} nJ vs replay "
+            f"{energy!r} nJ",
+        )
+    if abs(outcome.predicted_time_s - duration) > rel_tol * duration:
+        return _failed(
+            name,
+            f"canonical time {outcome.predicted_time_s!r}s vs replay "
+            f"{duration!r}s",
+        )
+    return _passed(name, f"replay reproduces {energy:.6g} nJ, {duration:.6g}s")
 
 
 def analytical_bound_dominates(

@@ -3,10 +3,10 @@
 `repro sweep --solver-backend native` chains the optimal basis and
 branching pseudocosts from each deadline to the next through the
 per-process warm-start registry.  The contract under test: warm-started
-results are byte-identical to cold ones — across engines (revised vs
-dense kill switch), across schedulers (jobs=1 vs jobs=4), across cache
-hits that skip intermediate deadlines in the chain, and across a SIGKILL
-followed by ``--resume``.
+results are byte-identical to cold ones — across backends (native vs
+HiGHS), across schedulers (jobs=1 vs jobs=4), across cache hits that
+skip intermediate deadlines in the chain, and across a SIGKILL followed
+by ``--resume``.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import pytest
 
 from repro import observe
 from repro.runtime.sweep import SweepConfig, run_sweep
-from repro.solver.engine import use_engine
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -28,17 +27,17 @@ WORKLOADS = ("dijkstra",)
 FRACS = (0.35, 0.55, 0.75)
 
 
-def _native_sweep(out_dir, engine, jobs=1, fracs=FRACS, cache_dir=None):
+def _sweep(out_dir, backend="native", jobs=1, fracs=FRACS,
+                  cache_dir=None):
     config = SweepConfig(
         workloads=WORKLOADS,
         deadline_fracs=fracs,
         jobs=jobs,
-        solver_backend="native",
+        solver_backend=backend,
         cache_dir=cache_dir,
         output_dir=str(out_dir),
     )
-    with use_engine(engine):
-        report = run_sweep(config)
+    report = run_sweep(config)
     assert report.ok, report.failures
     return report
 
@@ -48,18 +47,17 @@ class TestEngineByteIdentity:
     def reports(self, tmp_path_factory):
         base = tmp_path_factory.mktemp("engines")
         return {
-            "revised": _native_sweep(base / "revised", "revised"),
-            "dense": _native_sweep(base / "dense", "dense"),
-            "revised-par": _native_sweep(base / "revised-par", "revised",
-                                         jobs=4),
+            "revised": _sweep(base / "revised"),
+            "highs": _sweep(base / "highs", backend="scipy"),
+            "revised-par": _sweep(base / "revised-par", jobs=4),
         }
 
     def test_revised_matches_dense_byte_for_byte(self, reports):
-        # The warm-started revised engine and the cold dense kill switch
-        # must emit the same results.jsonl bytes: the MILP polish step
-        # canonicalizes the solution vector whatever path reached it.
+        # The warm-started native solver and HiGHS must emit the same
+        # results.jsonl bytes: every schedule is priced from its integer
+        # assignment alone, whatever backend or pivot path reached it.
         assert (reports["revised"].results_path.read_bytes()
-                == reports["dense"].results_path.read_bytes())
+                == reports["highs"].results_path.read_bytes())
 
     def test_parallel_matches_sequential(self, reports):
         # jobs=4 splits the chain across workers, so some deadlines
@@ -74,7 +72,7 @@ class TestWarmChainEngagement:
         # reset misplacement): the chain must report warm solves.
         observe.enable(reset=True)
         try:
-            _native_sweep(tmp_path / "out", "revised")
+            _sweep(tmp_path / "out")
             warm = observe.counter_value("solver.revised.warm_solves")
             total = observe.counter_value("solver.revised.solves")
         finally:
@@ -85,12 +83,11 @@ class TestWarmChainEngagement:
     def test_warm_chain_matches_isolated_deadlines(self, tmp_path):
         # Three single-deadline sweeps share no registry state between
         # deadlines — the all-cold baseline for the chained run.
-        chained = _native_sweep(tmp_path / "chain", "revised")
+        chained = _sweep(tmp_path / "chain")
         chained_records = chained.results_path.read_text().splitlines()
         isolated_records = []
         for frac in FRACS:
-            report = _native_sweep(tmp_path / f"iso-{frac}", "revised",
-                                   fracs=(frac,))
+            report = _sweep(tmp_path / f"iso-{frac}", fracs=(frac,))
             isolated_records.extend(report.results_path.read_text().splitlines())
         assert sorted(chained_records) == sorted(isolated_records)
 
@@ -102,14 +99,13 @@ class TestCacheHitSkipsIntermediateDeadline:
         # straight to D3 — a different pivot path than the cold run's,
         # which must still produce the same bytes.
         cache = str(tmp_path / "cache")
-        _native_sweep(tmp_path / "prewarm", "revised", fracs=(FRACS[1],),
+        _sweep(tmp_path / "prewarm", fracs=(FRACS[1],),
                       cache_dir=cache)
-        partial = _native_sweep(tmp_path / "partial", "revised",
-                                cache_dir=cache)
+        partial = _sweep(tmp_path / "partial", cache_dir=cache)
         cached_tasks = [r for r in partial.results.values()
                         if r.cache == "hit"]
         assert cached_tasks, "the pre-warmed middle deadline never hit"
-        cold = _native_sweep(tmp_path / "cold", "revised")
+        cold = _sweep(tmp_path / "cold")
         assert (partial.results_path.read_bytes()
                 == cold.results_path.read_bytes())
 
@@ -120,7 +116,7 @@ def _sweep_cmd(out, *extra):
         "--workloads", ",".join(WORKLOADS),
         "--deadline-fracs", ",".join(str(f) for f in FRACS),
         "--jobs", "1", "--quiet", "--no-cache",
-        "--solver-backend", "native", "--solver-engine", "revised",
+        "--solver-backend", "native",
         "--output-dir", str(out),
         *extra,
     ]

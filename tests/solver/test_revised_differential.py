@@ -1,17 +1,15 @@
-"""Differential gate for the sparse revised simplex engine.
+"""Differential gate for the native revised simplex against HiGHS.
 
-The revised engine (``repro.solver.revised``) is the default native LP
-core; the dense tableau remains as the ``--solver-engine=dense`` kill
-switch.  The contract that makes the kill switch meaningful is that the
-two engines are observationally identical: same status, same objective,
-and — because branch-and-bound polishes the incumbent with a dense
-re-solve at the fixed integer assignment — bit-identical solution
-vectors, hence byte-identical serialized schedules.
+The revised engine (``repro.solver.revised``) is the only native LP core;
+scipy's HiGHS is the independent reference it must agree with: same
+status, same objective, and — because the optimizer prices every
+schedule from its integer assignment alone — the same serialized
+schedule and the same canonical price bits.
 
 This module checks that contract three ways:
 
 * the paper's Figure 17/18 deadline grid on the shared small fixture
-  program, revised vs dense vs scipy/HiGHS, with certificate
+  program, native (cold and warm) vs HiGHS, with certificate
   verification on every solution;
 * a warm-started deadline chain (what ``repro sweep`` runs) against the
   same chain solved cold;
@@ -19,10 +17,9 @@ This module checks that contract three ways:
   (degenerate, near-singular, rank-deficient, wide-range, boxed MILP).
 
 The full real-workload grid (adpcm/gsm) is gated behind
-``REPRO_FULL_DIFFERENTIAL=1`` + the ``slow`` marker: at the stringent
-deadlines the dense engine needs hundreds of thousands of degenerate
-pivots and does not terminate in test-suite time (see docs/solver.md),
-so the always-on gate uses the small fixture instead.
+``REPRO_FULL_DIFFERENTIAL=1`` + the ``slow`` marker: the native solves at
+the stringent deadlines take minutes, so the always-on gate uses the
+small fixture instead.
 """
 
 from __future__ import annotations
@@ -30,14 +27,12 @@ from __future__ import annotations
 import json
 import os
 
-import numpy as np
 import pytest
 
 from repro.core import DVSOptimizer
 from repro.lang import compile_program
 from repro.profiling.serialize import schedule_to_dict
 from repro.solver import warmstart
-from repro.solver.engine import use_engine
 from repro.verify.certificate import verify_certificate
 from repro.verify.fuzz import fuzz_lps
 from repro.verify.generators import generate_program
@@ -50,6 +45,11 @@ def _schedule_bytes(formulation, solution) -> bytes:
     return json.dumps(schedule_to_dict(schedule), sort_keys=True).encode()
 
 
+def _price(formulation, solution) -> tuple[float, float]:
+    """The canonical (energy, time) price of a solution's schedule."""
+    return formulation.price(formulation.extract_schedule(solution))
+
+
 @pytest.fixture(scope="module")
 def deadline_grid(small_profile):
     """The paper's five Table-4 deadlines for the small fixture."""
@@ -59,50 +59,56 @@ def deadline_grid(small_profile):
 
 @pytest.fixture(scope="module")
 def solved_grid(optimizer, small_profile, deadline_grid):
-    """Every deadline solved by all three solvers on one formulation."""
+    """Every deadline solved natively (cold and warm-started from the
+    previous deadline) and by HiGHS, on one formulation."""
     rows = []
-    for deadline in deadline_grid:
-        formulation, _ = optimizer.build(small_profile, deadline, None)
-        with use_engine("revised"):
+    warmstart.reset()
+    try:
+        for deadline in deadline_grid:
+            formulation, _ = optimizer.build(small_profile, deadline, None)
             revised = formulation.solve(backend="native")
-        with use_engine("dense"):
-            dense = formulation.solve(backend="native")
-        scipy_sol = formulation.solve(backend="scipy")
-        rows.append((deadline, formulation, revised, dense, scipy_sol))
+            warm = formulation.solve(backend="native", warm_key="diff.grid")
+            scipy_sol = formulation.solve(backend="scipy")
+            rows.append((deadline, formulation, revised, warm, scipy_sol))
+    finally:
+        warmstart.reset()
     return rows
 
 
 class TestDeadlineGridDifferential:
-    """Revised vs dense vs HiGHS across the Figure 17/18 grid."""
+    """Native cold vs native warm vs HiGHS across the Figure 17/18 grid."""
 
     def test_all_three_solvers_prove_optimality(self, solved_grid):
-        for deadline, _f, revised, dense, scipy_sol in solved_grid:
+        for deadline, _f, revised, warm, scipy_sol in solved_grid:
             assert revised.ok, f"revised failed at deadline {deadline}"
-            assert dense.ok, f"dense failed at deadline {deadline}"
+            assert warm.ok, f"warm revised failed at deadline {deadline}"
             assert scipy_sol.ok, f"scipy failed at deadline {deadline}"
 
     def test_objectives_agree(self, solved_grid):
-        for deadline, _f, revised, dense, scipy_sol in solved_grid:
+        for deadline, _f, revised, warm, scipy_sol in solved_grid:
             scale = 1.0 + abs(scipy_sol.objective)
-            assert abs(revised.objective - dense.objective) <= 1e-9 * scale
+            assert abs(revised.objective - warm.objective) <= 1e-6 * scale
             assert abs(revised.objective - scipy_sol.objective) <= 1e-6 * scale
 
     def test_native_solutions_bit_identical(self, solved_grid):
-        # The polish step re-solves the LP at the incumbent's integer
-        # assignment with the dense engine, so both native engines must
-        # emit the *same bytes*, not merely equal objectives.
-        for deadline, _f, revised, dense, _s in solved_grid:
-            assert np.array_equal(revised.x, dense.x), (
-                f"native engines disagree at deadline {deadline}")
+        # The canonical price depends on the integer assignment alone, so
+        # native and HiGHS must emit the *same bits*, not merely equal
+        # objectives, whatever their solution vectors' last bits say.
+        for deadline, formulation, revised, warm, scipy_sol in solved_grid:
+            highs = _price(formulation, scipy_sol)
+            assert _price(formulation, revised) == highs, (
+                f"native and HiGHS prices differ at deadline {deadline}")
+            assert _price(formulation, warm) == highs
 
     def test_serialized_schedules_byte_identical(self, solved_grid):
-        for deadline, formulation, revised, dense, _s in solved_grid:
-            assert (_schedule_bytes(formulation, revised)
-                    == _schedule_bytes(formulation, dense))
+        for deadline, formulation, revised, warm, scipy_sol in solved_grid:
+            highs = _schedule_bytes(formulation, scipy_sol)
+            assert _schedule_bytes(formulation, revised) == highs
+            assert _schedule_bytes(formulation, warm) == highs
 
     def test_certificates_valid_for_every_solver(self, solved_grid):
-        for _d, formulation, revised, dense, scipy_sol in solved_grid:
-            for solution in (revised, dense, scipy_sol):
+        for _d, formulation, revised, warm, scipy_sol in solved_grid:
+            for solution in (revised, warm, scipy_sol):
                 verify_certificate(formulation, solution).raise_if_invalid()
 
 
@@ -116,17 +122,16 @@ class TestWarmChainDifferential:
         cold_opt = DVSOptimizer(machine3, backend="native")
         warmstart.reset()
         try:
-            with use_engine("revised"):
-                warm = [json.dumps(schedule_to_dict(
-                            warm_opt.optimize(small_cfg, d,
-                                              profile=small_profile).schedule),
-                            sort_keys=True)
-                        for d in deadline_grid]
-                cold = [json.dumps(schedule_to_dict(
-                            cold_opt.optimize(small_cfg, d,
-                                              profile=small_profile).schedule),
-                            sort_keys=True)
-                        for d in deadline_grid]
+            warm = [json.dumps(schedule_to_dict(
+                        warm_opt.optimize(small_cfg, d,
+                                          profile=small_profile).schedule),
+                        sort_keys=True)
+                    for d in deadline_grid]
+            cold = [json.dumps(schedule_to_dict(
+                        cold_opt.optimize(small_cfg, d,
+                                          profile=small_profile).schedule),
+                        sort_keys=True)
+                    for d in deadline_grid]
         finally:
             warmstart.reset()
         assert warm == cold
@@ -140,9 +145,8 @@ class TestWarmChainDifferential:
         warmstart.reset()
         observe.enable(reset=True)
         try:
-            with use_engine("revised"):
-                for d in deadline_grid:
-                    warm_opt.optimize(small_cfg, d, profile=small_profile)
+            for d in deadline_grid:
+                warm_opt.optimize(small_cfg, d, profile=small_profile)
             warm_pivots = observe.counter_value("solver.revised.warm_pivots")
         finally:
             observe.disable()
@@ -151,7 +155,7 @@ class TestWarmChainDifferential:
 
 
 class TestGeneratedProgramDifferential:
-    """Engines must agree on programs neither was tuned against."""
+    """Native and HiGHS must agree on programs neither was tuned against."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_generated_program_engines_agree(self, machine3, seed):
@@ -164,13 +168,11 @@ class TestGeneratedProgramDifferential:
         # mode mix, lax enough that both engines finish instantly.
         deadline = derive_deadlines(times[0], times[1], times[2])[2]
         formulation, _ = opt.build(profile, deadline, None)
-        with use_engine("revised"):
-            revised = formulation.solve(backend="native")
-        with use_engine("dense"):
-            dense = formulation.solve(backend="native")
-        assert revised.status == dense.status
+        revised = formulation.solve(backend="native")
+        highs = formulation.solve(backend="scipy")
+        assert revised.status == highs.status
         if revised.ok:
-            assert np.array_equal(revised.x, dense.x)
+            assert _price(formulation, revised) == _price(formulation, highs)
             verify_certificate(formulation, revised).raise_if_invalid()
 
 
@@ -191,33 +193,24 @@ class TestTortureFuzz:
                     reason="set REPRO_FULL_DIFFERENTIAL=1 to run the "
                            "real-workload grid (minutes of solver time)")
 class TestFullWorkloadGrid:
-    """adpcm/gsm × the full deadline grid, revised vs dense.
-
-    The dense engine cannot finish D1/D2 in bounded time, so it gets a
-    per-solve budget and the byte-identity check covers the deadlines it
-    completes — mirroring `repro bench --solver`.
-    """
+    """adpcm/gsm × the full deadline grid, native vs HiGHS, byte for byte:
+    the same schedule and the same canonical price bits — what
+    `repro bench --solver` checks."""
 
     @pytest.mark.parametrize("name", ["adpcm", "gsm"])
     def test_workload_grid(self, name, machine3):
-        from repro.errors import ScheduleError
         from repro.workloads import get_workload
 
         spec = get_workload(name)
         cfg = compile_program(spec.source, name=name)
         opt = DVSOptimizer(machine3, backend="native")
-        dense_opt = DVSOptimizer(machine3, backend="native",
-                                 solver_options={"time_limit": 60.0})
+        highs_opt = DVSOptimizer(machine3, backend="scipy")
         profile = opt.profile(cfg, inputs=spec.inputs(),
                               registers=spec.registers())
         times = profile.wall_time_s
         for deadline in derive_deadlines(times[0], times[1], times[2]):
-            with use_engine("revised"):
-                revised = opt.optimize(cfg, deadline, profile=profile)
-            try:
-                with use_engine("dense"):
-                    dense = dense_opt.optimize(cfg, deadline, profile=profile)
-            except ScheduleError:
-                continue  # dense DNF within budget: revised-only deadline
-            assert (json.dumps(schedule_to_dict(revised.schedule), sort_keys=True)
-                    == json.dumps(schedule_to_dict(dense.schedule), sort_keys=True))
+            native = opt.optimize(cfg, deadline, profile=profile)
+            highs = highs_opt.optimize(cfg, deadline, profile=profile)
+            assert (json.dumps(schedule_to_dict(native.schedule), sort_keys=True)
+                    == json.dumps(schedule_to_dict(highs.schedule), sort_keys=True))
+            assert native.predicted_energy_nj == highs.predicted_energy_nj

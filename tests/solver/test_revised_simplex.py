@@ -4,8 +4,7 @@ Covers the pieces the differential suite treats as a black box: the CSC
 column store, the FTRAN/BTRAN eta-file algebra, anti-cycling (Beale's
 classic example plus the degenerate generator profile and a forced
 all-Bland run), the dual-simplex warm start including its abandon-to-cold
-fallbacks, and the fixed-column pricing invariant that mirrors the dense
-engine's fixed-variable substitution fix.
+fallbacks, and the fixed-column pricing invariant.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from repro.solver.revised import (
     _State,
     solve_lp_revised,
 )
-from repro.solver.simplex import solve_lp_dense
 from repro.solver.solution import SolveStatus
 from repro.verify.generators import generate_lp
 
@@ -263,8 +261,7 @@ class TestWarmStart:
 
 class TestFixedColumnInvariant:
     """Fixed columns must not enter the basis however attractive their
-    cost — the revised-engine mirror of the dense engine's fixed-variable
-    substitution fix."""
+    cost: letting them in only causes zero-length churn."""
 
     def test_fixed_variable_holds_its_value(self):
         c = [-100.0, 1.0, 1.0]
@@ -276,9 +273,8 @@ class TestFixedColumnInvariant:
         assert outcome.result.status is SolveStatus.OPTIMAL
         assert outcome.result.x[0] == pytest.approx(1.5, abs=1e-12)
         assert outcome.basis.status[0] == FIXED
-        dense = solve_lp_dense(c, a_ub, b_ub, bounds=bounds)
-        assert outcome.result.objective == pytest.approx(
-            dense.objective, abs=1e-9)
+        ref = _highs(c, a_ub, b_ub, bounds=bounds)
+        assert outcome.result.objective == pytest.approx(ref.fun, abs=1e-9)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_generated_fixed_variables_respected(self, seed):
@@ -299,12 +295,9 @@ class TestToleranceRegressions:
         # stopping ~28% short of the optimum.  dj_tol is per-column now.
         case = generate_lp(46, "wide_range")
         result, _ = solve_lp_revised(**case.lp_kwargs())
-        dense = solve_lp_dense(**case.lp_kwargs())
         ref = _highs(**case.lp_kwargs())
         assert result.status is SolveStatus.OPTIMAL
         assert result.objective == pytest.approx(
-            ref.fun, abs=1e-6 * (1 + abs(ref.fun)))
-        assert dense.objective == pytest.approx(
             ref.fun, abs=1e-6 * (1 + abs(ref.fun)))
 
     @pytest.mark.parametrize("profile", ["near_singular", "rank_deficient",

@@ -117,18 +117,17 @@ class TestRatioTieWindowRegression:
     """The ratio-test tie window must scale with the ratio magnitude.
 
     With an absolute 1e-9 window, fp noise on ~1e8-sized ratios hides
-    genuinely tied rows from the stability tie-break, and the tableau
-    pivots on a tiny element — exactly what the fixed-variable
-    substitution rows produce under huge coefficient ranges.
+    genuinely tied rows from the stability tie-break, and the simplex
+    pivots on a tiny element.  Wide coefficient ranges and huge fixed
+    variables provoke exactly that.
     """
 
     @pytest.mark.parametrize("seed", range(10))
     def test_wide_range_instances_match_highs(self, seed):
-        from repro.solver.simplex import solve_lp_dense
         from repro.verify.generators import generate_lp
 
         case = generate_lp(seed, "wide_range")
-        ours = solve_lp_dense(**case.lp_kwargs())
+        ours = solve_lp(**case.lp_kwargs())
         ref = linprog(case.c, A_ub=case.a_ub, b_ub=case.b_ub,
                       bounds=case.bounds, method="highs")
         assert ours.status is SolveStatus.OPTIMAL
@@ -137,16 +136,14 @@ class TestRatioTieWindowRegression:
             ref.fun, abs=1e-6 * (1 + abs(ref.fun)))
 
     def test_fixed_variable_with_huge_scale_spread(self):
-        # A fixed 1e5-scale variable substituted into 1e-5-scale rows:
-        # the substitution's rhs dwarfs the other coefficients, so every
-        # ratio the fixed row participates in is enormous.
-        from repro.solver.simplex import solve_lp_dense
-
+        # A fixed 1e5-scale variable in 1e-5-scale rows: its share of
+        # each row dwarfs the other coefficients, so the ratios it takes
+        # part in are enormous.
         c = [1e-5, -1.0, 2e-5]
         a_ub = [[1e-5, 1.0, 0.0], [0.0, 1.0, 1e-5], [2e-5, -1.0, 1e-5]]
         b_ub = [2.0, 3.0, 1.0]
         bounds = np.array([[1e5, 1e5], [0.0, 10.0], [0.0, 1e5]])
-        ours = solve_lp_dense(c, a_ub, b_ub, bounds=bounds)
+        ours = solve_lp(c, a_ub, b_ub, bounds=bounds)
         ref = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds,
                       method="highs")
         assert ours.status is SolveStatus.OPTIMAL and ref.status == 0
