@@ -25,7 +25,6 @@ import pytest
 
 from repro.core import DVSOptimizer
 from repro.core.analytical import ProgramParams
-from repro.profiling import extract_params
 from repro.profiling.profile_data import ProfileData
 from repro.profiling.serialize import profile_from_dict, profile_to_dict
 from repro.runtime import hashing
@@ -102,26 +101,6 @@ class _ContextCache:
         self._store.put(key, {"profile": profile_to_dict(profile)})
         return profile
 
-    def _params_for(self, spec, cfg, machine: Machine) -> ProgramParams:
-        """Section 3.2 parameters, served from the persistent store."""
-        if self._store is None:
-            return extract_params(machine, cfg, inputs=spec.inputs(),
-                                  registers=spec.registers())
-        key = hashing.params_key(spec.source, spec.categories[0], 0, machine)
-        payload = self._store.get(key)
-        if payload is not None:
-            return ProgramParams(**payload["params"])
-        params = extract_params(machine, cfg, inputs=spec.inputs(),
-                                registers=spec.registers())
-        self._store.put(key, {"params": {
-            "n_overlap": params.n_overlap,
-            "n_dependent": params.n_dependent,
-            "n_cache": params.n_cache,
-            "t_invariant_s": params.t_invariant_s,
-            "name": params.name,
-        }})
-        return params
-
     def get(self, name: str, table: ModeTable) -> WorkloadContext:
         key = (name, table.name)
         if key in self._cache:
@@ -131,14 +110,13 @@ class _ContextCache:
         machine = Machine(SCALE_CONFIG, table, TransitionCostModel())
         optimizer = DVSOptimizer(machine)
         profile = self._profile_for(spec, cfg, machine)
-        params = self._params_for(spec, cfg, machine)
         if table.name == XSCALE_3.name and name not in self._xscale_deadlines:
             times = profile.wall_time_s
             self._xscale_deadlines[name] = derive_deadlines(times[0], times[1], times[2])
         deadlines = self._deadlines_for(name)
         context = WorkloadContext(
             name=name, spec=spec, cfg=cfg, machine=machine, optimizer=optimizer,
-            profile=profile, params=params, deadlines=deadlines,
+            profile=profile, params=profile.params, deadlines=deadlines,
         )
         self._cache[key] = context
         return context

@@ -12,7 +12,6 @@ import pytest
 
 from repro.analysis import Table, timing_model_fit
 from repro.core import DVSOptimizer
-from repro.profiling import extract_params
 from repro.simulator import Machine, SCALE_CONFIG, TransitionCostModel, XSCALE_3
 from repro.workloads import compile_workload, derive_deadlines, get_workload
 
@@ -27,10 +26,7 @@ def run_workload(name: str):
     machine = Machine(SCALE_CONFIG, XSCALE_3, TransitionCostModel())
     optimizer = DVSOptimizer(machine)
     profile = optimizer.profile(cfg, inputs=spec.inputs(), registers=spec.registers())
-    params = extract_params(
-        machine, cfg, inputs=spec.inputs(), registers=spec.registers()
-    )
-    fit = timing_model_fit(params, profile, XSCALE_3)
+    fit = timing_model_fit(profile.params, profile, XSCALE_3)
     deadlines = derive_deadlines(
         profile.wall_time_s[0], profile.wall_time_s[1], profile.wall_time_s[2]
     )

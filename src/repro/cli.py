@@ -337,9 +337,8 @@ def cmd_bound(args) -> int:
                        not getattr(args, "no_fastpath", False))
     optimizer = DVSOptimizer(machine)
     profile = optimizer.profile(cfg, inputs=inputs, registers=registers)
-    params = extract_params(machine, cfg, inputs=inputs, registers=registers)
     deadline = _resolve_deadline(profile, args.deadline_frac)
-    bound = savings_ratio_discrete(params, deadline, machine.mode_table)
+    bound = savings_ratio_discrete(profile.params, deadline, machine.mode_table)
     print(f"{args.workload}: analytical savings bound at deadline "
           f"{deadline * 1e3:.3f} ms with {len(machine.mode_table)} levels: {bound:.1%}")
     return 0

@@ -102,7 +102,8 @@ class InjectedFault(OrchestrationError):
 
 class JournalError(OrchestrationError):
     """The crash-safe sweep journal is unusable for the requested resume
-    (format drift or a fingerprint from a different sweep grid)."""
+    (format drift, or a fingerprint from a different sweep grid or
+    artifact KEY_VERSION)."""
 
 
 class CacheError(ReproError):

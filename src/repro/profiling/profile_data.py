@@ -16,9 +16,13 @@ run totals exactly while letting each edge carry its own mode.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.errors import ProfileError
 from repro.ir.cfg import Edge
+
+if TYPE_CHECKING:
+    from repro.core.analytical.params import ProgramParams
 
 
 @dataclass
@@ -53,6 +57,9 @@ class ProfileData:
         wall_time_s: mode index -> whole-run wall time.
         cpu_energy_nj: mode index -> whole-run CPU energy.
         return_value: the program's result (sanity checks across modes).
+        params: the Section 3.2 parameters read off the fastest-mode run
+            (``None`` when that mode was not profiled, or for a profile
+            saved before profiles carried them).
     """
 
     name: str
@@ -64,6 +71,7 @@ class ProfileData:
     wall_time_s: dict[int, float] = field(default_factory=dict)
     cpu_energy_nj: dict[int, float] = field(default_factory=dict)
     return_value: float | None = None
+    params: ProgramParams | None = None
 
     def time(self, block: str, mode: int) -> float:
         """T_jm: per-invocation time of ``block`` under ``mode`` (seconds)."""

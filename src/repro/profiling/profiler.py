@@ -2,7 +2,9 @@
 
 One run per mode gathers per-block time/energy under that mode; edge and
 local-path counts are taken from the first run (the program's control flow
-does not depend on frequency — assumption 1 of the paper's model).
+does not depend on frequency — assumption 1 of the paper's model).  The
+fastest-mode run also yields the Section 3.2 analytical parameters, so
+the paper's Table 7 numbers come from the same simulations as the profile.
 """
 
 from __future__ import annotations
@@ -30,13 +32,20 @@ def profile_program(
         modes: subset of mode indices to profile (default: all).
 
     Returns:
-        a validated :class:`~repro.profiling.profile_data.ProfileData`.
+        a validated :class:`~repro.profiling.profile_data.ProfileData`;
+        its ``params`` are read off the fastest-mode run (what
+        :func:`~repro.profiling.params_extract.extract_params` returns)
+        when that mode is profiled, else ``None``.
 
     Raises:
         ProfileError: if runs disagree on control flow or results (the
             program would not be safely schedulable from this profile).
     """
+    # Deferred: params_extract imports repro.core, which imports this module.
+    from repro.profiling.params_extract import params_from_run
+
     mode_indices = list(modes) if modes is not None else list(range(len(machine.mode_table)))
+    fastest = len(machine.mode_table) - 1
     if not mode_indices:
         raise ProfileError("no modes requested")
 
@@ -67,6 +76,8 @@ def profile_program(
         }
         profile.wall_time_s[mode] = result.wall_time_s
         profile.cpu_energy_nj[mode] = result.cpu_energy_nj
+        if mode == fastest:
+            profile.params = params_from_run(result, name=cfg.name)
 
     profile.validate()
     return profile

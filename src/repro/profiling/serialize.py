@@ -13,9 +13,11 @@ emits such labels).
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from typing import Any
 
 from repro.errors import ProfileError, ScheduleError
+from repro.core.analytical.params import ProgramParams
 from repro.core.milp.schedule import DVSSchedule
 from repro.profiling.profile_data import BlockModeData, ProfileData
 
@@ -56,6 +58,7 @@ def profile_to_dict(profile: ProfileData) -> dict[str, Any]:
             }
             for mode, blocks in profile.per_mode.items()
         },
+        "params": asdict(profile.params) if profile.params is not None else None,
     }
 
 
@@ -83,6 +86,9 @@ def profile_from_dict(data: dict[str, Any]) -> ProfileData:
             label: BlockModeData(float(t), float(e), int(c))
             for label, (t, e, c) in blocks.items()
         }
+    # Profiles saved before they carried the parameters load without them.
+    if data.get("params") is not None:
+        profile.params = ProgramParams(**data["params"])
     profile.validate()
     return profile
 

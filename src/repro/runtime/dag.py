@@ -2,11 +2,16 @@
 
 One grid point of the paper's evaluation — (workload, input category,
 seed, mode table, deadline fraction) — is an :class:`ExperimentSpec`,
-and runs as a six-stage pipeline mirroring the paper's Figure 13 flow::
+and runs as a four-stage pipeline mirroring the paper's Figure 13 flow::
 
-    compile ──> profile ──┬─> params ──> bound
-                          ├─────────────> optimize ──> simulate ──┐
-                          └───────────────────────────────────────┴─> verify
+    profile ──┬─> optimize ──> simulate ──┐
+              └───────────────────────────┴─> verify
+
+``profile`` simulates the program once per mode and carries the Section
+3.2 parameters read off its fastest-mode run; ``verify`` checks the
+replay and derives the single-mode baseline and the analytical savings
+bounds from the profile.  Programs compile inside each task through the
+per-process compile cache, so compilation is not a stage of its own.
 
 :func:`build_task_graph` merges the pipelines of a whole sweep into one
 DAG, **deduplicating shared stages**: every experiment on ``gsm`` with
@@ -30,7 +35,6 @@ from repro.core import DVSOptimizer
 from repro.core.analytical import savings_ratio_discrete
 from repro.core.continuous import continuous_bound
 from repro.errors import OrchestrationError, ScheduleError
-from repro.profiling import extract_params
 from repro.profiling.serialize import (
     profile_from_dict,
     profile_to_dict,
@@ -46,7 +50,7 @@ from repro.verify import tolerances
 from repro.workloads import compile_workload, get_workload
 
 #: Pipeline stages in dependency order.
-TASK_KINDS = ("compile", "profile", "params", "bound", "optimize", "simulate", "verify")
+TASK_KINDS = ("profile", "optimize", "simulate", "verify")
 
 
 @dataclass(frozen=True)
@@ -252,16 +256,9 @@ def build_task_graph(
         machine = exp.machine.build()
         category, seed, frac = exp.resolved_category(), exp.seed, exp.deadline_frac
 
-        compile_id = ensure(
-            f"compile:{exp.workload}", "compile", spec, (), None, eid)
         profile_id = ensure(
-            f"profile:{exp.shared_id}", "profile", spec, (compile_id,),
+            f"profile:{exp.shared_id}", "profile", spec, (),
             hashing.profile_key(source, category, seed, machine), eid)
-        params_id = ensure(
-            f"params:{exp.shared_id}", "params", spec, (compile_id,),
-            hashing.params_key(source, category, seed, machine), eid)
-        ensure(
-            f"bound:{eid}", "bound", spec, (profile_id, params_id), None, eid)
         opt_spec = dict(spec)
         if solver_budget_s is not None:
             opt_spec["solver_budget_s"] = solver_budget_s
@@ -301,65 +298,10 @@ def _context(spec: dict[str, Any]):
     return workload, cfg, machine, inputs, workload.registers()
 
 
-def _task_compile(spec: dict[str, Any], deps: dict[str, Any]) -> dict[str, Any]:
-    cfg = compile_workload(spec["workload"])
-    return {
-        "workload": spec["workload"],
-        "num_blocks": len(cfg.blocks),
-        "num_instructions": sum(len(b.instructions) for b in cfg.blocks.values()),
-    }
-
-
 def _task_profile(spec: dict[str, Any], deps: dict[str, Any]) -> dict[str, Any]:
     _, cfg, machine, inputs, registers = _context(spec)
     profile = DVSOptimizer(machine).profile(cfg, inputs=inputs, registers=registers)
     return {"profile": profile_to_dict(profile)}
-
-
-def _task_params(spec: dict[str, Any], deps: dict[str, Any]) -> dict[str, Any]:
-    _, cfg, machine, inputs, registers = _context(spec)
-    params = extract_params(machine, cfg, inputs=inputs, registers=registers)
-    return {
-        "params": {
-            "n_overlap": params.n_overlap,
-            "n_dependent": params.n_dependent,
-            "n_cache": params.n_cache,
-            "t_invariant_s": params.t_invariant_s,
-            "name": params.name,
-        }
-    }
-
-
-def _task_bound(spec: dict[str, Any], deps: dict[str, Any]) -> dict[str, Any]:
-    from repro.core.analytical import ProgramParams
-
-    profile = profile_from_dict(deps["profile"]["profile"])
-    machine = MachineSpec(spec["levels"], spec["capacitance_uf"],
-                          spec.get("fastpath", True)).build()
-    params = ProgramParams(**deps["params"]["params"])
-    deadline = profile.deadline_at(spec["deadline_frac"])
-    bound = savings_ratio_discrete(params, deadline, machine.mode_table)
-    # The achievable-optimum counterpart: energy of the exact continuous
-    # schedule (Li-Yao-Yuan) and its savings against the best single
-    # mode, the paper's Section 3 "opportunity" restated on profiled
-    # numbers.  Absent (None) when the deadline or profile is outside
-    # the engine's regime — an absence, never a crash.
-    continuous_energy = continuous_savings = None
-    try:
-        cont = continuous_bound(profile, machine.mode_table, deadline)
-        continuous_energy = float(cont.energy_nj)
-        _, baseline = DVSOptimizer(machine).best_single_mode(profile, deadline)
-        if baseline > 0:
-            continuous_savings = float(1.0 - cont.energy_nj / baseline)
-    except ScheduleError:
-        pass
-    return {
-        "deadline_s": deadline,
-        # nan (infeasible) is not JSON; record the absence explicitly.
-        "savings_bound": None if bound != bound else bound,
-        "continuous_energy_nj": continuous_energy,
-        "continuous_savings_bound": continuous_savings,
-    }
 
 
 def _task_optimize(spec: dict[str, Any], deps: dict[str, Any]) -> dict[str, Any]:
@@ -454,6 +396,23 @@ def _task_verify(spec: dict[str, Any], deps: dict[str, Any]) -> dict[str, Any]:
     except ScheduleError:
         pass  # deadline below the fastest single mode: no baseline exists
 
+    # The paper's Section 3 discrete-mode bound, from the parameters the
+    # profile read off its fastest-mode run.
+    bound = savings_ratio_discrete(profile.params, deadline, machine.mode_table)
+    # The achievable-optimum counterpart: energy of the exact continuous
+    # schedule (Li-Yao-Yuan) and its savings against the best single
+    # mode, the paper's Section 3 "opportunity" restated on profiled
+    # numbers.  Absent (None) when the deadline or profile is outside
+    # the engine's regime — an absence, never a crash.
+    continuous_energy = continuous_savings = None
+    try:
+        cont = continuous_bound(profile, machine.mode_table, deadline)
+        continuous_energy = float(cont.energy_nj)
+        if baseline_energy is not None and baseline_energy > 0:
+            continuous_savings = float(1.0 - cont.energy_nj / baseline_energy)
+    except ScheduleError:
+        pass
+
     return {
         "ok": all(checks.values()),
         "checks": checks,
@@ -461,14 +420,15 @@ def _task_verify(spec: dict[str, Any], deps: dict[str, Any]) -> dict[str, Any]:
         "baseline_mode": baseline_mode,
         "baseline_energy_nj": baseline_energy,
         "savings_vs_single_mode": savings,
+        # nan (infeasible) is not JSON; record the absence explicitly.
+        "savings_bound": None if bound != bound else bound,
+        "continuous_energy_nj": continuous_energy,
+        "continuous_savings_bound": continuous_savings,
     }
 
 
 _TASK_FNS: dict[str, Callable[[dict[str, Any], dict[str, Any]], dict[str, Any]]] = {
-    "compile": _task_compile,
     "profile": _task_profile,
-    "params": _task_params,
-    "bound": _task_bound,
     "optimize": _task_optimize,
     "simulate": _task_simulate,
     "verify": _task_verify,

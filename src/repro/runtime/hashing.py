@@ -43,10 +43,14 @@ from repro.simulator.machine import Machine
 #: be served.  v3: schedules carry their canonical price (the integer
 #: assignment's objective and deadline row, summed exactly) instead of
 #: the backend's floats, which moves the last bits of
-#: ``predicted_energy_nj``/``predicted_time_s``.  The fast path is
-#: deliberately *not* part of any key: it is bit-exact, so fast and
-#: reference runs share artifacts.
-KEY_VERSION = 3
+#: ``predicted_energy_nj``/``predicted_time_s``.  v4: profiles carry the
+#: Section 3.2 parameters of their fastest-mode run (the separate
+#: ``params`` artifact is gone), so a v3 profile, which lacks them, must
+#: not be served; the sweep journal's fingerprint includes this version
+#: too, so ``--resume`` never replays task outputs of another version.
+#: The fast path is deliberately *not* part of any key: it is bit-exact,
+#: so fast and reference runs share artifacts.
+KEY_VERSION = 4
 
 
 def canonical_json(obj: Any) -> str:
@@ -102,8 +106,8 @@ def artifact_key(kind: str, **parts: Any) -> str:
     """The content address for one artifact kind.
 
     Args:
-        kind: artifact kind tag (``"profile"``, ``"params"``,
-            ``"schedule"``, ``"run-summary"``, ...).
+        kind: artifact kind tag (``"profile"``, ``"schedule"``,
+            ``"run-summary"``, ``"tg-tables"``, ...).
         **parts: the key document fields (fingerprints, stage params).
 
     Returns:
@@ -121,19 +125,10 @@ def artifact_key(kind: str, **parts: Any) -> str:
 
 def profile_key(source: str, category: str | None, seed: int,
                 machine: Machine) -> str:
-    """Key for a per-mode :class:`~repro.profiling.profile_data.ProfileData`."""
+    """Key for a per-mode :class:`~repro.profiling.profile_data.ProfileData`
+    (which carries the program's Section 3.2 parameters)."""
     return artifact_key(
         "profile",
-        workload=workload_fingerprint(source, category, seed),
-        machine=machine_fingerprint(machine),
-    )
-
-
-def params_key(source: str, category: str | None, seed: int,
-               machine: Machine) -> str:
-    """Key for extracted Section 3.2 analytical parameters."""
-    return artifact_key(
-        "params",
         workload=workload_fingerprint(source, category, seed),
         machine=machine_fingerprint(machine),
     )

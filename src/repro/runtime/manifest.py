@@ -172,17 +172,15 @@ def experiment_record(
         record["failures"] = failures
         return record
 
-    bound = by_kind["bound"].output
     optimize = by_kind["optimize"].output
     run = by_kind["simulate"].output["run"]
     verify = by_kind["verify"].output
     record.update({
         "status": "ok" if verify["ok"] else "verify_failed",
         "deadline_s": optimize["deadline_s"],
-        "savings_bound": bound["savings_bound"],
-        # .get: journals written before the continuous engine lack these.
-        "continuous_energy_nj": bound.get("continuous_energy_nj"),
-        "continuous_savings_bound": bound.get("continuous_savings_bound"),
+        "savings_bound": verify["savings_bound"],
+        "continuous_energy_nj": verify["continuous_energy_nj"],
+        "continuous_savings_bound": verify["continuous_savings_bound"],
         "predicted_energy_nj": optimize["predicted_energy_nj"],
         "predicted_time_s": optimize["predicted_time_s"],
         "measured_energy_nj": run["cpu_energy_nj"],

@@ -19,6 +19,7 @@ from typing import Any, Callable
 from repro import observe
 from repro.errors import OrchestrationError, ReproError
 from repro.resilience.journal import SweepJournal, run_fingerprint
+from repro.runtime import hashing
 from repro.runtime import manifest as manifest_mod
 from repro.runtime.cache import ArtifactStore
 from repro.runtime.dag import (
@@ -180,9 +181,12 @@ def run_sweep(
 
     journal = SweepJournal(
         output_dir / "journal.jsonl",
+        # KEY_VERSION is in the identity: a journal written under other
+        # artifact semantics must not be replayed into this run.
         run_fingerprint({
             "experiments": sorted(e.experiment_id for e in experiments),
             "seed": config.seed,
+            "key_version": hashing.KEY_VERSION,
         }),
     )
     completed = journal.load_completed() if config.resume else {}

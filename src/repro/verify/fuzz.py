@@ -22,7 +22,6 @@ from repro.errors import ReproError, VerificationError
 from repro.ir import interpret, validate_cfg
 from repro.ir.passes import optimize as run_passes
 from repro.lang import compile_program
-from repro.profiling import extract_params
 from repro.simulator import SCALE_CONFIG, TransitionCostModel, XSCALE_3
 from repro.simulator.machine import Machine
 from repro.verify import metamorphic, oracles, tolerances
@@ -201,7 +200,6 @@ def verify_program(
         modes = sorted(profile.wall_time_s)
         t_fast = profile.wall_time_s[modes[-1]]
         t_slow = profile.wall_time_s[modes[0]]
-        params = extract_params(machine, cfg, inputs=inputs, registers=registers)
         deadlines = [
             t_fast + frac * (t_slow - t_fast) for frac in sorted(deadline_fracs)
         ]
@@ -253,7 +251,7 @@ def verify_program(
                 oracles.never_worse_than_single_mode(optimizer, outcome),
                 oracles.continuous_dominance(optimizer, outcome),
                 oracles.analytical_bound_dominates(
-                    params,
+                    profile.params,
                     deadline,
                     machine.mode_table,
                     _savings(optimizer, outcome, deadline),

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.lang import compile_program
-from repro.profiling import extract_params
+from repro.profiling import extract_params, profile_program
 from repro.profiling.params_extract import params_from_run
 from repro.simulator import Machine, SCALE_CONFIG
 
@@ -29,6 +29,11 @@ def test_extract_params_defaults_to_fastest_mode(machine3, small_cfg, small_inpu
     )
     assert params.total_compute_cycles > 0
     assert params.t_invariant_s > 0  # the streaming phase misses
+    # The profile reads the same parameters off its own fastest-mode run.
+    profile = profile_program(
+        machine3, small_cfg, inputs=small_inputs, registers=small_registers
+    )
+    assert profile.params == params
 
 
 def test_memory_bound_program_has_large_t_invariant(machine3):

@@ -13,6 +13,7 @@ import pytest
 
 from repro.errors import JournalError
 from repro.resilience.journal import JOURNAL_FORMAT, SweepJournal, run_fingerprint
+from repro.runtime import hashing
 from repro.runtime.cache import payload_digest
 from repro.runtime.sweep import SweepConfig, run_sweep
 
@@ -138,6 +139,19 @@ class TestInProcessResume:
         with pytest.raises(JournalError):
             run_sweep(SweepConfig(workloads=("adpcm",), deadline_fracs=(0.7,),
                                   output_dir=str(out), resume=True))
+
+    def test_resume_under_another_key_version_raises(self, tmp_path,
+                                                     monkeypatch):
+        # Outputs journaled under other artifact semantics (say, verify
+        # outputs without the bound fields) must never be replayed.
+        out = tmp_path / "out"
+        config = dict(workloads=("adpcm",), deadline_fracs=(0.5,),
+                      cache_dir=None, output_dir=str(out))
+        with monkeypatch.context() as patch:
+            patch.setattr(hashing, "KEY_VERSION", hashing.KEY_VERSION - 1)
+            assert run_sweep(SweepConfig(**config)).ok
+        with pytest.raises(JournalError):
+            run_sweep(SweepConfig(**config, resume=True))
 
 
 def _sweep_cmd(out, cache, *extra):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import OrchestrationError, ReproError
 from repro.runtime.dag import (
+    TASK_KINDS,
     ExperimentSpec,
     MachineSpec,
     Task,
@@ -20,15 +21,13 @@ class TestGraphShape:
     def test_single_experiment_pipeline(self):
         graph = build_task_graph([exp()])
         kinds = sorted(t.kind for t in graph.tasks.values())
-        assert kinds == sorted(
-            ["compile", "profile", "params", "bound", "optimize",
-             "simulate", "verify"]
-        )
+        assert kinds == sorted(TASK_KINDS)
+        assert TASK_KINDS == ("profile", "optimize", "simulate", "verify")
 
     def test_deps_follow_the_pipeline(self):
         graph = build_task_graph([exp()])
         by_kind = {t.kind: t for t in graph.tasks.values()}
-        assert by_kind["profile"].deps == (by_kind["compile"].task_id,)
+        assert by_kind["profile"].deps == ()
         assert by_kind["optimize"].deps == (by_kind["profile"].task_id,)
         assert by_kind["simulate"].deps == (by_kind["optimize"].task_id,)
         assert set(by_kind["verify"].deps) == {
@@ -50,11 +49,11 @@ class TestDedup:
     def test_shared_stages_deduplicate_across_deadlines(self):
         graph = build_task_graph([exp(frac=f) for f in (0.3, 0.5, 0.7)])
         kinds = [t.kind for t in graph.tasks.values()]
-        # One compile/profile/params serves all three deadlines.
+        # One profile serves all three deadlines.
         assert kinds.count("profile") == 1
-        assert kinds.count("params") == 1
-        assert kinds.count("compile") == 1
         assert kinds.count("optimize") == 3
+        assert kinds.count("verify") == 3
+        assert len(kinds) == 1 + 3 * 3
         profile = next(t for t in graph.tasks.values() if t.kind == "profile")
         assert len(profile.experiments) == 3
 
@@ -83,12 +82,12 @@ class TestCacheKeys:
     def test_expensive_stages_are_keyed(self):
         graph = build_task_graph([exp()])
         keyed = {t.kind for t in graph.tasks.values() if t.cache_key}
-        assert keyed == {"profile", "params", "optimize", "simulate"}
+        assert keyed == {"profile", "optimize", "simulate"}
 
     def test_cheap_stages_are_not(self):
         graph = build_task_graph([exp()])
         unkeyed = {t.kind for t in graph.tasks.values() if not t.cache_key}
-        assert unkeyed == {"compile", "bound", "verify"}
+        assert unkeyed == {"verify"}
 
     def test_deadline_only_affects_downstream_keys(self):
         g1 = build_task_graph([exp(frac=0.3)])
@@ -101,15 +100,15 @@ class TestCacheKeys:
 
 class TestValidation:
     def test_dangling_dep_rejected(self):
-        task = Task(task_id="a", kind="compile", spec={}, deps=("ghost",))
+        task = Task(task_id="a", kind="profile", spec={}, deps=("ghost",))
         graph = TaskGraph(tasks={"a": task}, experiments=[])
         with pytest.raises(OrchestrationError):
             graph.validate()
 
     def test_cycle_rejected(self):
         tasks = {
-            "a": Task(task_id="a", kind="compile", spec={}, deps=("b",)),
-            "b": Task(task_id="b", kind="compile", spec={}, deps=("a",)),
+            "a": Task(task_id="a", kind="profile", spec={}, deps=("b",)),
+            "b": Task(task_id="b", kind="profile", spec={}, deps=("a",)),
         }
         with pytest.raises(OrchestrationError):
             TaskGraph(tasks=tasks, experiments=[]).topo_order()

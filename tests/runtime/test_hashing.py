@@ -82,7 +82,7 @@ class TestArtifactKeys:
     def test_kinds_never_collide(self, machine):
         source = get_workload("adpcm").source
         assert (hashing.profile_key(source, "default", 0, machine)
-                != hashing.params_key(source, "default", 0, machine))
+                != hashing.schedule_key(source, "default", 0, machine, 0.5))
         assert (hashing.schedule_key(source, "default", 0, machine, 0.5)
                 != hashing.run_summary_key(source, "default", 0, machine, 0.5))
 

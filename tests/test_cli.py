@@ -180,7 +180,7 @@ class TestSweepCommand:
 
         assert main(args) == 0
         warm = capsys.readouterr().out
-        assert "cache: 4 hits" in warm
+        assert "cache: 3 hits" in warm  # profile, optimize, simulate
 
     def test_sweep_fault_injection_fails_but_completes(self, capsys, tmp_path):
         # The sweep completes and absorbs the failure, so it exits with
