@@ -1,6 +1,15 @@
 """``python -m repro`` entry point."""
 
-from repro.cli import main
+import os
+
+# One BLAS thread per process, set before numpy loads its BLAS: the
+# native simplex does small sparse solves that threads only slow down,
+# and pool workers (forked) and ``repro serve`` inherit the pin.  A
+# caller's explicit value wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+from repro.cli import main  # noqa: E402
 
 if __name__ == "__main__":
     raise SystemExit(main())

@@ -27,7 +27,6 @@ modes emits the same bytes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from repro import observe
@@ -38,7 +37,7 @@ from repro.core.milp.schedule import DVSSchedule
 from repro.core.milp.transition import TransitionCosts
 from repro.profiling.profile_data import ProfileData
 from repro.simulator.dvs import ModeTable, TransitionCostModel, ZERO_TRANSITION
-from repro.solver.model import LinExpr, Model, Variable, lin_sum
+from repro.solver.model import LinExpr, Model, Variable, exact_value, lin_sum
 from repro.solver.solution import Solution
 
 
@@ -138,18 +137,6 @@ class MilpFormulation:
                      for rep in self.independent_edges}
         _x, energy, time_s = self.incumbent_vector(rep_modes)
         return energy, time_s
-
-
-def exact_value(expr: LinExpr, x) -> float:
-    """``expr`` at ``x`` as the correctly rounded sum of its terms.
-
-    Terms are taken in variable-index order and summed with
-    :func:`math.fsum`, so the value is a function of the point alone, not
-    of the order the expression was built in.
-    """
-    terms = sorted((var.index, coef) for var, coef in expr.terms.items())
-    return math.fsum([coef * float(x[index]) for index, coef in terms]
-                     + [expr.constant])
 
 
 def build_formulation(

@@ -170,6 +170,12 @@ def render_stats(metrics: dict[str, Any]) -> str:
             row("native simplex pivots", int(pivots))
             row("native warm-started pivots", int(warm_pivots))
             row("native refactorizations", int(refactors))
+            for part in ("factor", "ftran", "btran", "pricing"):
+                seconds = take(f"solver.revised.{part}_s")
+                if seconds:
+                    per_pivot = seconds / pivots * 1e6 if pivots else 0.0
+                    row(f"native LP {part} time",
+                        f"{seconds:.3f}s ({per_pivot:.1f} µs/pivot)")
             row("native B&B nodes explored", int(nodes))
             row("native B&B nodes pruned", int(pruned))
             row("native B&B incumbents found", int(incumbents))

@@ -13,6 +13,7 @@ contain variables raises :class:`~repro.errors.ModelError`.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -193,6 +194,18 @@ def lin_sum(items: Iterable) -> LinExpr:
             total.add_term(var, coef)
         total.constant += item.constant
     return total
+
+
+def exact_value(expr: LinExpr, x) -> float:
+    """``expr`` at ``x`` as the correctly rounded sum of its terms.
+
+    Terms are taken in variable-index order and summed with
+    :func:`math.fsum`, so the value is a function of the point alone, not
+    of the order the expression was built in.
+    """
+    terms = sorted((var.index, coef) for var, coef in expr.terms.items())
+    return math.fsum([coef * float(x[index]) for index, coef in terms]
+                     + [expr.constant])
 
 
 @dataclass

@@ -19,11 +19,15 @@ Key pieces:
 * :class:`SparseColumns` — CSC-style column storage in plain NumPy
   (``indptr``/``indices``/``data``); pricing is a vectorized
   ``A^T y`` over all columns at once.
-* the basis is factorized to a dense inverse at refactorization points
-  and advanced between them with product-form eta updates; FTRAN applies
-  the factor then the etas in order, BTRAN the transposed etas in
-  reverse.  Every ~64 pivots the factor is rebuilt and the basic values
-  recomputed, bounding drift.
+* the basis is factored as a sparse LU (``scipy.sparse.linalg.splu`` on
+  a CSC slice of the column store) at refactorization points and
+  advanced between them with product-form eta updates; FTRAN solves with
+  the factor then applies the etas in order, BTRAN the transposed etas
+  in reverse then the transposed factor.  Every ``REFACTOR_EVERY`` (16)
+  pivots the factor is rebuilt and the basic values recomputed, bounding
+  drift; a sparse refactor is cheap enough that short eta files win.
+  No dense ``B^-1`` exists, and no threaded BLAS touches the pivot path,
+  so pivot choices do not depend on the BLAS thread count.
 * primal simplex with Dantzig or devex (steepest-edge flavoured)
   pricing, falling back to Bland's rule after a stall budget so
   termination is guaranteed; bound flips handle boxed variables without
@@ -54,7 +58,7 @@ _TOL = 1e-9
 _PIVOT_TOL = 1e-9
 _DEADLINE_CHECK_EVERY = 32
 #: Pivots between refactorizations (eta-file length cap).
-REFACTOR_EVERY = 64
+REFACTOR_EVERY = 16
 #: Iterations before pricing falls back to Bland's anti-cycling rule.
 BLAND_AFTER = 2000
 
@@ -133,13 +137,17 @@ class SparseColumns:
         out[self.indices[lo:hi]] = self.data[lo:hi]
         return out
 
-    def dense_submatrix(self, cols: np.ndarray) -> np.ndarray:
-        """Dense (m, k) gather of the listed columns (refactorization)."""
-        out = np.zeros((self.nrows, len(cols)))
-        for k, j in enumerate(cols):
-            lo, hi = self.indptr[j], self.indptr[j + 1]
-            out[self.indices[lo:hi], k] = self.data[lo:hi]
-        return out
+    def submatrix(self, cols: np.ndarray):
+        """The listed columns as a scipy CSC matrix (refactorization),
+        sliced straight out of ``indptr``/``indices``/``data``."""
+        from scipy.sparse import csc_matrix
+
+        starts = self.indptr[cols]
+        lengths = self.indptr[cols + 1] - starts
+        indptr = np.concatenate(([0], np.cumsum(lengths)))
+        take = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
+        return csc_matrix((self.data[take], self.indices[take], indptr),
+                          shape=(self.nrows, len(cols)))
 
     def dot(self, x: np.ndarray) -> np.ndarray:
         """``A x`` exploiting sparsity of ``x`` (few nonbasic nonzeros)."""
@@ -198,38 +206,60 @@ class _State:
         self.lower = lower
         self.upper = upper
         self.x_b = np.zeros(len(order))
-        self.binv: np.ndarray | None = None
+        self.lu = None  # SuperLU factor of the basis at the last refactor
         self.etas: list[tuple[int, np.ndarray]] = []
         self.ftran_count = 0
         self.btran_count = 0
         self.refactor_count = 0
+        # Section timings, read only when tracing (flushed once per solve).
+        self.timed = observe.enabled()
+        self.factor_s = self.ftran_s = self.btran_s = self.pricing_s = 0.0
 
     # -- factorization -----------------------------------------------------
 
     def refactor(self, check: bool = False) -> bool:
-        """Rebuild the dense basis inverse; returns False on a singular
-        (or, with ``check``, numerically unusable) basis."""
+        """Rebuild the sparse LU factor of the basis; returns False on a
+        singular (or, with ``check``, numerically unusable) basis.
+
+        The new factor is committed, and the eta file cleared, only once
+        every check has passed: a rejected factor leaves the old factor
+        and its etas in force.
+        """
+        t0 = observe.clock() if self.timed else 0.0
         self.refactor_count += 1
-        basis_matrix = self.problem.columns.dense_submatrix(self.order)
+        lu = self._factor(check)
+        if self.timed:
+            self.factor_s += observe.clock() - t0
+        if lu is not None:
+            self.lu, self.etas = lu, []
+        return lu is not None
+
+    def _factor(self, check: bool):
+        """``splu`` of the basis columns, or None if a check fails."""
+        from scipy.sparse.linalg import splu
+
+        basis_matrix = self.problem.columns.submatrix(self.order)
         try:
-            self.binv = np.linalg.inv(basis_matrix)
-        except np.linalg.LinAlgError:
-            return False
-        if not np.all(np.isfinite(self.binv)):
-            return False
+            lu = splu(basis_matrix)
+        except RuntimeError:  # exactly singular
+            return None
+        with np.errstate(divide="ignore", over="ignore"):
+            if not np.all(np.isfinite(1.0 / lu.U.diagonal())):
+                return None  # a pivot so small its inverse overflows
         if check:
-            residual = basis_matrix @ self.binv
-            residual[np.arange(len(self.order)), np.arange(len(self.order))] -= 1.0
+            identity = np.eye(len(self.order))
+            with np.errstate(all="ignore"):
+                residual = basis_matrix @ lu.solve(identity) - identity
+            # NaN/inf entries compare False, so a non-finite B^-1 fails.
             if not np.all(np.abs(residual) < 1e-6):
-                return False
-        self.etas = []
-        return True
+                return None
+        return lu
 
     def compute_xb(self) -> None:
         """Recompute basic values from scratch (fresh factor, no etas)."""
         x_n = self.nonbasic_values()
         resid = self.problem.b - self.problem.columns.dot(x_n)
-        self.x_b = self.binv @ resid
+        self.x_b = self.lu.solve(resid)
 
     def nonbasic_values(self) -> np.ndarray:
         x = np.where(
@@ -245,37 +275,47 @@ class _State:
         x[self.order] = self.x_b
         return x
 
-    # -- FTRAN / BTRAN -----------------------------------------------------
+    # -- FTRAN / BTRAN / pricing -------------------------------------------
 
     def ftran(self, column: np.ndarray) -> np.ndarray:
         """``B^-1 a``: factor solve, then eta updates in pivot order."""
+        t0 = observe.clock() if self.timed else 0.0
         self.ftran_count += 1
-        v = self.binv @ column
+        v = self.lu.solve(column)
         for r, d in self.etas:
             piv = v[r] / d[r]
             v -= d * piv
             v[r] = piv
+        if self.timed:
+            self.ftran_s += observe.clock() - t0
         return v
 
     def btran(self, rhs: np.ndarray) -> np.ndarray:
         """``B^-T y``: transposed etas in reverse, then the factor."""
+        t0 = observe.clock() if self.timed else 0.0
         self.btran_count += 1
         y = rhs.copy()
         for r, d in reversed(self.etas):
             y[r] = (y[r] - (d @ y - d[r] * y[r])) / d[r]
-        return self.binv.T @ y
+        y = self.lu.solve(y, trans="T")
+        if self.timed:
+            self.btran_s += observe.clock() - t0
+        return y
+
+    def price(self, y: np.ndarray) -> np.ndarray:
+        """``A^T y`` over every column (reduced costs, pivot rows)."""
+        t0 = observe.clock() if self.timed else 0.0
+        row = self.problem.columns.t_dot(y)
+        if self.timed:
+            self.pricing_s += observe.clock() - t0
+        return row
 
     def push_eta(self, row: int, alpha: np.ndarray) -> None:
         self.etas.append((row, alpha.copy()))
-        if len(self.etas) >= REFACTOR_EVERY:
-            if not self.refactor():
-                # A basis the simplex itself built should never be
-                # singular; if roundoff made it so, rebuilding from the
-                # statuses is impossible here, so keep the eta file and
-                # let the next refactorization try again.
-                self.etas.append((row, alpha.copy()))
-                self.etas.pop()
-                return
+        # A basis the simplex itself built should never be singular; if
+        # roundoff made it so, the old factor and the eta file stay in
+        # force and the next pivot tries again.
+        if len(self.etas) >= REFACTOR_EVERY and self.refactor():
             self.compute_xb()
 
 
@@ -303,6 +343,10 @@ class RevisedProblem:
         if bounds is None:
             bounds = np.column_stack([np.zeros(n), np.full(n, _INF)])
         bounds = np.asarray(bounds, dtype=float).reshape(n, 2)
+
+        # Load the LU factor's scipy here, outside any solve's time
+        # budget; not at module top, so importing the CLI stays light.
+        import scipy.sparse.linalg  # noqa: F401
 
         self.n = n
         self.m_ub = len(b_ub)
@@ -405,7 +449,7 @@ class RevisedProblem:
                     and observe.clock() > deadline):
                 return SolveStatus.LIMIT, iters
             y = state.btran(cost[state.order])
-            d = cost - columns.t_dot(y)
+            d = cost - state.price(y)
             status = state.status
             eligible = np.nonzero(
                 ((status == AT_LB) & (d < -dj_tol))
@@ -451,7 +495,7 @@ class RevisedProblem:
             if weights is not None and abs(alpha[row]) > _PIVOT_TOL:
                 # Devex reference-weight update (Forrest-Goldfarb).
                 rho = state.btran(_unit(self.m, row))
-                arow = columns.t_dot(rho)
+                arow = state.price(rho)
                 ratio_sq = (arow / alpha[row]) ** 2 * weights[q]
                 weights = np.maximum(weights, ratio_sq)
                 weights[leaving] = max(weights[q] / alpha[row] ** 2, 1.0)
@@ -484,9 +528,9 @@ class RevisedProblem:
             at_lb = low_viol[row] >= up_viol[row]
             target = lb_b[row] if at_lb else ub_b[row]
             rho = state.btran(_unit(self.m, row))
-            arow = columns.t_dot(rho)
+            arow = state.price(rho)
             y = state.btran(cost[state.order])
-            d = cost - columns.t_dot(y)
+            d = cost - state.price(y)
             status = state.status
             if at_lb:  # x_b[row] must increase
                 can = (((status == AT_LB) & (arow < -_PIVOT_TOL))
@@ -655,7 +699,7 @@ class RevisedProblem:
                 lower[j], upper[j], cost1[j] = 0.0, _INF, 1.0
             else:
                 lower[j], upper[j], cost1[j] = -_INF, 0.0, -1.0
-        state.binv = np.eye(self.m)
+        state.lu = _IdentityFactor()  # the all-artificial basis is I
         state.x_b = resid.copy()
 
         p1_tol = _TOL * max(1.0, float(np.max(np.abs(cost1))))
@@ -697,7 +741,7 @@ class RevisedProblem:
             x_full = state.full_x()
             objective = float(self.cost @ x_full)
             y = state.btran(self.cost[state.order])
-            reduced = self.cost - self.columns.t_dot(y)
+            reduced = self.cost - state.price(y)
             result = SimplexResult(SolveStatus.OPTIMAL, objective,
                                    x_full[:self.n], iterations)
             return RevisedOutcome(result, basis, warm_used, reduced)
@@ -717,10 +761,25 @@ class RevisedProblem:
             observe.add("solver.revised.ftran", state.ftran_count)
             observe.add("solver.revised.btran", state.btran_count)
             observe.add("solver.revised.refactor", state.refactor_count)
+            if state.timed:
+                observe.add("solver.revised.factor_s", state.factor_s)
+                observe.add("solver.revised.ftran_s", state.ftran_s)
+                observe.add("solver.revised.btran_s", state.btran_s)
+                observe.add("solver.revised.pricing_s", state.pricing_s)
         if outcome.warm_used:
             observe.add("solver.revised.warm_solves")
             observe.add("solver.revised.warm_pivots",
                         outcome.result.iterations)
+
+
+class _IdentityFactor:
+    """The factor of the all-artificial cold-start basis, ``B = I``: a
+    solve is a copy, where ``splu(I)`` would cost a refactor per cold
+    solve."""
+
+    @staticmethod
+    def solve(rhs: np.ndarray, trans: str = "N") -> np.ndarray:
+        return rhs.copy()
 
 
 def _unit(m: int, row: int) -> np.ndarray:

@@ -35,7 +35,7 @@ from typing import Any
 from repro import observe
 from repro.errors import ScheduleError
 from repro.simulator.dvs import TransitionCostModel
-from repro.solver.model import Model, Variable, lin_sum
+from repro.solver.model import Model, Variable, exact_value, lin_sum
 from repro.solver.solution import Solution
 from repro.taskgraph.model import TaskGraphSpec
 from repro.taskgraph.tables import TaskTables
@@ -57,6 +57,8 @@ class TgFormulation:
     y: dict[tuple[str, int], Variable]
     adj: dict[tuple[int, str, str], Variable]
     start: dict[str, Variable]
+    #: Switch-energy auxiliary ``e[i,j]`` (volt² units) per ordered pair.
+    switch: dict[tuple[str, str], Variable]
 
     def solve(self, backend: str = "auto", **options) -> Solution:
         with observe.span("taskgraph.milp.solve",
@@ -109,6 +111,27 @@ class TgFormulation:
             raise ScheduleError(
                 f"adjacency chains place {len(placed)} of {len(names)} tasks")
         return {"modes": modes, "order": order}
+
+    def price(self, schedule: dict[str, Any]) -> float:
+        """Canonical objective (nJ) of a decoded schedule.
+
+        The objective's variables are set from the integer assignment
+        alone — ``x[t,m]`` from the modes, and each ``e[i,j]`` to the
+        ``|dV²|`` its adjacency charges — and summed exactly
+        (:func:`exact_value`), so HiGHS, the native simplex, warm or
+        cold, price one schedule to the same bits.
+        """
+        point = [0.0] * len(self.model.variables)
+        modes = schedule["modes"]
+        voltages = self.tables.voltages()
+        volt2 = {t: voltages[m] * voltages[m] for t, m in modes.items()}
+        for task, mode in modes.items():
+            point[self.x[task, mode].index] = 1.0
+        for lane in schedule["order"]:
+            for prev, task in zip(lane, lane[1:]):
+                point[self.switch[prev, task].index] = abs(
+                    volt2[prev] - volt2[task])
+        return exact_value(self.model.objective, point)
 
 
 def build_taskgraph_milp(
@@ -202,7 +225,7 @@ def build_taskgraph_milp(
                                              name=f"co-j[{p},{i},{j}]")
 
         # Transition auxiliaries + chain timing per ordered task pair.
-        trans_terms = []
+        switch: dict[tuple[str, str], Variable] = {}
         for i in names:
             for j in names:
                 if i == j:
@@ -227,7 +250,7 @@ def build_taskgraph_milp(
                     start[j] >= start[i] + dur(i) + ct_scaled * w_ij
                     - big_m * (1.0 - followed),
                     name=f"chain[{i},{j}]")
-                trans_terms.append(e_ij)
+                switch[i, j] = e_ij
 
         # Precedence timing for the DAG's own edges.
         for src, dst in sorted(spec.edges):
@@ -238,7 +261,7 @@ def build_taskgraph_milp(
         task_energy = lin_sum(
             x[t, m] * tables.energy(t, m)
             for t in names for m in range(num_modes))
-        switch_energy = lin_sum(trans_terms) * transition.ce_nj_per_v2
+        switch_energy = lin_sum(switch.values()) * transition.ce_nj_per_v2
         model.minimize(task_energy + switch_energy)
 
         observe.add("taskgraph.milp.vars", len(model.variables))
@@ -247,4 +270,5 @@ def build_taskgraph_milp(
     return TgFormulation(
         model=model, spec=spec, tables=tables, cores=cores,
         deadline_s=deadline_s, x=x, y=y, adj=adj, start=start,
+        switch=switch,
     )

@@ -3,9 +3,10 @@
 Checks (all raise :class:`VerificationError` with the failing instance
 spelled out):
 
-* **replay-exact** — the solver's objective equals the replayed energy
-  of the decoded schedule (the MILP prices transitions with the same nJ
-  constants the simulator charges), within LP float tolerance;
+* **replay-exact** — the solver's objective and the canonical price of
+  the decoded schedule both equal its replayed energy (the MILP prices
+  transitions with the same nJ constants the simulator charges), within
+  LP float tolerance;
 * **deadline** — the replayed makespan meets the deadline;
 * **milp-beats-greedy** — the (optimal or incumbent) MILP energy never
   exceeds the greedy heuristic's on the same instance;
@@ -62,11 +63,12 @@ def verify_instance(
         raise VerificationError(
             f"[{label}] replayed makespan {replayed['makespan_s']:.9g}s "
             f"exceeds deadline {deadline_s:.9g}s")
-    if result["objective"] is not None and not _close(
-            result["objective"], replayed["energy_nj"]):
-        raise VerificationError(
-            f"[{label}] solver objective {result['objective']:.9g} != "
-            f"replayed energy {replayed['energy_nj']:.9g} nJ")
+    for name in ("solver_objective", "objective"):
+        if result[name] is not None and not _close(
+                result[name], replayed["energy_nj"]):
+            raise VerificationError(
+                f"[{label}] {name.replace('_', ' ')} {result[name]:.9g} "
+                f"!= replayed energy {replayed['energy_nj']:.9g} nJ")
     greedy = greedy_taskgraph(spec, tables, cores, deadline_s, transition)
     if result["method"] != "greedy" and not _at_most(
             replayed["energy_nj"], greedy["replayed"]["energy_nj"]):

@@ -41,7 +41,9 @@ def solve_taskgraph(
     Returns a dict with ``schedule``, ``replayed`` (the schedule's
     replay summary), ``method`` (``milp`` / ``milp-incumbent`` /
     ``greedy``), ``status`` (solver status string), ``objective``
-    (solver objective, None on the greedy tier), ``degraded``.
+    (the MILP objective at the decoded schedule, priced exactly by
+    :meth:`TgFormulation.price`), ``solver_objective`` (the solver's own
+    objective; both None on the greedy tier), ``degraded``.
 
     Raises:
         ScheduleError: no tier produced a deadline-feasible schedule.
@@ -63,7 +65,8 @@ def solve_taskgraph(
                 "replayed": replayed,
                 "method": "milp" if solution.ok else "milp-incumbent",
                 "status": solution.status.value,
-                "objective": solution.objective,
+                "objective": formulation.price(schedule),
+                "solver_objective": solution.objective,
                 "degraded": not solution.ok,
             }
         # An incumbent that violates the deadline on exact replay (LP
@@ -82,5 +85,6 @@ def solve_taskgraph(
         "method": "greedy",
         "status": solution.status.value,
         "objective": None,
+        "solver_objective": None,
         "degraded": True,
     }

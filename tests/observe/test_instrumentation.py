@@ -89,6 +89,11 @@ class TestSolverCounters:
         assert observe.counter_value("solver.revised.pivots") > 0
         assert observe.counter_value("solver.bnb.nodes_explored") == 0
 
+    def test_native_lp_sections_are_timed_when_traced(self, tracing):
+        assert knapsack_model().solve(backend="native").ok
+        for part in ("factor", "ftran", "btran", "pricing"):
+            assert observe.counter_value(f"solver.revised.{part}_s") > 0.0
+
     def test_dense_engine_counts_tableau_pivots(self, tracing):
         # HiGHS reports its iterations through the backend-agnostic
         # mirror only; no native pivot counter may move.

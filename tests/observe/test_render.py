@@ -30,6 +30,25 @@ class TestSolverSection:
         assert rows["native warm-started pivots"] == "2,100"
         assert rows["native refactorizations"] == "512"
 
+    def test_lp_section_timings_render_per_pivot(self):
+        rows = _solver_lines({
+            "solver.solves": 1,
+            "solver.revised.pivots": 20000,
+            "solver.revised.factor_s": 1.0,
+            "solver.revised.ftran_s": 2.5,
+            "solver.revised.btran_s": 0.5,
+            "solver.revised.pricing_s": 0.25,
+        })
+        assert rows["native LP factor time"] == "1.000s (50.0 µs/pivot)"
+        assert rows["native LP ftran time"] == "2.500s (125.0 µs/pivot)"
+        assert rows["native LP btran time"] == "0.500s (25.0 µs/pivot)"
+        assert rows["native LP pricing time"] == "0.250s (12.5 µs/pivot)"
+
+    def test_untimed_solves_render_no_timing_rows(self):
+        rows = _solver_lines({"solver.solves": 1,
+                              "solver.revised.pivots": 10})
+        assert not [label for label in rows if label.endswith(" time")]
+
     def test_every_anytime_tier_has_a_row(self):
         rows = _solver_lines({
             "solver.solves": 4,

@@ -162,3 +162,29 @@ class TestCrashResumeWarmChain:
         assert reference.returncode == 0, reference.stderr
         assert ((out / "results.jsonl").read_bytes()
                 == (tmp_path / "ref" / "results.jsonl").read_bytes())
+
+
+class TestBlasThreadIndependence:
+    def test_pivot_path_is_the_same_at_one_and_two_blas_threads(
+            self, tmp_path):
+        # The simplex's pivot choices depend on the last bits of its
+        # FTRAN/BTRAN results.  A dense inverse applied by threaded BLAS
+        # rounded differently per thread count (dijkstra@0.35 took 1725
+        # pivots on one OpenBLAS thread and 349 on two); the sparse LU
+        # factor's solves do not, so rows *and* the pivot count must
+        # agree.
+        runs = {}
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads-{threads}"
+            cmd = _sweep_cmd(out, "--trace")
+            cmd[cmd.index("--deadline-fracs") + 1] = "0.35"
+            env = _env()
+            env["OPENBLAS_NUM_THREADS"] = threads
+            proc = subprocess.run(cmd, env=env, capture_output=True,
+                                  text=True, timeout=600)
+            assert proc.returncode == 0, proc.stderr
+            counters = observe.read_metrics(out / "metrics.json")["counters"]
+            runs[threads] = ((out / "results.jsonl").read_bytes(),
+                             counters["solver.revised.pivots"])
+        assert runs["1"][1] > 0
+        assert runs["1"] == runs["2"]

@@ -49,8 +49,9 @@ class TestSparseColumns:
         x = np.zeros(8)
         x[[1, 4, 6]] = rng.normal(size=3)
         assert np.allclose(cols.dot(x), dense @ x)
-        sub = cols.dense_submatrix(np.array([2, 0, 7]))
-        assert np.allclose(sub, dense[:, [2, 0, 7]])
+        sub = cols.submatrix(np.array([2, 0, 7]))
+        assert sub.format == "csc"
+        assert np.array_equal(sub.toarray(), dense[:, [2, 0, 7]])
 
     def test_extra_unit_columns(self):
         dense = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -108,6 +109,30 @@ class TestEtaFile:
         assert st.etas == []
         assert np.allclose(st.ftran(problem.columns.dense_column(1)), before,
                            atol=1e-9)
+
+    @pytest.mark.parametrize("check", [False, True])
+    def test_failed_refactor_commits_nothing(self, check):
+        # One row, x * 1e-310 + s = 1.  The basis {x} has a finite,
+        # nonzero pivot whose inverse overflows to inf: the refactor must
+        # fail and leave the old factor *and* its eta file in force.
+        problem = RevisedProblem([1.0], a_ub=[[1e-310]], b_ub=[1.0])
+        lower, upper = problem._working_bounds(None)
+        status = np.full(problem.ncols, AT_LB, dtype=np.int8)
+        order = np.array([problem.art_start], dtype=np.int64)
+        status[order] = BASIC
+        st = _State(problem, status, order, lower, upper)
+        assert st.refactor()
+        slack = problem.columns.dense_column(1)
+        st.push_eta(0, st.ftran(2.0 * slack))  # slack enters, scaled eta
+        st.order[0] = 1
+        probe = np.array([3.0])
+        before = st.ftran(probe)
+        etas = [(r, d.tobytes()) for r, d in st.etas]
+        st.order[0] = 0  # x enters: its 1x1 basis inverts to inf
+        assert not st.refactor(check=check)
+        assert [(r, d.tobytes()) for r, d in st.etas] == etas
+        after = st.ftran(probe)
+        assert after.tobytes() == before.tobytes()
 
 
 class TestAntiCycling:

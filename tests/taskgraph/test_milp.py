@@ -1,5 +1,7 @@
 """The taskgraph MILP against its replay oracle and the greedy bound."""
 
+import math
+
 import pytest
 
 from repro import observe
@@ -109,6 +111,40 @@ class TestTransitionPricing:
         result = solve_taskgraph(spec, tables, 2, deadline, transition)
         assert result["method"] == "milp"
         assert close(result["objective"], result["replayed"]["energy_nj"])
+
+
+class TestCanonicalPrice:
+    def test_backends_price_one_schedule_to_the_same_bits(self, transition):
+        # Both backends decode the same schedule here, but their raw
+        # objectives differ in the last bits (373368.30000000005 native
+        # vs 373368.3 HiGHS); the reported price may not.
+        spec = build_graph("fork-join", 3, 0)
+        tables = synthetic_tables(spec, XSCALE_3)
+        deadline = deadline_for(spec, tables, 1, 0.0, transition)
+        native = solve_taskgraph(spec, tables, 1, deadline, transition,
+                                 backend="native")
+        highs = solve_taskgraph(spec, tables, 1, deadline, transition,
+                                backend="scipy")
+        assert native["method"] == highs["method"] == "milp"
+        assert native["schedule"] == highs["schedule"]
+        assert native["objective"] == highs["objective"]
+        assert close(native["solver_objective"], native["objective"])
+
+    def test_price_is_the_exact_sum_of_task_and_switch_energy(
+            self, small_graph, small_tables, transition):
+        deadline = deadline_for(small_graph, small_tables, 2, 0.5, transition)
+        formulation = build_taskgraph_milp(small_graph, small_tables, 2,
+                                           deadline, transition)
+        schedule = formulation.extract_schedule(formulation.solve())
+        modes = schedule["modes"]
+        volts = small_tables.voltages()
+        terms = [small_tables.energy(t, m) for t, m in modes.items()]
+        for lane in schedule["order"]:
+            for prev, task in zip(lane, lane[1:]):
+                v_prev, v_task = volts[modes[prev]], volts[modes[task]]
+                terms.append(transition.ce_nj_per_v2
+                             * abs(v_prev * v_prev - v_task * v_task))
+        assert formulation.price(schedule) == math.fsum(terms)
 
 
 class TestSolveFallback:
