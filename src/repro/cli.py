@@ -80,7 +80,6 @@ from pathlib import Path
 from repro import observe
 from repro.core import DVSOptimizer
 from repro.core.analytical import savings_ratio_discrete
-from repro.core.baselines import build_block_formulation, greedy_schedule
 from repro.errors import ReproError
 from repro.profiling import extract_params
 from repro.profiling.serialize import (
@@ -260,7 +259,8 @@ def cmd_optimize(args) -> int:
             gap = outcome.optimality_gap
             gap_text = f"{gap:.1%}" if gap is not None else "unknown"
             print(f"  solver tier {outcome.fallback_tier}, "
-                  f"optimality gap {gap_text}"
+                  f"optimality gap {gap_text}, "
+                  f"solved in {outcome.solve_time_s:.3f}s"
                   + (" [degraded]" if degraded else ""))
         # Only proven-optimal solves are memoized: a budget-starved
         # fallback must not poison the cache for future exact runs.
@@ -305,6 +305,8 @@ def cmd_optimize(args) -> int:
         print(f"error: {certificate.summary}", file=sys.stderr)
         status = 1
     if args.compare:
+        from repro.core.baselines import build_block_formulation, greedy_schedule
+
         greedy = greedy_schedule(
             profile, machine.mode_table, deadline,
             transition_model=machine.transition_model,

@@ -2,15 +2,16 @@
 
 ``f = k (V - Vt)^a / V`` (Sakurai-Newton), with a = 1.5 and Vt = 0.45 V as
 in the paper.  Frequency is strictly increasing in V above Vt, so the
-inverse V(f) is found by bisection (Brent's method).
+inverse V(f) is a bracketed root find by Brent's method (inverse
+quadratic interpolation safeguarded by bisection), in the pure-Python
+port of :mod:`.numeric`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
+from repro.core.analytical.numeric import brentq
 from repro.errors import AnalysisError
 from repro.simulator.dvs import ALPHA, V_THRESHOLD, calibrate_k
 
@@ -55,7 +56,7 @@ class AlphaPowerLaw:
             raise AnalysisError(
                 f"frequency {frequency / 1e6:.1f} MHz unreachable below {v_max} V"
             )
-        return float(brentq(lambda v: self.frequency(v) - frequency, lo, v_max, xtol=1e-12))
+        return brentq(lambda v: self.frequency(v) - frequency, lo, v_max, xtol=1e-12)
 
     def energy_per_cycle(self, voltage: float) -> float:
         """Relative dynamic energy of one cycle at a voltage (CV² with C=1)."""

@@ -21,10 +21,10 @@ Energy accounting follows the paper: the overlapped region charges
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from repro.core.analytical.numeric import linspace
 from repro.errors import AnalysisError
 from repro.core.analytical.alpha_power import DEFAULT_LAW, AlphaPowerLaw
 from repro.core.analytical.params import ProgramParams
@@ -234,7 +234,7 @@ def _search_memory_dominated(
     # floored branch is the increasing tail R1*v1^2 + const).  Unlike the
     # old fixed grid this converges to the true minimizer, so the
     # reported optimum can only improve (lower energy, higher bound).
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, v_high
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
@@ -280,8 +280,8 @@ def energy_vs_v1_curve(
     infeasible v1 values are omitted.
     """
     points: list[tuple[float, float]] = []
-    for v1 in np.linspace(v_low, v_high, samples):
-        f1 = law.frequency(float(v1))
+    for v1 in linspace(v_low, v_high, samples):
+        f1 = law.frequency(v1)
         remaining = _region2_requirement(params, deadline_s, f1)
         if remaining <= 0:
             continue
@@ -292,5 +292,5 @@ def energy_vs_v1_curve(
             v2 = max(law.voltage(f2), v_low)
         else:
             v2 = v_low
-        points.append((float(v1), _energy(params, float(v1), v2)))
+        points.append((v1, _energy(params, v1, v2)))
     return points

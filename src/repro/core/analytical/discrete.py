@@ -21,8 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from repro.core.analytical.numeric import linspace
 from repro.errors import AnalysisError
 from repro.core.analytical.params import ProgramParams
 from repro.simulator.dvs import ModeTable
@@ -252,7 +251,7 @@ def _sweep_y(
     if bounds is None:
         return None
     y_lo, y_hi = bounds
-    ys = set(np.linspace(y_lo, y_hi, y_samples))
+    ys = set(linspace(y_lo, y_hi, y_samples))
     # Staircase breakpoints: ys where f1 or f2 crosses a table frequency.
     for f in table.frequencies():
         if f > 0:
@@ -264,7 +263,7 @@ def _sweep_y(
                 ys.add(y)
     best: DiscreteSolution | None = None
     for y in sorted(ys):
-        candidate = _emin_at_y(params, deadline_s, table, float(y))
+        candidate = _emin_at_y(params, deadline_s, table, y)
         if candidate is not None and (best is None or candidate.energy < best.energy):
             best = candidate
     return best
@@ -282,8 +281,8 @@ def emin_y_curve(
         return []
     y_lo, y_hi = bounds
     curve: list[tuple[float, float]] = []
-    for y in np.linspace(y_lo, y_hi, samples):
-        candidate = _emin_at_y(params, deadline_s, table, float(y))
+    for y in linspace(y_lo, y_hi, samples):
+        candidate = _emin_at_y(params, deadline_s, table, y)
         if candidate is not None:
-            curve.append((float(y), candidate.energy))
+            curve.append((y, candidate.energy))
     return curve

@@ -13,11 +13,28 @@
   silent-mode-set hoisting post-pass sketched in Section 4.2.
 """
 
-from repro.core.milp.formulation import FormulationOptions, MilpFormulation, build_formulation
+import importlib
+
 from repro.core.milp.filtering import FilterResult, filter_edges
-from repro.core.milp.multidata import CategoryProfile, build_multidata_formulation
 from repro.core.milp.schedule import DVSSchedule
 from repro.core.milp.transition import TransitionCosts
+
+#: Names whose modules build solver models (numpy): imported on first use,
+#: so the schedule and filtering types load without the solver stack.
+_LAZY = {
+    "CategoryProfile": "multidata",
+    "FormulationOptions": "formulation",
+    "MilpFormulation": "formulation",
+    "build_formulation": "formulation",
+    "build_multidata_formulation": "multidata",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+
 
 __all__ = [
     "CategoryProfile",

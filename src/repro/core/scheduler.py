@@ -22,24 +22,25 @@ Typical use::
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro import observe
 from repro.errors import ScheduleError
 from repro.ir.cfg import CFG
-from repro.solver.solution import SolveStatus
-from repro.verify.certificate import CertificateReport, verify_certificate
 from repro.core.milp.filtering import FilterResult, filter_edges, no_filtering
-from repro.core.milp.formulation import (
-    FormulationOptions,
-    MilpFormulation,
-    build_formulation,
-)
-from repro.core.milp.multidata import CategoryProfile, build_multidata_formulation
 from repro.core.milp.schedule import DVSSchedule
 from repro.profiling.profile_data import ProfileData
 from repro.profiling.profiler import profile_program
 from repro.simulator.machine import Machine, RunResult
-from repro.solver.solution import Solution
+
+if TYPE_CHECKING:
+    # The solver stack (numpy, scipy) is imported by the methods that
+    # build or solve a model, so a process that only replays and checks
+    # cached schedules never loads it.
+    from repro.core.milp.formulation import MilpFormulation
+    from repro.core.milp.multidata import CategoryProfile
+    from repro.solver.solution import Solution
+    from repro.verify.certificate import CertificateReport
 
 
 @dataclass
@@ -143,6 +144,8 @@ class DVSOptimizer:
         use_filtering: bool | None = None,
     ) -> tuple[MilpFormulation, FilterResult]:
         """Filter edges and build the MILP for a profile."""
+        from repro.core.milp.formulation import FormulationOptions, build_formulation
+
         apply_filter = (
             use_filtering if use_filtering is not None else self.filter_threshold > 0
         )
@@ -210,6 +213,8 @@ class DVSOptimizer:
             return self._optimize_continuous(
                 cfg, deadline_s, profile, use_filtering, hoist
             )
+        from repro.verify.certificate import verify_certificate
+
         formulation, filter_result = self.build(profile, deadline_s, use_filtering)
 
         options = dict(self.solver_options)
@@ -314,6 +319,7 @@ class DVSOptimizer:
         path is O(n^2) + a handful of profile replays.
         """
         from repro.core.continuous import continuous_bound, round_up_schedule
+        from repro.solver.solution import Solution, SolveStatus
         from repro.verify.schedule_check import check_schedule
 
         formulation, filter_result = self.build(profile, deadline_s, use_filtering)
@@ -374,6 +380,9 @@ class DVSOptimizer:
         hoist: bool = True,
     ) -> OptimizationOutcome:
         """Section 4.3: one schedule for several weighted input categories."""
+        from repro.core.milp.multidata import build_multidata_formulation
+        from repro.verify.certificate import verify_certificate
+
         apply_filter = (
             use_filtering if use_filtering is not None else self.filter_threshold > 0
         )

@@ -230,6 +230,8 @@ class _Collector:
 
 
 _COLLECTOR = _Collector()
+#: Gauges set by :func:`process_gauge` (``process.import_s``).
+_PROCESS_GAUGES: dict[str, float] = {}
 
 #: Environment variable that enables tracing for the whole process.
 TRACE_ENV = "REPRO_TRACE"
@@ -413,6 +415,13 @@ def gauge(name: str, value: float) -> None:
         _COLLECTOR.gauges[name] = value
 
 
+def process_gauge(name: str, value: float) -> None:
+    """Set a gauge that describes this process's start-up (recorded
+    whether or not tracing is on yet, and kept across resets), so every
+    snapshot the process takes carries it."""
+    _PROCESS_GAUGES[name] = value
+
+
 def record(name: str, value: float) -> None:
     """Observe one value into a histogram (no-op when tracing is off)."""
     if not _COLLECTOR.enabled:
@@ -444,7 +453,7 @@ def snapshot(reset: bool = False) -> dict[str, Any]:
             "pid": os.getpid(),
             "spans": list(_COLLECTOR.spans),
             "counters": dict(_COLLECTOR.counters),
-            "gauges": dict(_COLLECTOR.gauges),
+            "gauges": {**_PROCESS_GAUGES, **_COLLECTOR.gauges},
             "histograms": {name: h.as_dict()
                            for name, h in _COLLECTOR.histograms.items()},
         }

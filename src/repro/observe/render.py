@@ -146,6 +146,11 @@ def render_stats(metrics: dict[str, Any]) -> str:
 
     consumed: set[str] = set()
 
+    if "process.import_s" in gauges:
+        section("process")
+        row("import repro.cli", f"{gauges['process.import_s']:.3f}s")
+        consumed.add("gauge:process.import_s")
+
     def take(name: str, default: float = 0.0) -> float:
         consumed.add(name)
         return float(counters.get(name, default))

@@ -50,6 +50,7 @@ import numpy as np
 from repro import observe
 from repro.core.baselines.greedy import greedy_schedule
 from repro.errors import ScheduleError
+from repro.solver import load_backends
 from repro.solver.solution import Solution, SolveStatus
 from repro.verify.certificate import verify_certificate
 from repro.verify.schedule_check import check_schedule
@@ -134,6 +135,9 @@ def optimize_anytime(
 
     formulation, filter_result = optimizer.build(profile, deadline_s, use_filtering)
     machine = optimizer.machine
+    # The backends' scipy imports take longer than a small solve; a fresh
+    # process or pool worker must not spend its budget on them.
+    load_backends()
     start = observe.clock()
     attempts: list[TierAttempt] = []
 

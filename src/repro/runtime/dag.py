@@ -51,6 +51,9 @@ from repro.workloads import compile_workload, get_workload
 
 #: Pipeline stages in dependency order.
 TASK_KINDS = ("profile", "optimize", "simulate", "verify")
+#: Kinds that run without numpy or scipy: ``verify`` only reads its deps.
+#: Every other kind (taskgraph kinds included) simulates or solves.
+LIGHT_KINDS = ("verify",)
 
 
 @dataclass(frozen=True)
@@ -433,6 +436,22 @@ _TASK_FNS: dict[str, Callable[[dict[str, Any], dict[str, Any]], dict[str, Any]]]
     "simulate": _task_simulate,
     "verify": _task_verify,
 }
+
+
+def load_task_stack() -> None:
+    """Import the numeric stack that simulating and solving tasks use:
+    numpy (input generators, model building) and scipy (the backends).
+
+    The executor calls this in the parent before it forks a worker pool
+    for such tasks, so the workers inherit the modules instead of each
+    importing them.  A sweep whose tasks are all light never calls it.
+    """
+    import repro.core.milp.formulation  # noqa: F401
+    import repro.verify.certificate  # noqa: F401
+    import repro.workloads.inputs  # noqa: F401
+    from repro.solver import load_backends
+
+    load_backends()
 
 
 def execute_task(kind: str, spec: dict[str, Any],

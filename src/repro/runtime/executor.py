@@ -46,7 +46,13 @@ from repro import observe
 from repro.errors import InjectedFault, OrchestrationError, TaskTimeout
 from repro.resilience import faultplane
 from repro.runtime.cache import ArtifactStore
-from repro.runtime.dag import Task, TaskGraph, execute_task
+from repro.runtime.dag import (
+    LIGHT_KINDS,
+    Task,
+    TaskGraph,
+    execute_task,
+    load_task_stack,
+)
 
 logger = logging.getLogger("repro.executor")
 
@@ -313,6 +319,12 @@ class WorkerPool:
                    for _ in range(self.jobs)]
         return sorted({future.result() for future in futures})
 
+    @property
+    def forked(self) -> bool:
+        """True once workers exist (forked on the first submit)."""
+        with self._lock:
+            return self._executor is not None
+
     def worker_pids(self) -> list[int]:
         """Pids of the live worker processes (may be empty before use)."""
         with self._lock:
@@ -475,6 +487,10 @@ def run_graph(
             "trace_fresh": pool is not None,
         }
         if pool is not None:
+            if task.kind not in LIGHT_KINDS and not pool.forked:
+                # Import once here, so the workers forked by this submit
+                # inherit the numeric stack rather than each loading it.
+                load_task_stack()
             inflight[pool.submit(_run_task_entry, payload)] = task.task_id
         else:
             inflight[_InlineFuture(_run_task_entry(payload))] = task.task_id

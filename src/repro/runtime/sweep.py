@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 import signal
+import sys
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -173,9 +174,11 @@ def run_sweep(
     # Warm-start bases/pseudocosts are per-sweep ephemeral state: reset
     # so a resumed run and a cold run see identical (empty) registries.
     # Pool workers (jobs > 1) start with fresh per-process registries.
-    from repro.solver import warmstart
-
-    warmstart.reset()
+    # A registry that was never imported is empty already, and importing
+    # it would load the solver stack into a sweep that may not solve.
+    warmstart = sys.modules.get("repro.solver.warmstart")
+    if warmstart is not None:
+        warmstart.reset()
     store = ArtifactStore(config.cache_dir) if config.cache_dir else None
     output_dir = Path(config.output_dir)
 

@@ -36,6 +36,18 @@ from repro.solver.revised import SimplexResult, solve_lp
 from repro.solver.branch_bound import BranchBoundOptions, solve_milp
 from repro.solver.solution import Solution, SolveStatus
 
+
+def load_backends() -> None:
+    """Import the scipy modules both backends solve with (HiGHS, and the
+    sparse LU of the native simplex).
+
+    Call it before a solve's time budget starts, or before forking
+    workers that will solve: the import takes longer than a small solve.
+    """
+    import scipy.sparse.linalg  # noqa: F401
+    from repro.solver import scipy_backend  # noqa: F401
+
+
 __all__ = [
     "BranchBoundOptions",
     "Constraint",
@@ -46,6 +58,7 @@ __all__ = [
     "Solution",
     "SolveStatus",
     "Variable",
+    "load_backends",
     "solve_lp",
     "solve_milp",
 ]

@@ -27,19 +27,30 @@ them:
   full pipeline and report the first failing oracle with a minimized
   reproducer.
 
-Only the dependency-light layers are re-exported here; the oracle,
-metamorphic and fuzz modules import the high-level pipeline and must be
-imported explicitly (``import repro.verify.oracles``) to keep
+Only the dependency-light layers are re-exported here, and the
+certificate (which loads the solver stack) only on first use; the
+oracle, metamorphic and fuzz modules import the high-level pipeline and
+must be imported explicitly (``import repro.verify.oracles``) to keep
 ``repro.core.scheduler -> repro.verify.certificate`` cycle-free.
 """
 
-from repro.verify.certificate import (
-    CertificateReport,
-    ConstraintViolation,
-    verify_certificate,
-)
+import importlib
+
 from repro.verify.schedule_check import ScheduleCheckReport, check_schedule
 from repro.verify import tolerances
+
+_LAZY = {
+    "CertificateReport": "certificate",
+    "ConstraintViolation": "certificate",
+    "verify_certificate": "certificate",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+
 
 __all__ = [
     "CertificateReport",

@@ -13,8 +13,6 @@ the paper's Table 7 shows adpcm with the smallest memory component).
 
 from __future__ import annotations
 
-from repro.workloads import inputs as gen
-
 N_SAMPLES = 2048
 
 SOURCE = """
@@ -101,6 +99,8 @@ func main(nsamp: int) -> int {
 
 def make_inputs(category: str = "default", seed: int = 0) -> dict[str, list]:
     """Speech-like PCM; categories only vary the seed for this workload."""
+    from repro.workloads import inputs as gen
+
     return {"pcm": gen.speech_like(N_SAMPLES, seed=seed)}
 
 

@@ -14,8 +14,6 @@ relaxation sweep over the chosen node's adjacency row.
 
 from __future__ import annotations
 
-from repro.workloads import inputs as gen
-
 N_VERTICES = 96
 INFINITY = 1 << 28
 
@@ -76,6 +74,8 @@ func main(nv: int) -> int {
 
 def make_inputs(category: str = "default", seed: int = 0) -> dict[str, list]:
     """Random sparse-ish weighted digraph with a connected backbone."""
+    from repro.workloads import inputs as gen
+
     generator = gen.rng(500 + seed)
     n = N_VERTICES
     adj = [0] * (n * n)

@@ -13,8 +13,6 @@ epic (its t_invariant is the largest of the suite relative to runtime).
 
 from __future__ import annotations
 
-from repro.workloads import inputs as gen
-
 WIDTH = 64
 
 SOURCE = """
@@ -89,6 +87,8 @@ func main(levels: int) -> int {
 
 
 def make_inputs(category: str = "default", seed: int = 0) -> dict[str, list]:
+    from repro.workloads import inputs as gen
+
     return {"img": gen.image_like(WIDTH, WIDTH, seed=seed)}
 
 

@@ -14,8 +14,6 @@ profile of the suite.
 
 from __future__ import annotations
 
-from repro.workloads import inputs as gen
-
 N_TRIANGLES = 18
 DIM = 128
 
@@ -79,6 +77,8 @@ func main(ntri: int) -> int {
 
 
 def make_inputs(category: str = "default", seed: int = 0) -> dict[str, list]:
+    from repro.workloads import inputs as gen
+
     return {"tri": gen.triangles(N_TRIANGLES, DIM, seed=seed)}
 
 

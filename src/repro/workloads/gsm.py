@@ -17,8 +17,6 @@ buffer.
 
 from __future__ import annotations
 
-from repro.workloads import inputs as gen
-
 N_FRAMES = 5
 FRAME = 160
 N_SAMPLES = N_FRAMES * FRAME
@@ -108,6 +106,8 @@ func main(nframes: int) -> int {
 
 
 def make_inputs(category: str = "default", seed: int = 0) -> dict[str, list]:
+    from repro.workloads import inputs as gen
+
     return {"speech": gen.speech_like(N_SAMPLES, seed=seed)}
 
 

@@ -18,8 +18,6 @@ midway between adpcm (pure compute) and epic (strided memory).
 
 from __future__ import annotations
 
-from repro.workloads import inputs as gen
-
 IMAGE_DIM = 64
 N_BLOCKS = 40  # top 5 block-rows of the 8x8 grid (keeps runs fast)
 
@@ -143,6 +141,8 @@ def make_inputs(category: str = "default", seed: int = 0, quality: int = 50) -> 
     ``quality`` scales the quantization matrix the standard way
     (50 = the reference luminance matrix).
     """
+    from repro.workloads import inputs as gen
+
     scale = 5000 // quality if quality < 50 else 200 - 2 * quality
     qmat = [max(1, min(255, (q * scale + 50) // 100)) for q in _LUMINANCE_Q]
     image = [

@@ -21,8 +21,6 @@ structural difference between the paper's 100b/bbc and flwr/cact inputs.
 
 from __future__ import annotations
 
-from repro.workloads import inputs as gen
-
 N_BLOCKS = 54
 FRAME_DIM = 128
 
@@ -148,6 +146,8 @@ def make_inputs(category: str = "no_b", seed: int = 0) -> dict[str, list]:
     100b -> ("no_b", 0), bbc -> ("no_b", 1), flwr -> ("with_b", 0),
     cact -> ("with_b", 1).
     """
+    from repro.workloads import inputs as gen
+
     generator = gen.rng(1000 + seed)
     ref0 = [int(v) for v in generator.integers(0, 256, size=FRAME_DIM * FRAME_DIM)]
     ref1 = [int(v) for v in generator.integers(0, 256, size=FRAME_DIM * FRAME_DIM)]

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import math
 
-from repro.workloads import inputs as gen
-
 N_GRANULES = 24
 N_BANDS = 32
 FIFO = 512
@@ -95,6 +93,8 @@ def _window() -> list[float]:
 
 
 def make_inputs(category: str = "default", seed: int = 0) -> dict[str, list]:
+    from repro.workloads import inputs as gen
+
     return {
         "samples": gen.subband_samples(N_GRANULES, N_BANDS, seed=seed),
         "cosmat": _cosmat(),

@@ -2,8 +2,10 @@
 
 The pin must be in the environment at the moment numpy is first
 imported (OpenBLAS reads it once, at load time), so a ``sys.meta_path``
-hook records ``os.environ`` on that first import while ``repro --help``
-runs through :mod:`runpy`, exactly as ``python -m repro`` does.
+hook records ``os.environ`` on that first import while a cold ``repro
+sweep`` runs through :mod:`runpy`, exactly as ``python -m repro`` does.
+Importing the CLI does not load numpy; simulating and solving do, so
+the probe runs a sweep that has to do both.
 """
 
 from __future__ import annotations
@@ -32,7 +34,9 @@ class RecordEnvOnNumpyImport:
 
 
 sys.meta_path.insert(0, RecordEnvOnNumpyImport())
-sys.argv = ["repro", "--help"]
+sys.argv = ["repro", "sweep", "--workloads", "dijkstra",
+            "--deadline-fracs", "0.5", "--no-cache", "--jobs", "1",
+            "--quiet", "--output-dir", sys.argv[1]]
 try:
     runpy.run_module("repro", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
@@ -41,24 +45,24 @@ print(json.dumps(seen))
 """ % (PINS,)
 
 
-def _env_at_numpy_import(**overrides: str) -> dict:
+def _env_at_numpy_import(tmp_path: Path, **overrides: str) -> dict:
     env = {k: v for k, v in os.environ.items() if k not in PINS}
     env["PYTHONPATH"] = str(REPO_SRC) + os.pathsep + env.get("PYTHONPATH", "")
     env.update(overrides)
-    proc = subprocess.run([sys.executable, "-c", _PROBE], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", _PROBE, str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.strip().splitlines()[-1])
     assert seen, "numpy was never imported"
     return seen
 
 
-def test_cli_pins_blas_to_one_thread_before_numpy_loads():
-    seen = _env_at_numpy_import()
+def test_cli_pins_blas_to_one_thread_before_numpy_loads(tmp_path):
+    seen = _env_at_numpy_import(tmp_path)
     assert seen == {var: "1" for var in PINS}
 
 
-def test_callers_explicit_thread_count_wins():
-    seen = _env_at_numpy_import(OPENBLAS_NUM_THREADS="2")
+def test_callers_explicit_thread_count_wins(tmp_path):
+    seen = _env_at_numpy_import(tmp_path, OPENBLAS_NUM_THREADS="2")
     assert seen["OPENBLAS_NUM_THREADS"] == "2"
     assert seen["OMP_NUM_THREADS"] == "1"

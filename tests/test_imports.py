@@ -1,0 +1,98 @@
+"""Import discipline: a warm request loads neither numpy nor scipy.
+
+Importing numpy and ``scipy.optimize`` costs a fresh process far more
+than answering a fully cached ``repro sweep`` does.  Only tasks that
+simulate or solve import them (see ``docs/performance.md``); these tests
+run real ``python -m repro`` processes and look at ``sys.modules``.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+REPO_SRC = Path(__file__).resolve().parents[1] / "src"
+HEAVY = ("numpy", "scipy")
+
+#: Runs ``python -m repro ARGV`` in-process, then reports its exit code
+#: and which of the heavy packages got loaded.
+_PROBE = """
+import json, runpy, sys
+sys.argv = ["repro"] + json.loads(sys.argv[1])
+code = 0
+try:
+    runpy.run_module("repro", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({"code": code,
+                  "loaded": [m for m in %r if m in sys.modules]}))
+""" % (HEAVY,)
+
+
+def _env() -> dict[str, str]:
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    env["PYTHONPATH"] = str(REPO_SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
+def _python(*args: str) -> str:
+    proc = subprocess.run([sys.executable, *args], env=_env(),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    return proc.stdout
+
+
+def _repro(argv: list[str]) -> dict:
+    out = _python("-c", _PROBE, json.dumps(argv))
+    return json.loads(out.strip().splitlines()[-1])
+
+
+def _sweep(cache: Path, out: Path) -> list[str]:
+    return ["sweep", "--workloads", "dijkstra", "--deadline-fracs", "0.5",
+            "--jobs", "1", "--quiet", "--cache-dir", str(cache),
+            "--output-dir", str(out)]
+
+
+def test_importing_the_cli_loads_neither_numpy_nor_scipy():
+    out = _python("-c", "import sys, repro.cli; "
+                        f"print([m for m in {HEAVY!r} if m in sys.modules])")
+    assert out.strip() == "[]"
+
+
+@pytest.fixture(scope="module")
+def filled(tmp_path_factory):
+    """A cold dijkstra x 0.5 sweep: its cache and its results.jsonl."""
+    tmp = tmp_path_factory.mktemp("imports")
+    cold = _repro(_sweep(tmp / "cache", tmp / "cold"))
+    assert cold["code"] == 0
+    # Simulating and solving do load both: the probe sees imports.
+    assert cold["loaded"] == list(HEAVY)
+    return tmp
+
+
+def test_warm_sweep_loads_neither_and_writes_the_cold_bytes(filled):
+    warm = _repro(_sweep(filled / "cache", filled / "warm"))
+    assert warm == {"code": 0, "loaded": []}
+    assert ((filled / "warm" / "results.jsonl").read_bytes()
+            == (filled / "cold" / "results.jsonl").read_bytes())
+
+
+def test_budgeted_solve_does_not_spend_its_budget_on_imports():
+    """The backends' scipy import (about half a second) is loaded before
+    the anytime budget starts, so a small solve finishes well inside a
+    budget shorter than that import, at the proven-optimal tier."""
+    budget = 0.25
+    out = _python("-m", "repro", "optimize", "dijkstra", "--deadline-frac",
+                  "0.5", "--solver-budget", str(budget))
+    line = re.search(r"solver tier (\S+), optimality gap (\S+), "
+                     r"solved in ([0-9.]+)s", out)
+    assert line is not None, out
+    tier, gap, seconds = line.group(1), line.group(2), float(line.group(3))
+    assert (tier, gap) == ("milp-scipy", "0.0%")
+    assert seconds < budget
