@@ -833,13 +833,19 @@ def cmd_bench(args) -> int:
     document = run_bench(suite=args.suite, repeats=args.repeats,
                          mode=args.mode)
     print(f"{'case':<14s} {'reference':>10s} {'fast':>10s} "
-          f"{'speedup':>8s}  identical")
+          f"{'speedup':>8s} {'replay':>9s} {'vs full':>8s} "
+          f"{'profile':>9s}  identical")
     for case in document["cases"]:
+        replay = (f"{case['replay_s']:>8.3f}s {case['replay_speedup']:>7.2f}x "
+                  f"{case['profile_s']:>8.3f}s" if "replay_s" in case
+                  else f"{'-':>9s} {'-':>8s} {'-':>9s}")
         print(f"{case['name']:<14s} {case['reference_s']:>9.3f}s "
-              f"{case['fast_s']:>9.3f}s {case['speedup']:>7.2f}x  "
+              f"{case['fast_s']:>9.3f}s {case['speedup']:>7.2f}x {replay}  "
               f"{'yes' if case['identical'] else 'NO'}")
     path = write_bench_json(document, args.output or "BENCH_simulator.json")
-    print(f"\nheadline {document['headline_speedup']:.2f}x "
+    replay = (f", replay >= {document['min_replay_speedup']:.2f}x a full run"
+              if document["min_replay_speedup"] is not None else "")
+    print(f"\nheadline {document['headline_speedup']:.2f}x{replay} "
           f"[written to {path}]")
     if not document["all_identical"]:
         print("bench: fast path diverged from the reference interpreter",
@@ -1217,7 +1223,9 @@ def build_parser() -> argparse.ArgumentParser:
              "solves and HiGHS (writes BENCH_solver.json)",
     )
     p_bench.add_argument("--suite", action="store_true",
-                         help="also benchmark every suite workload")
+                         help="also benchmark every suite workload: fast "
+                              "vs reference, timing replay vs full run, and "
+                              "the 3-mode profile")
     p_bench.add_argument("--repeats", type=int, default=1,
                          help="timing repeats per case, best-of (default 1)")
     p_bench.add_argument("--mode", type=int, default=2,

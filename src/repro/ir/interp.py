@@ -127,6 +127,13 @@ class DataMemory:
             raise SimulationError(f"out-of-bounds access at byte address {address}")
         return index
 
+    def copy(self) -> "DataMemory":
+        """An independent memory with the same contents."""
+        clone = DataMemory.__new__(DataMemory)
+        clone.element_size = self.element_size
+        clone.cells = list(self.cells)
+        return clone
+
     def read(self, address: int):
         return self.cells[self._index(address)]
 

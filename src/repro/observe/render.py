@@ -193,6 +193,13 @@ def render_stats(metrics: dict[str, Any]) -> str:
     if runs:
         section("simulator")
         row("runs", int(runs))
+        row("timing replays", int(take("simulator.replays")))
+        take("simulator.replay_blocks")
+        row("profiling replay time", f"{take('profiling.replay_s'):.3f}s")
+        row("codegen: blocks / loops",
+            f"{int(take('perf.codegen.blocks'))} / "
+            f"{int(take('perf.codegen.loops'))}")
+        row("codegen time", f"{take('perf.codegen_s'):.3f}s")
         row("instructions retired", int(take("simulator.instructions")))
         row("cycles simulated", int(take("simulator.cycles")))
         row("memory misses", int(take("simulator.mem_misses")))

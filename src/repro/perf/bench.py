@@ -11,8 +11,12 @@ Two benchmark tiers:
   steady-state loops are exactly what :mod:`repro.perf.loopc`
   fast-forwards.  This is the headline number the acceptance floor
   (>= 3x) is checked against.
-* the real suite workloads (optional, ``--suite``) — branchy codecs with
-  cache misses and bails; speedups here are honest but smaller.
+* the paper-suite workloads (``--suite``) — branchy codecs with cache
+  misses and bails; fast-path speedups here are honest but smaller.
+  Each suite case also times the timing replay of a recorded run
+  (``Machine.replay``) against the full fast-path run at the same mode,
+  and the whole 3-mode ``profile_program`` (one recorded run plus two
+  replays), and requires the replay to be bit-identical too.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from typing import Any
 from repro.lang import compile_program
 from repro.simulator.config import SCALE_CONFIG
 from repro.simulator.dvs import TransitionCostModel, XSCALE_3
-from repro.simulator.machine import Machine
+from repro.simulator.machine import ExecutionStream, Machine
 
 #: Schema tag for BENCH_simulator.json consumers.
 BENCH_FORMAT = 1
@@ -85,16 +89,22 @@ def result_fingerprint(result) -> str:
     return repr(list(doc.items())) + "|" + cells
 
 
-def _time_run(machine: Machine, cfg, inputs, registers, mode: int,
-              repeats: int) -> tuple[float, Any]:
+def _best(call, repeats: int) -> tuple[float, Any]:
+    """Fastest wall time of ``repeats`` calls, and the last result."""
     best = float("inf")
     result = None
     for _ in range(repeats):
         t0 = time.perf_counter()
-        result = machine.run(cfg, inputs=dict(inputs),
-                             registers=dict(registers), mode=mode)
+        result = call()
         best = min(best, time.perf_counter() - t0)
     return best, result
+
+
+def _time_run(machine: Machine, cfg, inputs, registers, mode: int,
+              repeats: int) -> tuple[float, Any]:
+    return _best(lambda: machine.run(cfg, inputs=dict(inputs),
+                                     registers=dict(registers), mode=mode),
+                 repeats)
 
 
 def bench_case(name: str, cfg, inputs, registers, mode: int = 2,
@@ -122,6 +132,39 @@ def bench_case(name: str, cfg, inputs, registers, mode: int = 2,
     }
 
 
+def suite_case(name: str, cfg, inputs, registers, mode: int = 2,
+               repeats: int = 1) -> dict[str, Any]:
+    """One paper-suite program: fast vs reference, replay, 3-mode profile.
+
+    An untimed run at mode 0 compiles the program and records the stream
+    the replays use, so every timed call sees a warm compilation.
+    """
+    from repro.profiling.profiler import profile_program
+
+    case = bench_case(name, cfg, inputs, registers, mode=mode, repeats=repeats)
+    machine = Machine(SCALE_CONFIG, XSCALE_3, TransitionCostModel())
+    stream = ExecutionStream()
+    recorded = machine.run(cfg, inputs=dict(inputs), registers=dict(registers),
+                           mode=0, record=stream)
+    full_s, full = _time_run(machine, cfg, inputs, registers, mode, repeats)
+    replay_s, replayed = _best(lambda: machine.replay(stream, mode), repeats)
+    replay_stats = dict(machine.last_replay_stats)
+    profile_s, _ = _best(lambda: profile_program(
+        machine, cfg, inputs=dict(inputs), registers=dict(registers)), repeats)
+    replay_identical = (result_fingerprint(replayed) == result_fingerprint(full)
+                        and result_fingerprint(machine.replay(stream, 0))
+                        == result_fingerprint(recorded))
+    case.update({
+        "identical": case["identical"] and replay_identical,
+        "full_s": full_s,
+        "replay_s": replay_s,
+        "replay_speedup": full_s / replay_s if replay_s > 0 else float("inf"),
+        "profile_s": profile_s,
+        "replay": replay_stats,
+    })
+    return case
+
+
 def run_bench(suite: bool = False, repeats: int = 1,
               mode: int = 2) -> dict[str, Any]:
     """The full benchmark document (the BENCH_simulator.json payload)."""
@@ -132,17 +175,19 @@ def run_bench(suite: bool = False, repeats: int = 1,
     if suite:
         from repro.workloads import all_workloads, compile_workload
         for spec in all_workloads():
-            cases.append(bench_case(
+            cases.append(suite_case(
                 spec.name, compile_workload(spec.name), spec.make_inputs(),
                 spec.make_registers(), mode=mode, repeats=repeats,
             ))
     headline = cases[0]
+    replays = [c["replay_speedup"] for c in cases if "replay_speedup" in c]
     return {
         "format": BENCH_FORMAT,
         "benchmark": "simulator-fastpath",
         "python": platform.python_version(),
         "platform": platform.platform(),
         "headline_speedup": headline["speedup"],
+        "min_replay_speedup": min(replays) if replays else None,
         "all_identical": all(c["identical"] for c in cases),
         "cases": cases,
     }

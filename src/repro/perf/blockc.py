@@ -13,9 +13,10 @@ small generated Python function that
 Everything else about the execution — Δtime, Δenergy, Δcycle-classes,
 Δcache-hit counters — is a constant of (block, mode) under the fast path's
 preconditions (empty pending set, no outstanding miss, all-L1-resident),
-so it is folded once per mode by :func:`fold_block_consts` replicating the
-interpreter's float-accumulation order bit for bit, and replayed
-arithmetically by the machine's dispatcher.
+so it is folded once per mode by
+:func:`repro.simulator.timing.fold_block` — the interpreter's own timing
+model evaluated under those preconditions — and replayed arithmetically
+by the machine's dispatcher.
 
 Safety of a mid-block bail-out (the interpreter then re-executes the block
 from scratch) rests on three invariants of the generated code:
@@ -48,7 +49,6 @@ from repro.ir.instructions import (
     Jump,
     Load,
     Move,
-    OpClass,
     Ret,
     Store,
     UnOp,
@@ -324,58 +324,3 @@ def compile_block(label: str, instrs, line_addrs, config, element_size: int):
     exec(compile("\n".join(lines), f"<perf:{label}>", "exec"), namespace)
     return namespace["_blk"]
 
-
-def fold_block_consts(instrs, line_addrs, config, cycle_time, voltage, op_energy):
-    """Fold one block's per-execution delta for one mode.
-
-    Replicates the interpreter's accumulation order *operation for
-    operation* under the fast-path preconditions (every access an L1 hit,
-    nothing pending, no outstanding miss), so the folded ``dt``/``de`` are
-    bitwise the values the reference interpreter's block-local accumulators
-    would reach.
-
-    Returns:
-        ``(dt, de, n_instr, dep_cycles, cache_cycles, ifetch_cycles,
-        d_hits, i_hits)``.
-    """
-    bt = 0.0
-    e = 0.0
-    dep = 0
-    cc = 0
-    base_c = config.base_c_eff_nf
-    l1i_c = config.l1i.access_energy_nf
-    l1d_c = config.l1d.access_energy_nf
-    hit_i = config.l1i.hit_latency_cycles
-    hit_d = config.l1d.hit_latency_cycles
-    n_d = 0
-    for _ in line_addrs:
-        bt += hit_i * cycle_time
-        e += (l1i_c + base_c * hit_i) * voltage * voltage
-    for instr in instrs:
-        cls = instr.op_class
-        if isinstance(instr, (Load, Store)):
-            bt += cycle_time
-            e += op_energy[cls]
-            bt += hit_d * cycle_time
-            e += (l1d_c + base_c * hit_d) * voltage * voltage
-            cc += 1 + hit_d
-            n_d += 1
-        elif isinstance(instr, (BinOp, UnOp)):
-            lat = cls.latency
-            dep += lat
-            bt += lat * cycle_time
-            e += op_energy[cls]
-        else:  # Const, Move, Branch, Jump (Ret blocks are never folded)
-            dep += 1
-            bt += cycle_time
-            e += op_energy[cls]
-    return (
-        bt,
-        e,
-        len(instrs),
-        dep,
-        cc,
-        len(line_addrs) * hit_i,
-        n_d,
-        len(line_addrs),
-    )

@@ -5,31 +5,43 @@ to accelerate a (machine, program) pair:
 
 * ``block_fns`` — label -> generated block function (mode-independent;
   see :mod:`repro.perf.blockc`);
-* ``consts(mode)`` — label -> folded per-execution delta tuple, built
-  lazily per mode with the machine's own energy/cycle constants so the
-  folded floats are bitwise what the interpreter would accumulate;
+* ``timing`` — the program's per-mode decoded timing programs
+  (:class:`~repro.simulator.timing.TimingTables`), shared by the
+  reference interpreter's blocks and by replays;
+* ``consts(mode)`` — label -> folded per-execution delta tuple, the
+  timing model itself evaluated once per (block, mode) under the fast
+  path's preconditions (:func:`~repro.simulator.timing.fold_block`);
 * ``loop_fn(header, mode)`` — generated steady-state loop function
-  (:mod:`repro.perf.loopc`), compiled lazily per (loop, mode);
+  (:mod:`repro.perf.loopc`): compiled once per loop, then bound to each
+  mode's folded ``dt``/``de`` floats;
 * ``loop_headers_disjoint(schedule)`` — the headers whose loops contain
   no scheduled edge (mode-sets must execute in the dispatcher, so such
   loops cannot be fast-forwarded).
 
 Compilation is best-effort throughout: any block or loop that fails to
 compile simply stays on the reference interpreter.  Instances are cached
-per machine, keyed by program identity, and rebuilt if the machine's
-configuration or mode table object changes.
+per process, keyed by the program's content and the machine's
+configuration and mode-table values, so every :class:`Machine` built for
+the same experiment shares one compilation.
 """
 
 from __future__ import annotations
 
 import os
-import weakref
+import types
+from collections import OrderedDict
 
-from repro.ir.instructions import OpClass
+from repro import observe
 from repro.ir.loops import find_natural_loops
-from repro.perf.blockc import compile_block, fold_block_consts
+from repro.perf.blockc import compile_block
 from repro.perf.loopc import compile_loop
-from repro.simulator.energy import EnergyModel
+from repro.simulator.timing import TimingTables, fold_block
+
+#: Most :class:`ProgramFast` instances kept per process (least recently
+#: used evicted first).
+CACHE_SIZE = 64
+
+_CACHE: OrderedDict = OrderedDict()
 
 
 def fastpath_disabled_env() -> bool:
@@ -47,19 +59,26 @@ class ProgramFast:
         _, block_lines = machine._decode(cfg)
         self.block_lines = block_lines
         self.blocks = {label: blk.instructions for label, blk in cfg.blocks.items()}
+        self.timing = TimingTables(self.blocks, block_lines, self.config,
+                                   self.mode_table)
+        #: label -> the even stream code a recorded execution of it gets.
+        self.codes = {label: bid << 1 for bid, label in enumerate(self.blocks)}
 
         self.block_fns: dict = {}
-        for label, instrs in self.blocks.items():
-            try:
-                fn = compile_block(label, instrs, block_lines[label],
-                                   self.config, self.element_size)
-            except Exception:
-                fn = None
-            if fn is not None:
-                self.block_fns[label] = fn
+        with observe.span("perf.codegen", program=cfg.name, kind="blocks") as sp:
+            for label, instrs in self.blocks.items():
+                try:
+                    fn = compile_block(label, instrs, block_lines[label],
+                                       self.config, self.element_size)
+                except Exception:
+                    fn = None
+                if fn is not None:
+                    self.block_fns[label] = fn
+        observe.add("perf.codegen.blocks", len(self.blocks))
+        observe.add("perf.codegen_s", sp.elapsed_s)
 
-        self._energy = EnergyModel(self.config)
         self._consts: dict[int, dict] = {}
+        self._loop_code: dict = {}
         self._loop_fns: dict = {}
         self._loop_bodies: dict[str, list[str]] = {}
         self.loop_edges: dict[str, frozenset] = {}
@@ -90,34 +109,51 @@ class ProgramFast:
         """Label -> per-execution delta tuple for one mode (cached)."""
         table = self._consts.get(mode)
         if table is None:
-            point = self.mode_table.points[mode]
-            ct = point.cycle_time_s
-            v = point.voltage
-            op_energy = {cls: self._energy.op_energy_nj(cls, v) for cls in OpClass}
-            table = {
-                label: fold_block_consts(self.blocks[label],
-                                         self.block_lines[label],
-                                         self.config, ct, v, op_energy)
-                for label in self.block_fns
-            }
+            table = {label: fold_block(self.timing, label, mode)
+                     for label in self.block_fns}
             self._consts[mode] = table
         return table
 
     def loop_fn(self, header: str, mode: int):
-        """The loop function for (header, mode), or None (cached)."""
+        """The loop function for (header, mode), or None (cached).
+
+        The loop's code is generated once; each mode gets a function
+        object over that code whose defaults are the mode's folded
+        per-block ``dt``/``de`` floats.
+        """
         key = (header, mode)
         if key in self._loop_fns:
             return self._loop_fns[key]
         fn = None
+        template = self._template(header)
+        if template is not None:
+            consts = self.consts(mode)
+            deltas = []
+            for label in self._loop_bodies[header]:
+                deltas.extend(consts[label][:2])
+            fn = types.FunctionType(
+                template.__code__, template.__globals__, template.__name__,
+                tuple(deltas) + template.__defaults__[len(deltas):])
+        self._loop_fns[key] = fn
+        return fn
+
+    def _template(self, header: str):
+        """The mode-independent compiled loop for ``header``, or None."""
+        if header in self._loop_code:
+            return self._loop_code[header]
+        fn = None
         body = self._loop_bodies.get(header)
         if body is not None:
-            try:
-                fn = compile_loop(header, body, self.blocks, self.block_lines,
-                                  self.config, self.element_size,
-                                  self.consts(mode))
-            except Exception:
-                fn = None
-        self._loop_fns[key] = fn
+            with observe.span("perf.codegen", kind="loop", header=header) as sp:
+                try:
+                    fn = compile_loop(header, body, self.blocks, self.block_lines,
+                                      self.config, self.element_size,
+                                      self.consts(0), self.codes)
+                except Exception:
+                    fn = None
+            observe.add("perf.codegen.loops")
+            observe.add("perf.codegen_s", sp.elapsed_s)
+        self._loop_code[header] = fn
         return fn
 
     def loop_headers_disjoint(self, schedule) -> frozenset:
@@ -131,29 +167,29 @@ class ProgramFast:
         )
 
 
+def program_key(cfg) -> tuple:
+    """Everything about a CFG that its compiled fast path depends on."""
+    return (cfg.entry, cfg.element_size, tuple(
+        (label, tuple(f"{type(i).__name__}{i.__dict__!r}" for i in blk.instructions))
+        for label, blk in cfg.blocks.items()))
+
+
 def program_fast(machine, cfg) -> ProgramFast:
     """The cached :class:`ProgramFast` for (machine, cfg).
 
-    The cache lives on the machine instance and keys programs by identity
-    (CFGs are mutable and unhashable); a stale entry whose CFG was
-    collected, or whose machine config/mode-table object changed, is
-    rebuilt.
+    The per-process cache keys programs by content (CFGs are mutable and
+    unhashable, and each experiment task compiles or builds its own
+    objects) and machines by their configuration and mode-table values,
+    so equal programs on equal machines share one compilation.  It holds
+    at most :data:`CACHE_SIZE` entries.
     """
-    cache = machine.__dict__.setdefault("_perf_cache", {})
-    entry = cache.get(id(cfg))
-    if entry is not None:
-        ref, pf = entry
-        if (ref() is cfg and pf.config is machine.config
-                and pf.mode_table is machine.mode_table):
-            return pf
+    key = (program_key(cfg), machine.config, tuple(machine.mode_table.points))
+    pf = _CACHE.get(key)
+    if pf is not None:
+        _CACHE.move_to_end(key)
+        return pf
     pf = ProgramFast(machine, cfg)
-    try:
-        ref = weakref.ref(cfg)
-    except TypeError:  # un-weakref-able CFG subclass: never cache-hit
-        def ref():
-            return None
-    cache[id(cfg)] = (ref, pf)
-    if len(cache) > 64:  # drop dead entries; bound per-machine growth
-        for key in [k for k, (r, _) in cache.items() if r() is None]:
-            del cache[key]
+    _CACHE[key] = pf
+    if len(_CACHE) > CACHE_SIZE:
+        _CACHE.popitem(last=False)
     return pf

@@ -146,8 +146,8 @@ def _loop_live_in(body_labels, blocks):
 
 
 def compile_loop(header, body_labels, blocks, block_lines, config,
-                 element_size, consts):
-    """Compile one natural loop for one mode.
+                 element_size, consts, codes):
+    """Compile one natural loop (mode-independent code).
 
     Args:
         header: loop header label (``body_labels[0]``).
@@ -156,15 +156,22 @@ def compile_loop(header, body_labels, blocks, block_lines, config,
         block_lines: label -> I-line byte addresses.
         config: machine configuration.
         element_size: program memory cell width.
-        consts: label -> folded per-execution delta tuple *for the mode
-            this loop function is being compiled for* (from
-            :func:`repro.perf.blockc.fold_block_consts`).
+        consts: label -> folded per-execution delta tuple of any mode
+            (from :func:`repro.simulator.timing.fold_block`); only its
+            mode-independent counts are compiled in.
+        codes: label -> the block's stream code, passed to ``rec`` for
+            every committed block when the run is recording.
 
     Returns:
         the loop function, or None when any body block is not compilable.
         Signature: ``fn(regs, cells, dsets, isets, acct, edge_counts,
-        path_counts, st, prev)`` where ``st`` is the dispatcher's packed
-        state list; see the module docstring for the return protocol.
+        path_counts, st, prev, rec)`` where ``st`` is the dispatcher's
+        packed state list and ``rec`` an append callable or None; see the
+        module docstring for the return protocol.  Its first ``2 *
+        len(body_labels)`` defaults are placeholders for each body block's
+        folded ``dt``/``de`` (in body order): bind a mode's floats by
+        building a function over the same code with those defaults
+        replaced (:meth:`repro.perf.engine.ProgramFast.loop_fn`).
     """
     body_set = set(body_labels)
     index = {label: i for i, label in enumerate(body_labels)}
@@ -207,9 +214,9 @@ def compile_loop(header, body_labels, blocks, block_lines, config,
 
     for i, label in enumerate(body_labels):
         eb, binds = emitted[label]
-        dt, de, n_i, n_dep, n_cc, n_ic, n_d, n_l = consts[label]
-        defaults.append(f"_DT{i}={dt!r}")
-        defaults.append(f"_DE{i}={de!r}")
+        _, _, n_i, n_dep, n_cc, n_ic, n_d, n_l = consts[label]
+        defaults.append(f"_DT{i}=0.0")
+        defaults.append(f"_DE{i}=0.0")
         cond = "if" if i == 0 else "elif"
         lines.append(f"        {cond} _lbl == {i}:")
         lines.append("            try:")
@@ -242,6 +249,7 @@ def compile_loop(header, body_labels, blocks, block_lines, config,
             f" _ic += {n_ic}; _dh += {n_d}; _ih += {n_l}"
         )
         lines.append("            _nb += 1")
+        lines.append(f"            if _rec is not None: _rec({codes[label]})")
         if i == 0:
             lines.append("            _it += 1")
 
@@ -306,7 +314,7 @@ def compile_loop(header, body_labels, blocks, block_lines, config,
             )
 
     header_lines = [
-        "def _loop(_regs, _cells, _DS, _IS, _acct, _EC, _PC, _st, _prev,",
+        "def _loop(_regs, _cells, _DS, _IS, _acct, _EC, _PC, _st, _prev, _rec,",
         "          " + ", ".join(defaults) + ("," if defaults else "") + "):",
         "    _now = _st[0]; _ni = _st[1]; _dep = _st[2]; _cc = _st[3]",
         "    _ic = _st[4]; _dh = _st[5]; _ih = _st[6]; _ms = _st[7]",

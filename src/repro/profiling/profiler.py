@@ -1,18 +1,27 @@
 """Simulation-based program profiling (the paper's Section 5.1).
 
-One run per mode gathers per-block time/energy under that mode; edge and
+Every mode contributes per-block time/energy under that mode; edge and
 local-path counts are taken from the first run (the program's control flow
-does not depend on frequency — assumption 1 of the paper's model).  The
-fastest-mode run also yields the Section 3.2 analytical parameters, so
-the paper's Table 7 numbers come from the same simulations as the profile.
+does not depend on frequency — assumption 1 of the paper's model).  With
+the fast path on, the program is simulated once, at the first mode, and
+that run records its block sequence and cache outcomes; every other mode
+is a timing-only :meth:`~repro.simulator.machine.Machine.replay` of the
+recording, bit-identical to a full run at that mode.  With the fast path
+off (``--no-fastpath``, ``$REPRO_NO_FASTPATH=1``) every mode is a full
+reference simulation.  The fastest-mode result also yields the Section 3.2
+analytical parameters, so the paper's Table 7 numbers come from the same
+simulations as the profile.
 """
 
 from __future__ import annotations
 
+import time
+
+from repro import observe
 from repro.errors import ProfileError
 from repro.ir.cfg import CFG
 from repro.profiling.profile_data import BlockModeData, ProfileData
-from repro.simulator.machine import Machine, RunResult
+from repro.simulator.machine import ExecutionStream, Machine, RunResult
 
 
 def profile_program(
@@ -42,6 +51,7 @@ def profile_program(
             program would not be safely schedulable from this profile).
     """
     # Deferred: params_extract imports repro.core, which imports this module.
+    from repro.perf.engine import fastpath_disabled_env
     from repro.profiling.params_extract import params_from_run
 
     mode_indices = list(modes) if modes is not None else list(range(len(machine.mode_table)))
@@ -51,9 +61,18 @@ def profile_program(
 
     profile = ProfileData(name=cfg.name, num_modes=len(machine.mode_table))
     baseline: RunResult | None = None
+    stream = (ExecutionStream() if machine.fastpath and not fastpath_disabled_env()
+              else None)
+    replay_s = 0.0
 
     for mode in mode_indices:
-        result = machine.run(cfg, inputs=inputs, registers=registers, mode=mode)
+        if stream is not None and stream.result is not None:
+            t0 = time.perf_counter()
+            result = machine.replay(stream, mode)
+            replay_s += time.perf_counter() - t0
+        else:
+            result = machine.run(cfg, inputs=inputs, registers=registers,
+                                 mode=mode, record=stream)
         if baseline is None:
             baseline = result
             profile.block_counts = {
@@ -79,5 +98,7 @@ def profile_program(
         if mode == fastest:
             profile.params = params_from_run(result, name=cfg.name)
 
+    if replay_s:
+        observe.add("profiling.replay_s", replay_s)
     profile.validate()
     return profile

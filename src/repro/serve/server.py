@@ -153,6 +153,10 @@ class ReproServer:
         self._idle = asyncio.Event()
         self._idle.set()
         self._clients: set[asyncio.Task] = set()
+        # Stream wake-ups in flight: the loop holds tasks only weakly, so
+        # these references keep each one alive until it has run.
+        self._notifiers: set[asyncio.Task] = set()
+        self._aborted = False
         self._scheduler_task: asyncio.Task | None = None
         self._server: asyncio.base_events.Server | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -264,6 +268,8 @@ class ReproServer:
             self._scheduler_task.cancel()
         if self._clients:
             await asyncio.wait(self._clients, timeout=5.0)
+        if self._notifiers:
+            await asyncio.wait(self._notifiers, timeout=5.0)
         self._run_threads.shutdown(wait=True)
         self.pool.close()
         if self.jobstore is not None:
@@ -278,11 +284,12 @@ class ReproServer:
         journal append is already fsynced, so there is nothing to flush;
         ``--resume`` on the same store directory recovers the jobs.
         """
+        self._aborted = True
         if self._server is not None:
             self._server.close()
         if self._scheduler_task is not None:
             self._scheduler_task.cancel()
-        for task in list(self._clients):
+        for task in list(self._clients) + list(self._notifiers):
             task.cancel()
         self._run_threads.shutdown(wait=False, cancel_futures=True)
         self.pool.close()
@@ -330,12 +337,16 @@ class ReproServer:
         """Append a progress event (loop thread only) and wake streams."""
         event = {"t": observe.clock(), "job": job.job_id, **event}
         job.events.append(event)
+        if self._aborted:
+            return  # the loop is going away: no stream is left to wake
 
         async def _notify() -> None:
             async with job.events_cond:
                 job.events_cond.notify_all()
 
-        asyncio.ensure_future(_notify())
+        task = asyncio.ensure_future(_notify())
+        self._notifiers.add(task)
+        task.add_done_callback(self._notifiers.discard)
 
     def _emit_threadsafe(self, job: Job, event: dict[str, Any]) -> None:
         assert self._loop is not None

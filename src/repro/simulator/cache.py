@@ -102,12 +102,22 @@ class CacheHierarchy:
         self.name = name
 
     def access(self, address: int) -> AccessResult:
-        if self.l1.lookup(address):
+        level = self.level(address)
+        if level == 0:
             return AccessResult("l1", self.l1.config.hit_latency_cycles, False)
         sync = self.l1.config.hit_latency_cycles + self.l2.config.hit_latency_cycles
-        if self.l2.lookup(address):
+        if level == 1:
             return AccessResult("l2", sync, False)
         return AccessResult("mem", sync, True)
+
+    def level(self, address: int) -> int:
+        """Access one address; returns the outcome code the simulator's
+        timing model consumes: 0 = L1 hit, 1 = L2 hit, 2 = memory miss."""
+        if self.l1.lookup(address):
+            return 0
+        if self.l2.lookup(address):
+            return 1
+        return 2
 
     def stats(self) -> dict[str, int]:
         return {

@@ -2,7 +2,8 @@
 
 The :class:`Machine` executes a CFG under a DVS mode table, producing wall
 time, CPU energy, per-block time/energy, edge counts and local-path counts
-— everything the profiler and the analytical-parameter extraction need.
+— everything the profiler and the analytical-parameter extraction need —
+and re-times recorded executions under other modes (:meth:`Machine.replay`).
 
 Timing model
 ============
@@ -32,6 +33,17 @@ issued while a miss is outstanding accumulate ``overlap_cycles``
 ``cache_cycles`` (N_cache); and ``t_invariant_s`` is the total wall-clock
 main-memory service time (misses × latency, port-serialized).
 
+Functional execution and timing
+===============================
+
+The reference interpreter executes a block in two halves: the
+*functional* half (register and memory arithmetic, one cache lookup per
+I-line and per load/store, yielding an outcome code each), then the
+*timing* half, :class:`~repro.simulator.timing.TimingModel`, which turns
+those outcomes into wall time, energy and the cycle classes above.  The
+timing model is the only implementation of the rules listed above; the
+fast path's folded deltas and :meth:`Machine.replay` use it too.
+
 Accounting structure (the fast-path contract)
 =============================================
 
@@ -47,10 +59,24 @@ the pending set is empty, no miss is outstanding, and every I-line and
 touched D-line of the block is L1-resident; anything else falls back to
 the reference interpretation below (``fastpath=False`` or
 ``$REPRO_NO_FASTPATH=1`` disables the fast path entirely).
+
+Record and replay
+=================
+
+Cache contents depend on the access order alone and control flow does
+not depend on the mode, so one run can stand in for every fixed-mode run
+of the same program and inputs.  ``run(..., record=stream)`` fills an
+:class:`ExecutionStream` with the block sequence and the outcomes of
+every execution that missed L1; :meth:`Machine.replay` re-times that
+stream under another mode — folded deltas where the replay's own state
+is clean and the block was all-L1, the timing model elsewhere — and
+returns a RunResult bit-identical to ``run(cfg, mode=m)``.  The profiler
+uses it for all modes but the first (``docs/performance.md``).
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 
 from repro import observe
@@ -63,7 +89,6 @@ from repro.ir.instructions import (
     Jump,
     Load,
     Move,
-    OpClass,
     Ret,
     Store,
     UnOp,
@@ -72,13 +97,10 @@ from repro.ir.interp import DataMemory, _FP_BINOPS, _INT_BINOPS, _UNOPS
 from repro.simulator.cache import Cache, CacheHierarchy
 from repro.simulator.config import MachineConfig, SCALE_CONFIG
 from repro.simulator.dvs import ModeTable, TransitionCostModel, XSCALE_3, ZERO_TRANSITION
-from repro.simulator.energy import EnergyModel
+from repro.simulator.timing import TimingModel, TimingTables
 
 # Decoded opcode kinds (tuple dispatch for speed).
 _CONST, _MOVE, _BINOP, _UNOP, _LOAD, _STORE, _BRANCH, _JUMP, _RET = range(9)
-
-_MEM_CLASS = OpClass.MEM
-_COMPUTE_CLASSES = tuple(c for c in OpClass if c is not OpClass.MEM)
 
 
 @dataclass
@@ -125,6 +147,29 @@ class RunResult:
         return self.cpu_energy_nj + self.memory_energy_nj
 
 
+@dataclass
+class ExecutionStream:
+    """What a recorded run leaves behind for :meth:`Machine.replay`.
+
+    Attributes:
+        blocks: one code per block execution, in order: the block's index
+            in ``cfg.blocks`` shifted left by one, plus one when any of
+            its accesses missed L1.
+        outcomes: for each odd-coded execution, its access outcome codes
+            (:mod:`repro.simulator.timing`), I-fetches first.
+        cfg: the recorded program (set when the run completes).
+        result: the recorded run's result (set when the run completes).
+        config: the recording machine's configuration; the outcomes hold
+            for it alone (any mode table may replay them).
+    """
+
+    blocks: array = field(default_factory=lambda: array("I"))
+    outcomes: array = field(default_factory=lambda: array("B"))
+    cfg: CFG | None = None
+    result: RunResult | None = None
+    config: MachineConfig | None = None
+
+
 class Machine:
     """A DVS-capable processor model executing IR programs.
 
@@ -154,11 +199,16 @@ class Machine:
         #: Diagnostic snapshot of the last run's fast-path activity
         #: (block/loop hit counts).  Not part of any RunResult.
         self.last_fastpath_stats: dict[str, int] = {}
+        #: The same for the last :meth:`replay`: block executions committed
+        #: from folded deltas, timed by the timing model, and timed although
+        #: recorded all-L1 (the replayed mode met a pending miss there).
+        self.last_replay_stats: dict[str, int] = {}
 
     # -- decoding ---------------------------------------------------------------
 
     def _decode(self, cfg: CFG):
-        """Pre-decode blocks into dispatch tuples and I-fetch line lists."""
+        """Pre-decode blocks into functional dispatch tuples and I-fetch
+        line lists (timing lives in :mod:`repro.simulator.timing`)."""
         decoded: dict[str, list] = {}
         block_lines: dict[str, list[int]] = {}
         line_bytes = self.config.l1i.line_bytes
@@ -169,26 +219,25 @@ class Machine:
             instrs = []
             start_addr = next_addr
             for instr in block.instructions:
-                cls = instr.op_class
                 if isinstance(instr, Const):
-                    instrs.append((_CONST, instr.dst, instr.value, cls))
+                    instrs.append((_CONST, instr.dst, instr.value))
                 elif isinstance(instr, Move):
-                    instrs.append((_MOVE, instr.dst, instr.src, cls))
+                    instrs.append((_MOVE, instr.dst, instr.src))
                 elif isinstance(instr, BinOp):
                     fn = _INT_BINOPS.get(instr.op) or _FP_BINOPS[instr.op]
-                    instrs.append((_BINOP, fn, instr.dst, instr.lhs, instr.rhs, cls))
+                    instrs.append((_BINOP, fn, instr.dst, instr.lhs, instr.rhs))
                 elif isinstance(instr, UnOp):
-                    instrs.append((_UNOP, _UNOPS[instr.op], instr.dst, instr.src, cls))
+                    instrs.append((_UNOP, _UNOPS[instr.op], instr.dst, instr.src))
                 elif isinstance(instr, Load):
-                    instrs.append((_LOAD, instr.dst, instr.base, instr.offset, cls))
+                    instrs.append((_LOAD, instr.dst, instr.base, instr.offset))
                 elif isinstance(instr, Store):
-                    instrs.append((_STORE, instr.src, instr.base, instr.offset, cls))
+                    instrs.append((_STORE, instr.src, instr.base, instr.offset))
                 elif isinstance(instr, Branch):
-                    instrs.append((_BRANCH, instr.cond, instr.if_true, instr.if_false, cls))
+                    instrs.append((_BRANCH, instr.cond, instr.if_true, instr.if_false))
                 elif isinstance(instr, Jump):
-                    instrs.append((_JUMP, instr.target, None, cls))
+                    instrs.append((_JUMP, instr.target))
                 elif isinstance(instr, Ret):
-                    instrs.append((_RET, instr.value, None, cls))
+                    instrs.append((_RET, instr.value))
                 else:
                     raise SimulationError(f"cannot decode {instr!r}")
                 next_addr += 4
@@ -211,6 +260,7 @@ class Machine:
         max_steps: int = 200_000_000,
         trace: list | None = None,
         fastpath: bool | None = None,
+        record: ExecutionStream | None = None,
     ) -> RunResult:
         """Execute a program.
 
@@ -231,17 +281,20 @@ class Machine:
             fastpath: per-run override of the machine's ``fastpath``
                 setting (None keeps it).  On or off, the RunResult is
                 bit-identical.
+            record: an empty :class:`ExecutionStream` to fill with this
+                run's block sequence and cache outcomes, for
+                :meth:`replay` at other modes.
 
         Returns:
             a :class:`RunResult`.
         """
         if not observe.enabled():
             return self._run(cfg, inputs, registers, mode, schedule,
-                             initial_mode, max_steps, trace, fastpath)
+                             initial_mode, max_steps, trace, fastpath, record)
         with observe.span("simulator.run", program=cfg.name,
                           scheduled=schedule is not None) as sp:
             result = self._run(cfg, inputs, registers, mode, schedule,
-                               initial_mode, max_steps, trace, fastpath)
+                               initial_mode, max_steps, trace, fastpath, record)
             total_cycles = (result.overlap_cycles + result.dependent_cycles
                             + result.cache_cycles + result.dmiss_sync_cycles
                             + result.ifetch_cycles)
@@ -276,6 +329,7 @@ class Machine:
         max_steps: int,
         trace: list | None,
         fastpath: bool | None = None,
+        record: ExecutionStream | None = None,
     ) -> RunResult:
         # The uninstrumented interpreter loop; run() wraps it with the
         # span/counter layer so the hot loop itself stays untouched.
@@ -312,64 +366,6 @@ class Machine:
         l2 = Cache(self.config.l2, name="l2")
         dcache = CacheHierarchy(self.config.l1d, l2, name="d")
         icache = CacheHierarchy(self.config.l1i, l2, name="i")
-        energy = EnergyModel(self.config)
-
-        # Per-mode precomputed constants.
-        mode_points = self.mode_table.points
-        op_energy_tables = [
-            {cls: energy.op_energy_nj(cls, p.voltage) for cls in OpClass} for p in mode_points
-        ]
-        cycle_times = [p.cycle_time_s for p in mode_points]
-        voltages = [p.voltage for p in mode_points]
-
-        regs: dict[str, float] = dict(registers or {})
-        pending: dict[str, float] = {}  # register -> wall time when ready
-
-        now = 0.0
-        miss_done = 0.0
-        mem_latency = self.config.memory_latency_s
-        gated_wait = 0.0
-        overlap_cycles = 0
-        dependent_cycles = 0
-        cache_cycles = 0
-        dmiss_sync_cycles = 0
-        ifetch_cycles = 0
-        mem_misses = 0
-        instructions = 0
-        mode_transitions = 0
-        modeset_executions = 0
-        transition_energy_nj = 0.0
-        transition_time_s = 0.0
-        # Run-level DRAM energy: compensated (Neumaier) accumulator state.
-        mem_s = 0.0
-        mem_c = 0.0
-
-        # Per-label accounting: [count, time_s, time_comp, e_nj, e_comp].
-        # Time/energy use compensated summation (see module docstring);
-        # BlockStats are materialized from these at the end of the run.
-        acct: dict[str, list] = {label: [0, 0.0, 0.0, 0.0, 0.0] for label in cfg.blocks}
-        edge_counts: dict[Edge, int] = {}
-        path_counts: dict[tuple[str, str, str], int] = {}
-
-        cycle_time = cycle_times[current_mode]
-        voltage = voltages[current_mode]
-        op_energy = op_energy_tables[current_mode]
-        base_c = self.config.base_c_eff_nf
-        l1d_c = self.config.l1d.access_energy_nf
-        l1i_c = self.config.l1i.access_energy_nf
-        l2_c = self.config.l2.access_energy_nf
-        mem_energy_nj = self.config.memory_access_energy_nj
-
-        label = cfg.entry
-        prev_block = ENTRY_EDGE_SOURCE
-        edge_counts[entry_edge] = 1
-        return_value: float | None = None
-        finished = False
-
-        mem_read = memory.read
-        mem_write = memory.write
-        daccess = dcache.access
-        iaccess = icache.access
 
         # ---- fast-path setup (repro.perf) -----------------------------------
         use_fast = self.fastpath if fastpath is None else bool(fastpath)
@@ -394,6 +390,64 @@ class Machine:
                 if trace is None:
                     loop_ok = pf.loop_headers_disjoint(schedule)
                 _st = [0.0] * 10
+        if pf is not None:
+            tables = pf.timing
+        else:
+            tables = TimingTables(
+                {label: blk.instructions for label, blk in cfg.blocks.items()},
+                block_lines, self.config, self.mode_table)
+        bids = tables.index
+        mode_consts, programs = tables.table(current_mode)
+        timing = TimingModel(self.config, mode_consts)
+        time_block = timing.block
+        pending = timing.pending
+        miss_done = 0.0
+
+        # Recording (for replays): one code per block execution, odd when
+        # an access missed L1, whose outcome codes then follow in order.
+        rec = rec_outs = None
+        if record is not None:
+            if record.blocks or record.result is not None:
+                raise SimulationError("record needs an empty ExecutionStream")
+            rec = record.blocks.append
+            rec_outs = record.outcomes
+
+        regs: dict[str, float] = dict(registers or {})
+        now = 0.0
+        # Cycle classes of blocks committed from folded deltas; the timing
+        # model counts the rest.
+        dependent_cycles = 0
+        cache_cycles = 0
+        ifetch_cycles = 0
+        instructions = 0
+        mode_transitions = 0
+        modeset_executions = 0
+        transition_energy_nj = 0.0
+        transition_time_s = 0.0
+        # Run-level DRAM energy: compensated (Neumaier) accumulator state.
+        mem_s = 0.0
+        mem_c = 0.0
+
+        # Per-label accounting: [count, time_s, time_comp, e_nj, e_comp].
+        # Time/energy use compensated summation (see module docstring);
+        # BlockStats are materialized from these at the end of the run.
+        acct: dict[str, list] = {label: [0, 0.0, 0.0, 0.0, 0.0] for label in cfg.blocks}
+        edge_counts: dict[Edge, int] = {}
+        path_counts: dict[tuple[str, str, str], int] = {}
+
+        voltages = [p.voltage for p in self.mode_table.points]
+
+        label = cfg.entry
+        prev_block = ENTRY_EDGE_SOURCE
+        edge_counts[entry_edge] = 1
+        return_value: float | None = None
+        finished = False
+
+        mem_read = memory.read
+        mem_write = memory.write
+        dlevel = dcache.level
+        ilevel = icache.level
+
         dl1 = dcache.l1
         il1 = icache.l1
         dsets = dl1.sets
@@ -425,7 +479,8 @@ class Machine:
                         loop_entries += 1
                         try:
                             res = lf(regs, cells, dsets, isets, acct,
-                                     edge_counts, path_counts, _st, prev_block)
+                                     edge_counts, path_counts, _st, prev_block,
+                                     rec)
                         except Exception:
                             res = None
                         if res is not None:
@@ -487,228 +542,62 @@ class Machine:
                             dl1.hits += n_d
                             il1.hits += n_l
                             fast_blocks += 1
+                            if rec is not None:
+                                rec(bids[label] << 1)
                             next_label = nxt
                             fast_committed = True
 
             if not fast_committed:
-                # -- reference interpretation of one block execution -------
+                # -- reference interpretation of one block execution:
+                # functional half (data and cache accesses), then the
+                # shared timing model over the access outcomes.
                 slow_blocks += 1
-                bt = 0.0       # block-local wall-time offset from `now`
-                e_local = 0.0  # block-local CPU energy
-                m_local = 0.0  # block-local DRAM energy
-                rel_md = miss_done - now
-
-                # Instruction fetch: one I-cache access per line the block
-                # spans.
-                for line_addr in block_lines[label]:
-                    res = iaccess(line_addr)
-                    sync = res.sync_cycles
-                    ifetch_cycles += sync
-                    bt += sync * cycle_time
-                    e_local += (l1i_c + base_c * sync) * voltage * voltage
-                    if res.level == "l2":
-                        e_local += l2_c * voltage * voltage
-                    if res.memory_miss:
-                        # Instruction miss: synchronous wall-clock fill.
-                        if bt < rel_md:
-                            gated_wait += rel_md - bt
-                            bt = rel_md
-                        mem_misses += 1
-                        m_local += mem_energy_nj
-                        miss_done = (now + bt) + mem_latency
-                        gated_wait += mem_latency
-                        bt = miss_done - now
-                        rel_md = bt
-
+                bid = bids[label]
+                outs = [ilevel(line_addr) for line_addr in block_lines[label]]
                 for op in decoded[label]:
                     instructions += 1
                     kind = op[0]
-                    cls = op[-1]
-
                     if kind == _BINOP:
-                        _, fn, dst, lhs, rhs, _ = op
-                        if pending:
-                            ready = pending.pop(lhs, None)
-                            if ready is not None:
-                                rr = ready - now
-                                if rr > bt:
-                                    gated_wait += rr - bt
-                                    bt = rr
-                            ready = pending.pop(rhs, None)
-                            if ready is not None:
-                                rr = ready - now
-                                if rr > bt:
-                                    gated_wait += rr - bt
-                                    bt = rr
-                        lat = cls.latency
-                        if bt < rel_md:
-                            overlap_cycles += lat
-                        else:
-                            dependent_cycles += lat
-                        bt += lat * cycle_time
-                        e_local += op_energy[cls]
+                        _, fn, dst, lhs, rhs = op
                         regs[dst] = fn(regs[lhs], regs[rhs])
-                        pending.pop(dst, None)
                     elif kind == _CONST:
-                        _, dst, value, _ = op
-                        if bt < rel_md:
-                            overlap_cycles += 1
-                        else:
-                            dependent_cycles += 1
-                        bt += cycle_time
-                        e_local += op_energy[cls]
-                        regs[dst] = value
-                        if pending:
-                            pending.pop(dst, None)
+                        regs[op[1]] = op[2]
                     elif kind == _LOAD:
-                        _, dst, basereg, offset, _ = op
-                        if pending:
-                            ready = pending.pop(basereg, None)
-                            if ready is not None:
-                                rr = ready - now
-                                if rr > bt:
-                                    gated_wait += rr - bt
-                                    bt = rr
-                        bt += cycle_time  # address generation (MEM latency 1)
-                        e_local += op_energy[cls]
+                        _, dst, basereg, offset = op
                         address = int(regs[basereg]) + offset
-                        res = daccess(address)
-                        bt += res.sync_cycles * cycle_time
-                        e_local += (l1d_c + base_c * res.sync_cycles) * voltage * voltage
-                        if res.level != "l1":
-                            e_local += l2_c * voltage * voltage
-                        if res.memory_miss:
-                            if bt < rel_md:  # single memory port
-                                gated_wait += rel_md - bt
-                                bt = rel_md
-                            mem_misses += 1
-                            m_local += mem_energy_nj
-                            miss_done = (now + bt) + mem_latency
-                            rel_md = miss_done - now
-                            pending[dst] = miss_done
-                            dmiss_sync_cycles += 1 + res.sync_cycles
-                        else:
-                            cache_cycles += 1 + res.sync_cycles
-                            pending.pop(dst, None)
+                        outs.append(dlevel(address))
                         regs[dst] = mem_read(address)
                     elif kind == _STORE:
-                        _, src, basereg, offset, _ = op
-                        if pending:
-                            ready = pending.pop(src, None)
-                            if ready is not None:
-                                rr = ready - now
-                                if rr > bt:
-                                    gated_wait += rr - bt
-                                    bt = rr
-                            ready = pending.pop(basereg, None)
-                            if ready is not None:
-                                rr = ready - now
-                                if rr > bt:
-                                    gated_wait += rr - bt
-                                    bt = rr
-                        bt += cycle_time
-                        e_local += op_energy[cls]
+                        _, src, basereg, offset = op
                         address = int(regs[basereg]) + offset
-                        res = daccess(address)
-                        bt += res.sync_cycles * cycle_time
-                        e_local += (l1d_c + base_c * res.sync_cycles) * voltage * voltage
-                        if res.level != "l1":
-                            e_local += l2_c * voltage * voltage
-                        if res.memory_miss:
-                            if bt < rel_md:
-                                gated_wait += rel_md - bt
-                                bt = rel_md
-                            mem_misses += 1
-                            m_local += mem_energy_nj
-                            miss_done = (now + bt) + mem_latency
-                            rel_md = miss_done - now
-                            # store completes via the store buffer: nothing pending
-                            dmiss_sync_cycles += 1 + res.sync_cycles
-                        else:
-                            cache_cycles += 1 + res.sync_cycles
+                        outs.append(dlevel(address))
                         mem_write(address, regs[src])
                     elif kind == _MOVE:
-                        _, dst, src, _ = op
-                        if pending:
-                            ready = pending.pop(src, None)
-                            if ready is not None:
-                                rr = ready - now
-                                if rr > bt:
-                                    gated_wait += rr - bt
-                                    bt = rr
-                        if bt < rel_md:
-                            overlap_cycles += 1
-                        else:
-                            dependent_cycles += 1
-                        bt += cycle_time
-                        e_local += op_energy[cls]
-                        regs[dst] = regs[src]
-                        if pending:
-                            pending.pop(dst, None)
+                        regs[op[1]] = regs[op[2]]
                     elif kind == _UNOP:
-                        _, fn, dst, src, _ = op
-                        if pending:
-                            ready = pending.pop(src, None)
-                            if ready is not None:
-                                rr = ready - now
-                                if rr > bt:
-                                    gated_wait += rr - bt
-                                    bt = rr
-                        lat = cls.latency
-                        if bt < rel_md:
-                            overlap_cycles += lat
-                        else:
-                            dependent_cycles += lat
-                        bt += lat * cycle_time
-                        e_local += op_energy[cls]
+                        _, fn, dst, src = op
                         regs[dst] = fn(regs[src])
-                        if pending:
-                            pending.pop(dst, None)
                     elif kind == _BRANCH:
-                        _, cond, if_true, if_false, _ = op
-                        if pending:
-                            ready = pending.pop(cond, None)
-                            if ready is not None:
-                                rr = ready - now
-                                if rr > bt:
-                                    gated_wait += rr - bt
-                                    bt = rr
-                        if bt < rel_md:
-                            overlap_cycles += 1
-                        else:
-                            dependent_cycles += 1
-                        bt += cycle_time
-                        e_local += op_energy[cls]
+                        _, cond, if_true, if_false = op
                         next_label = if_true if regs[cond] else if_false
                     elif kind == _JUMP:
-                        if bt < rel_md:
-                            overlap_cycles += 1
-                        else:
-                            dependent_cycles += 1
-                        bt += cycle_time
-                        e_local += op_energy[cls]
                         next_label = op[1]
                     else:  # _RET
-                        _, value, _, _ = op
-                        if value is not None and pending:
-                            ready = pending.pop(value, None)
-                            if ready is not None:
-                                rr = ready - now
-                                if rr > bt:
-                                    gated_wait += rr - bt
-                                    bt = rr
-                        bt += cycle_time
-                        e_local += op_energy[cls]
+                        value = op[1]
                         return_value = regs[value] if value is not None else None
                         finished = True
 
                     if instructions > max_steps:
                         raise SimulationError(f"exceeded max_steps={max_steps}")
 
-                if finished and bt < rel_md:
-                    # Drain the outstanding miss before the program "completes".
-                    gated_wait += rel_md - bt
-                    bt = rel_md
+                bt, e_local, m_local, _ = time_block(programs[bid], outs, 0, now)
+                miss_done = timing.miss_done
+                if rec is not None:
+                    if any(outs):
+                        rec(bid << 1 | 1)
+                        rec_outs.extend(outs)
+                    else:
+                        rec(bid << 1)
 
                 # -- per-block commit: one wall-time addition plus
                 # compensated time/energy additions (the same operations a
@@ -757,11 +646,10 @@ class Machine:
                     transition_energy_nj += se_nj
                     mode_transitions += 1
                     current_mode = target_mode
-                    # Rebind every mode-derived hot-loop local; stale
-                    # bindings here would silently misprice the new mode.
-                    cycle_time = cycle_times[current_mode]
-                    voltage = voltages[current_mode]
-                    op_energy = op_energy_tables[current_mode]
+                    # Rebind every mode-derived table; stale bindings here
+                    # would silently misprice the new mode.
+                    mode_consts, programs = tables.table(current_mode)
+                    timing.consts = mode_consts
                     if fast_fns is not None:
                         # Memoized block deltas are per-mode: swap the
                         # delta table with the mode (never reuse stale
@@ -770,23 +658,6 @@ class Machine:
 
             prev_block = label
             label = next_label
-
-        # -- run assembly: totals from per-block compensated accumulators ----
-        from repro.perf.accum import NeumaierSum
-
-        cpu_total = NeumaierSum()
-        block_stats: dict[str, BlockStats] = {}
-        for blabel, a in acct.items():
-            e_nj = a[3] + a[4]
-            block_stats[blabel] = BlockStats(count=a[0], time_s=a[1] + a[2],
-                                             cpu_energy_nj=e_nj)
-            cpu_total.add(e_nj)
-        cpu_total.add(transition_energy_nj)
-        cpu_energy = cpu_total.value
-        memory_energy = mem_s + mem_c
-
-        energy.cpu_energy_nj = cpu_energy
-        energy.memory_energy_nj = memory_energy
 
         self.last_fastpath_stats = {
             "enabled": int(fast_fns is not None),
@@ -799,29 +670,217 @@ class Machine:
 
         cache_stats = dcache.stats()
         cache_stats.update({f"i_{k}": v for k, v in icache.stats().items()})
-
-        return RunResult(
+        result = self._result(
+            acct.items(), timing, transition_energy_nj,
             return_value=return_value,
             wall_time_s=now,
-            cpu_energy_nj=cpu_energy,
-            memory_energy_nj=memory_energy,
+            memory_energy_nj=mem_s + mem_c,
             instructions=instructions,
-            block_stats=block_stats,
             edge_counts=edge_counts,
             path_counts=path_counts,
             cache_stats=cache_stats,
-            overlap_cycles=overlap_cycles,
             dependent_cycles=dependent_cycles,
             cache_cycles=cache_cycles,
-            dmiss_sync_cycles=dmiss_sync_cycles,
             ifetch_cycles=ifetch_cycles,
-            mem_misses=mem_misses,
-            t_invariant_s=mem_misses * mem_latency,
-            gated_wait_s=gated_wait,
             mode_transitions=mode_transitions,
             modeset_executions=modeset_executions,
-            transition_energy_nj=transition_energy_nj,
             transition_time_s=transition_time_s,
             final_mode=current_mode,
             memory=memory,
         )
+        if record is not None:
+            record.cfg = cfg
+            record.config = self.config
+            record.result = result
+        return result
+
+    def _result(self, acct_items, timing: TimingModel,
+                transition_energy_nj: float, *, dependent_cycles: int,
+                cache_cycles: int, ifetch_cycles: int, **fields) -> RunResult:
+        """Assemble a RunResult: block totals from the per-block
+        compensated accumulators, cycle classes from the timing model plus
+        the caller's folded counts."""
+        from repro.perf.accum import NeumaierSum
+
+        cpu_total = NeumaierSum()
+        block_stats: dict[str, BlockStats] = {}
+        for blabel, a in acct_items:
+            e_nj = a[3] + a[4]
+            block_stats[blabel] = BlockStats(count=a[0], time_s=a[1] + a[2],
+                                             cpu_energy_nj=e_nj)
+            cpu_total.add(e_nj)
+        cpu_total.add(transition_energy_nj)
+        return RunResult(
+            cpu_energy_nj=cpu_total.value,
+            block_stats=block_stats,
+            overlap_cycles=timing.overlap,
+            dependent_cycles=timing.dependent + dependent_cycles,
+            cache_cycles=timing.cache_cycles + cache_cycles,
+            dmiss_sync_cycles=timing.dmiss_sync,
+            ifetch_cycles=timing.ifetch + ifetch_cycles,
+            mem_misses=timing.mem_misses,
+            t_invariant_s=timing.mem_misses * self.config.memory_latency_s,
+            gated_wait_s=timing.gated_wait,
+            transition_energy_nj=transition_energy_nj,
+            **fields,
+        )
+
+    # -- replay -----------------------------------------------------------------
+
+    def replay(self, stream: ExecutionStream, mode: int) -> RunResult:
+        """Time a recorded run under another fixed mode, without executing it.
+
+        Control flow, data and cache contents do not depend on the
+        operating point (the paper's assumption 1 and its asynchronous
+        memory), so the block sequence and access outcomes a recorded run
+        left in ``stream`` are those of a run at any mode.  The replay
+        feeds them through the same timing model as a live run: a block
+        recorded all-L1 is committed from its folded delta when nothing is
+        pending and no miss is outstanding, every other execution goes
+        through :class:`~repro.simulator.timing.TimingModel`.  The result
+        is bit-identical to ``run(cfg, mode=mode)`` with the stream's
+        inputs.
+
+        Args:
+            stream: filled by a ``run(..., record=stream)`` on a machine
+                with this machine's configuration and mode table.
+            mode: the mode index to time the run at.
+
+        Raises:
+            SimulationError: the stream was never recorded, or does not
+                describe its recorded run (a corrupt stream).
+        """
+        if stream.result is None:
+            raise SimulationError("replay of a stream that was never recorded")
+        if not observe.enabled():
+            return self._replay(stream, mode)
+        with observe.span("simulator.replay", program=stream.cfg.name,
+                          mode=mode):
+            result = self._replay(stream, mode)
+        observe.add("simulator.replays")
+        observe.add("simulator.replay_blocks", len(stream.blocks))
+        return result
+
+    def _replay(self, stream: ExecutionStream, mode: int) -> RunResult:
+        from repro.perf.engine import program_fast
+
+        base = stream.result
+        if stream.config != self.config:
+            raise SimulationError(
+                "replay on a machine whose configuration differs from the "
+                "recording's")
+        if not 0 <= mode < len(self.mode_table):
+            raise ScheduleError(f"invalid mode index {mode}")
+        pf = program_fast(self, stream.cfg)
+        tables = pf.timing
+        labels = tables.labels
+        mode_consts, programs = tables.table(mode)
+        consts = pf.consts(mode)
+        timing = TimingModel(self.config, mode_consts)
+        time_block = timing.block
+        pending = timing.pending
+        all_l1 = tables.all_l1
+
+        # Per block id: [count, time_s, time_comp, e_nj, e_comp, folded].
+        acct = [[0, 0.0, 0.0, 0.0, 0.0, 0] for _ in labels]
+        # Indexed by stream code: (dt, de, acct) for foldable blocks' even
+        # (all-L1) codes, None elsewhere.
+        fold: list = [None] * (2 * len(labels))
+        for label, c in consts.items():
+            bid = tables.index[label]
+            fold[bid << 1] = (c[0], c[1], acct[bid])
+
+        outs = stream.outcomes
+        opos = 0
+        now = 0.0
+        miss_done = 0.0
+        mem_s = 0.0
+        mem_c = 0.0
+        unclean = 0  # all-L1 foldable executions the replay's state forbade
+        for code in stream.blocks:
+            f = fold[code]
+            if f is not None and not pending and now >= miss_done:
+                dt, de, a = f
+                a[5] += 1
+                s = a[1]
+                t = s + dt
+                a[2] += (s - t) + dt if s >= dt else (dt - t) + s
+                a[1] = t
+                s = a[3]
+                t = s + de
+                a[4] += (s - t) + de if s >= de else (de - t) + s
+                a[3] = t
+                now = now + dt
+                continue
+            bid = code >> 1
+            if code & 1:
+                bt, e_local, m_local, opos = time_block(programs[bid], outs,
+                                                        opos, now)
+            else:
+                if f is not None:
+                    unclean += 1
+                bt, e_local, m_local, _ = time_block(programs[bid], all_l1[bid],
+                                                     0, now)
+            miss_done = timing.miss_done
+            now = now + bt
+            a = acct[bid]
+            a[0] += 1
+            s = a[1]
+            t = s + bt
+            a[2] += (s - t) + bt if s >= bt else (bt - t) + s
+            a[1] = t
+            s = a[3]
+            t = s + e_local
+            a[4] += (s - t) + e_local if s >= e_local else (e_local - t) + s
+            a[3] = t
+            if m_local:
+                s = mem_s
+                t = s + m_local
+                mem_c += (s - t) + m_local if s >= m_local else (m_local - t) + s
+                mem_s = t
+
+        dependent_cycles = cache_cycles = ifetch_cycles = folded_total = 0
+        for label, a in zip(labels, acct):
+            folded = a[5]
+            if folded:
+                c = consts[label]
+                dependent_cycles += folded * c[3]
+                cache_cycles += folded * c[4]
+                ifetch_cycles += folded * c[5]
+                a[0] += folded
+                folded_total += folded
+        self.last_replay_stats = {
+            "blocks": len(stream.blocks),
+            "folded": folded_total,
+            "timed": len(stream.blocks) - folded_total,
+            "all_l1_timed": unclean,
+        }
+        result = self._result(
+            zip(labels, acct), timing, 0.0,
+            return_value=base.return_value,
+            wall_time_s=now,
+            memory_energy_nj=mem_s + mem_c,
+            instructions=base.instructions,
+            edge_counts=dict(base.edge_counts),
+            path_counts=dict(base.path_counts),
+            cache_stats=dict(base.cache_stats),
+            dependent_cycles=dependent_cycles,
+            cache_cycles=cache_cycles,
+            ifetch_cycles=ifetch_cycles,
+            mode_transitions=0,
+            modeset_executions=0,
+            transition_time_s=0.0,
+            final_mode=mode,
+            memory=base.memory.copy() if base.memory is not None else None,
+        )
+        # Mode-independent quantities must agree with the recording.
+        if (opos != len(outs)
+                or result.cache_cycles != base.cache_cycles
+                or result.ifetch_cycles != base.ifetch_cycles
+                or result.dmiss_sync_cycles != base.dmiss_sync_cycles
+                or result.mem_misses != base.mem_misses
+                or any(result.block_stats[l].count != base.block_stats[l].count
+                       for l in labels)):
+            raise SimulationError(
+                f"{stream.cfg.name}: replay diverged from its recorded run")
+        return result

@@ -32,7 +32,8 @@ fuzz driver can collect and report the first failure with full context.
 * :func:`fastpath_matches_reference` — the accelerated simulator
   (:mod:`repro.perf`) must be *bit-identical* to the reference
   interpreter on the same run, down to profile dict ordering and the
-  final memory image.
+  final memory image, and so must the timing replay of its recording at
+  every mode.
 """
 
 from __future__ import annotations
@@ -417,36 +418,51 @@ def fastpath_matches_reference(
     edge/path profile including dict iteration order (serialization
     preserves it), and the final memory image.  Any divergence — even
     one ulp of energy or a reordered profile entry — fails the oracle.
+
+    At a fixed mode the fast run also records its execution stream, and
+    the timing replay of that stream at *every* mode of the table must
+    match the reference run at that mode the same way (the profiler
+    derives all but one mode from such replays).
     """
     from repro.perf.bench import result_fingerprint
+    from repro.simulator.machine import ExecutionStream
 
     name = "fastpath-matches-reference"
     kwargs = dict(inputs=inputs, registers=registers, mode=mode,
                   schedule=schedule, initial_mode=initial_mode)
-    fast = machine.run(cfg, fastpath=True, **kwargs)
+    stream = ExecutionStream() if mode is not None else None
+    fast = machine.run(cfg, fastpath=True, record=stream, **kwargs)
     stats = dict(machine.last_fastpath_stats)
     reference = machine.run(cfg, fastpath=False, **kwargs)
-    fast_fp = result_fingerprint(fast)
-    ref_fp = result_fingerprint(reference)
-    if fast_fp != ref_fp:
-        # Point at the first diverging field to make reports actionable.
-        import dataclasses as _dc
-
-        for field in _dc.fields(fast):
-            a, b = getattr(fast, field.name), getattr(reference, field.name)
-            if field.name == "memory":
-                a = None if a is None else a.cells
-                b = None if b is None else b.cells
-            if repr(a) != repr(b):
-                return _failed(
-                    name,
-                    f"field {field.name!r} diverged: fast={a!r:.120s} "
-                    f"reference={b!r:.120s}",
-                )
-        return _failed(name, "results diverged (fingerprint mismatch)")
+    pairs = [("fast", fast, reference)]
+    if stream is not None:
+        for m in range(len(machine.mode_table)):
+            ref_m = reference if m == mode else machine.run(
+                cfg, fastpath=False, inputs=inputs, registers=registers, mode=m)
+            pairs.append((f"replay at mode {m}", machine.replay(stream, m), ref_m))
+    for what, got, want in pairs:
+        if result_fingerprint(got) != result_fingerprint(want):
+            return _failed(name, f"{what}: {_first_divergence(got, want)}")
+    replays = f", {len(pairs) - 1} replayed modes" if stream is not None else ""
     return _passed(
         name,
         f"bit-identical ({fast.instructions} instructions, "
         f"{stats.get('fast_blocks', 0)} fast blocks, "
-        f"{stats.get('loop_iterations', 0)} fast-forwarded iterations)",
+        f"{stats.get('loop_iterations', 0)} fast-forwarded iterations"
+        f"{replays})",
     )
+
+
+def _first_divergence(got, want) -> str:
+    """The first RunResult field that differs, to make reports actionable."""
+    import dataclasses as _dc
+
+    for field in _dc.fields(got):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if field.name == "memory":
+            a = None if a is None else a.cells
+            b = None if b is None else b.cells
+        if repr(a) != repr(b):
+            return (f"field {field.name!r} diverged: got={a!r:.120s} "
+                    f"reference={b!r:.120s}")
+    return "results diverged (fingerprint mismatch)"

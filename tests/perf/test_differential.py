@@ -16,6 +16,7 @@ from repro.perf.bench import result_fingerprint
 from repro.profiling.serialize import run_summary_to_dict
 from repro.runtime.hashing import canonical_json
 from repro.simulator import Machine, SCALE_CONFIG, TransitionCostModel, XSCALE_3
+from repro.simulator.machine import ExecutionStream
 from repro.workloads import all_workloads, compile_workload, get_workload
 
 WORKLOADS = [spec.name for spec in all_workloads()]
@@ -36,19 +37,25 @@ def _assert_identical(fast_result, slow_result, context: str):
 
 @pytest.mark.parametrize("name", WORKLOADS)
 def test_suite_differential_every_mode(name):
-    """All suite workloads x all XScale-3 modes, byte-identical."""
+    """All suite workloads x all XScale-3 modes, byte-identical; and the
+    timing replay of the first mode's recording at every mode, too."""
     spec = get_workload(name)
     cfg = compile_workload(name)
     fast_machine, slow_machine = _machines()
+    stream = ExecutionStream()
     for mode in range(len(XSCALE_3)):
         inputs, registers = spec.make_inputs(), spec.make_registers()
         fast = fast_machine.run(cfg, inputs=dict(inputs),
-                                registers=dict(registers), mode=mode)
+                                registers=dict(registers), mode=mode,
+                                record=stream if mode == 0 else None)
         slow = slow_machine.run(cfg, inputs=dict(inputs),
                                 registers=dict(registers), mode=mode)
         _assert_identical(fast, slow, f"{name} mode {mode}")
+        _assert_identical(fast_machine.replay(stream, mode), slow,
+                          f"{name} replay at mode {mode}")
     # the fast path must actually have engaged, or this suite tests nothing
     assert fast_machine.last_fastpath_stats["fast_blocks"] > 0
+    assert fast_machine.last_replay_stats["folded"] > 0
 
 
 @pytest.mark.parametrize("name", ["adpcm", "gsm", "dijkstra"])

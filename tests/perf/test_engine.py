@@ -53,11 +53,22 @@ def test_program_cache_is_reused_and_invalidated(cfg):
     machine = Machine(SCALE_CONFIG, XSCALE_3, TransitionCostModel())
     pf1 = program_fast(machine, cfg)
     assert program_fast(machine, cfg) is pf1
-    # swapping the mode table changes folded constants: must rebuild
-    machine.mode_table = XSCALE_3.__class__(list(XSCALE_3.points),
-                                            name="xscale-3-copy")
+    # the cache is per process and keyed by values: another machine, an
+    # equal mode table under another name, and a recompiled program all
+    # share the compilation
+    other = Machine(SCALE_CONFIG, XSCALE_3, TransitionCostModel())
+    other.mode_table = XSCALE_3.__class__(list(XSCALE_3.points),
+                                          name="xscale-3-copy")
+    assert program_fast(other, compile_program(SOURCE, "engine-test")) is pf1
+    # a different mode table changes folded constants: must rebuild
+    from repro.simulator.dvs import make_mode_table
+
+    machine.mode_table = make_mode_table(7)
     pf2 = program_fast(machine, cfg)
     assert pf2 is not pf1
+    # so does a different program
+    changed = compile_program(SOURCE.replace("9973", "9967"), "engine-test")
+    assert program_fast(machine, changed) is not pf2
 
 
 def test_consts_are_per_mode_and_cached(cfg):

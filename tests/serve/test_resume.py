@@ -4,9 +4,12 @@ and a spawned server whose pool workers must not outlive a SIGKILL."""
 from __future__ import annotations
 
 import contextlib
+import gc
 import os
 import signal
+import sys
 import time
+import warnings
 
 import pytest
 
@@ -87,6 +90,30 @@ def test_interrupted_job_is_recovered_and_completes(server_factory, tmp_path):
                 > recovered_before)
     finally:
         second.close()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_recovery_leaves_no_unawaited_stream_wakeup(server_factory, tmp_path,
+                                                    monkeypatch):
+    """Aborting a server with a job in flight, then resuming it, leaves
+    no progress-event wake-up behind as a never-awaited coroutine."""
+    from repro.runtime.dag import load_task_stack
+
+    # The aborted server's run thread may still be importing the task
+    # stack when the second server forks its workers; import it first so
+    # no fork can copy a held import lock.
+    load_task_stack()
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always", RuntimeWarning)
+        test_interrupted_job_is_recovered_and_completes(server_factory,
+                                                        tmp_path)
+        gc.collect()
+    problems = [str(w.message) for w in seen
+                if issubclass(w.category, RuntimeWarning)]
+    problems += [repr(u.exc_value) for u in unraisable]
+    assert not problems, problems
 
 
 def test_hand_written_admission_is_recovered(server_factory, tmp_path):
