@@ -21,17 +21,18 @@ Typical use::
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro import observe
-from repro.errors import ScheduleError
+from repro.errors import ScheduleError, SimulationError
 from repro.ir.cfg import CFG
 from repro.core.milp.filtering import FilterResult, filter_edges, no_filtering
 from repro.core.milp.schedule import DVSSchedule
 from repro.profiling.profile_data import ProfileData
 from repro.profiling.profiler import profile_program
-from repro.simulator.machine import Machine, RunResult
+from repro.simulator.machine import ExecutionStream, Machine, RunResult
 
 if TYPE_CHECKING:
     # The solver stack (numpy, scipy) is imported by the methods that
@@ -41,6 +42,8 @@ if TYPE_CHECKING:
     from repro.core.milp.multidata import CategoryProfile
     from repro.solver.solution import Solution
     from repro.verify.certificate import CertificateReport
+
+logger = logging.getLogger("repro.scheduler")
 
 
 @dataclass
@@ -133,9 +136,16 @@ class DVSOptimizer:
         cfg: CFG,
         inputs: dict[str, list] | None = None,
         registers: dict[str, float] | None = None,
+        record: ExecutionStream | None = None,
     ) -> ProfileData:
-        """Profile the program under every mode of the machine."""
-        return profile_program(self.machine, cfg, inputs=inputs, registers=registers)
+        """Profile the program under every mode of the machine.
+
+        ``record`` (an empty stream) receives the profiling run's
+        recording, for :meth:`verify` to time a schedule from; it stays
+        empty when the fast path is off.
+        """
+        return profile_program(self.machine, cfg, inputs=inputs,
+                               registers=registers, record=record)
 
     def build(
         self,
@@ -439,19 +449,32 @@ class DVSOptimizer:
         schedule: DVSSchedule,
         inputs: dict[str, list] | None = None,
         registers: dict[str, float] | None = None,
+        stream: ExecutionStream | None = None,
     ) -> RunResult:
         """Execute the scheduled program on the simulator.
 
         Returns the measured run; callers compare its wall time against
-        the deadline and its energy against the prediction.
+        the deadline and its energy against the prediction.  Given the
+        profiling run's recorded ``stream``, the schedule is timed by a
+        replay of it (:meth:`Machine.replay`, bit-identical to the run);
+        a stream the replay refuses falls back to the full run.
         """
         initial = schedule.initial_mode
+        initial = initial if initial is not None else len(self.machine.mode_table) - 1
+        if stream is not None:
+            try:
+                return self.machine.replay(stream, schedule=schedule.assignment,
+                                           initial_mode=initial)
+            except SimulationError as error:
+                observe.add("verify.full_run.refused")
+                logger.warning("%s: stream refused, simulating in full: %s",
+                               cfg.name, error)
         return self.machine.run(
             cfg,
             inputs=inputs,
             registers=registers,
             schedule=schedule.assignment,
-            initial_mode=initial if initial is not None else len(self.machine.mode_table) - 1,
+            initial_mode=initial,
         )
 
     # -- design-space exploration --------------------------------------------------

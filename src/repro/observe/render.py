@@ -190,11 +190,19 @@ def render_stats(metrics: dict[str, Any]) -> str:
                 row(f"anytime tier used: {tier}", int(take(name)))
 
     runs = take("simulator.runs")
-    if runs:
+    replays = take("simulator.replays")
+    if runs or replays:
         section("simulator")
         row("runs", int(runs))
-        row("timing replays", int(take("simulator.replays")))
+        row("timing replays", int(replays))
+        row("  of which scheduled", int(take("simulator.scheduled_replays")))
+        row("  mode transitions replayed",
+            int(take("simulator.replay_transitions")))
         take("simulator.replay_blocks")
+        full = {why: int(take(f"verify.full_run.{why}"))
+                for why in ("no_store", "miss", "refused", "fastpath_off")}
+        row("scheduled full runs (why)",
+            ", ".join(f"{why} {n}" for why, n in full.items() if n) or "none")
         row("profiling replay time", f"{take('profiling.replay_s'):.3f}s")
         row("codegen: blocks / loops",
             f"{int(take('perf.codegen.blocks'))} / "

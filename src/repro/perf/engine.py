@@ -3,14 +3,15 @@
 One :class:`ProgramFast` holds everything the machine's dispatcher needs
 to accelerate a (machine, program) pair:
 
-* ``block_fns`` — label -> generated block function (mode-independent;
-  see :mod:`repro.perf.blockc`);
+* ``compiled()`` — label -> generated block function (mode-independent;
+  see :mod:`repro.perf.blockc`), generated on a live run's first call;
 * ``timing`` — the program's per-mode decoded timing programs
   (:class:`~repro.simulator.timing.TimingTables`), shared by the
   reference interpreter's blocks and by replays;
 * ``consts(mode)`` — label -> folded per-execution delta tuple, the
   timing model itself evaluated once per (block, mode) under the fast
   path's preconditions (:func:`~repro.simulator.timing.fold_block`);
+  pure timing, so replays use it without generating any code;
 * ``loop_fn(header, mode)`` — generated steady-state loop function
   (:mod:`repro.perf.loopc`): compiled once per loop, then bound to each
   mode's folded ``dt``/``de`` floats;
@@ -50,9 +51,16 @@ def fastpath_disabled_env() -> bool:
 
 
 class ProgramFast:
-    """Compiled fast-path state for one (machine, CFG) pair."""
+    """Fast-path state for one (machine, CFG) pair.
+
+    The timing half (``timing``, ``consts``) is built eagerly and costs
+    no code generation; block and loop functions are generated on the
+    first :meth:`compiled` call, which only a live run makes.  A process
+    that only replays recordings therefore compiles nothing.
+    """
 
     def __init__(self, machine, cfg) -> None:
+        self.name = cfg.name
         self.config = machine.config
         self.mode_table = machine.mode_table
         self.element_size = cfg.element_size
@@ -63,34 +71,41 @@ class ProgramFast:
                                    self.mode_table)
         #: label -> the even stream code a recorded execution of it gets.
         self.codes = {label: bid << 1 for bid, label in enumerate(self.blocks)}
-
-        self.block_fns: dict = {}
-        with observe.span("perf.codegen", program=cfg.name, kind="blocks") as sp:
-            for label, instrs in self.blocks.items():
-                try:
-                    fn = compile_block(label, instrs, block_lines[label],
-                                       self.config, self.element_size)
-                except Exception:
-                    fn = None
-                if fn is not None:
-                    self.block_fns[label] = fn
-        observe.add("perf.codegen.blocks", len(self.blocks))
-        observe.add("perf.codegen_s", sp.elapsed_s)
-
+        self._cfg = cfg
         self._consts: dict[int, dict] = {}
+        self._block_fns: dict | None = None
         self._loop_code: dict = {}
         self._loop_fns: dict = {}
         self._loop_bodies: dict[str, list[str]] = {}
         self.loop_edges: dict[str, frozenset] = {}
+
+    def compiled(self) -> dict:
+        """Label -> generated block function, generating every block and
+        finding the fast-forwardable loops on the first call."""
+        if self._block_fns is not None:
+            return self._block_fns
+        block_fns: dict = {}
+        with observe.span("perf.codegen", program=self.name, kind="blocks") as sp:
+            for label, instrs in self.blocks.items():
+                try:
+                    fn = compile_block(label, instrs, self.block_lines[label],
+                                       self.config, self.element_size)
+                except Exception:
+                    fn = None
+                if fn is not None:
+                    block_fns[label] = fn
+        observe.add("perf.codegen.blocks", len(self.blocks))
+        observe.add("perf.codegen_s", sp.elapsed_s)
+        self._block_fns = block_fns
+
+        cfg = self._cfg
         try:
             loops = find_natural_loops(cfg)
         except Exception:
             loops = []
         for loop in loops:
             header = loop.header
-            if header not in self.block_fns:
-                continue
-            if any(label not in self.block_fns for label in loop.blocks):
+            if any(label not in block_fns for label in loop.blocks):
                 continue
             body = [header] + [l for l in cfg.blocks
                                if l in loop.blocks and l != header]
@@ -104,13 +119,16 @@ class ProgramFast:
                         edges.add((label, tgt))
             self._loop_bodies[header] = body
             self.loop_edges[header] = frozenset(edges)
+        return block_fns
 
     def consts(self, mode: int) -> dict:
-        """Label -> per-execution delta tuple for one mode (cached)."""
+        """Label -> per-execution folded delta tuple for one mode, for
+        every block in CFG order (cached).  Pure timing: it needs no
+        compiled code."""
         table = self._consts.get(mode)
         if table is None:
             table = {label: fold_block(self.timing, label, mode)
-                     for label in self.block_fns}
+                     for label in self.blocks}
             self._consts[mode] = table
         return table
 

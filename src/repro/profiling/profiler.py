@@ -30,6 +30,7 @@ def profile_program(
     inputs: dict[str, list] | None = None,
     registers: dict[str, float] | None = None,
     modes: list[int] | None = None,
+    record: ExecutionStream | None = None,
 ) -> ProfileData:
     """Profile a program under every mode of the machine's mode table.
 
@@ -39,6 +40,9 @@ def profile_program(
         inputs: array inputs.
         registers: entry parameters (``main.<param>`` registers).
         modes: subset of mode indices to profile (default: all).
+        record: an empty stream to record the simulated run into (kept
+            empty when the fast path is off, since every mode then runs
+            in full).
 
     Returns:
         a validated :class:`~repro.profiling.profile_data.ProfileData`;
@@ -61,12 +65,13 @@ def profile_program(
 
     profile = ProfileData(name=cfg.name, num_modes=len(machine.mode_table))
     baseline: RunResult | None = None
-    stream = (ExecutionStream() if machine.fastpath and not fastpath_disabled_env()
-              else None)
+    stream = None
+    if machine.fastpath and not fastpath_disabled_env():
+        stream = record if record is not None else ExecutionStream()
     replay_s = 0.0
 
     for mode in mode_indices:
-        if stream is not None and stream.result is not None:
+        if stream is not None and stream.base is not None:
             t0 = time.perf_counter()
             result = machine.replay(stream, mode)
             replay_s += time.perf_counter() - t0

@@ -1,9 +1,10 @@
 """JSON (de)serialization for profiles and schedules.
 
-Profiling is the expensive step of the pipeline (one simulation per
-mode), so a real deployment profiles once and reuses the data; likewise
-a schedule is the compiler's deliverable.  Both round-trip through plain
-JSON dicts here.
+Profiling is the expensive step of the pipeline, so a real deployment
+profiles once and reuses the data; likewise a schedule is the compiler's
+deliverable.  Both round-trip through plain JSON dicts here, as do run
+summaries and the profiling run's recorded execution stream, which the
+scheduled run is timed from.
 
 Edges serialize as ``"src->dst"`` and local paths as ``"h->i->j"``;
 block labels must therefore not contain ``"->"`` (the frontend never
@@ -12,11 +13,15 @@ emits such labels).
 
 from __future__ import annotations
 
+import base64
 import json
+import sys
+import zlib
+from array import array
 from dataclasses import asdict
 from typing import Any
 
-from repro.errors import ProfileError, ScheduleError
+from repro.errors import ProfileError, ScheduleError, SimulationError
 from repro.core.analytical.params import ProgramParams
 from repro.core.milp.schedule import DVSSchedule
 from repro.profiling.profile_data import BlockModeData, ProfileData
@@ -149,6 +154,98 @@ def run_summary_from_dict(data: dict[str, Any]) -> dict[str, Any]:
     if missing:
         raise ProfileError(f"run-summary document is missing fields {missing}")
     return {name: data[name] for name in _RUN_SUMMARY_FIELDS}
+
+
+#: zlib level of the packed stream arrays: recordings of 340-470 kB
+#: shrink to 4-11 kB, in a few milliseconds.
+STREAM_ZLIB_LEVEL = 6
+#: The :class:`~repro.simulator.machine.StreamBase` fields a stream
+#: document carries: what a replay copies into its result or checks.
+_STREAM_BASE_FIELDS = ("return_value", "instructions", "cache_cycles",
+                       "ifetch_cycles", "dmiss_sync_cycles", "mem_misses")
+
+
+def _pack(values: array) -> str:
+    if sys.byteorder != "little":
+        values = array(values.typecode, values)
+        values.byteswap()
+    return base64.b64encode(
+        zlib.compress(values.tobytes(), STREAM_ZLIB_LEVEL)).decode("ascii")
+
+
+def _unpack(text: str, typecode: str) -> array:
+    values = array(typecode)
+    values.frombytes(zlib.decompress(base64.b64decode(text, validate=True)))
+    if sys.byteorder != "little":
+        values.byteswap()
+    return values
+
+
+def stream_to_dict(stream, key: str) -> dict[str, Any]:
+    """Serialize a recorded :class:`~repro.simulator.machine.ExecutionStream`.
+
+    The block codes (little-endian uint32) and outcome bytes are
+    zlib-packed and base64-encoded; the recording's mode-independent
+    facts ride along so a replay of the loaded stream can check itself.
+    The in-memory extras (profile dicts, data memory) are not stored.
+    ``key`` names what was recorded (the stream's artifact key: program
+    source, inputs and cache configuration), so a stream is never
+    replayed for another (program, input) pair.
+    """
+    base = stream.base
+    if base is None:
+        raise SimulationError("cannot serialize a stream that was never recorded")
+    if stream.blocks.itemsize != 4:
+        raise SimulationError("stream block codes are not 32-bit on this platform")
+    document: dict[str, Any] = {
+        "format": FORMAT_VERSION,
+        "kind": "stream",
+        "recorded": key,
+        "name": stream.cfg.name,
+        "labels": list(stream.cfg.blocks),
+        "block_counts": list(base.block_counts),
+    }
+    for name in _STREAM_BASE_FIELDS:
+        document[name] = getattr(base, name)
+    document["blocks"] = _pack(stream.blocks)
+    document["outcomes"] = _pack(stream.outcomes)
+    return document
+
+
+def stream_from_dict(data: dict[str, Any], key: str, cfg, config):
+    """Rebuild the stream recorded as ``key`` from ``cfg`` on a machine
+    with ``config``.
+
+    Raises:
+        ProfileError: the document is malformed, corrupt, or records
+            another program or input.
+    """
+    from repro.simulator.machine import ExecutionStream, StreamBase
+
+    if data.get("kind") != "stream":
+        raise ProfileError(f"not a stream document (kind={data.get('kind')!r})")
+    if data.get("format") != FORMAT_VERSION:
+        raise ProfileError(f"unsupported stream format {data.get('format')!r}")
+    labels = list(cfg.blocks)
+    if (data.get("recorded") != key or data.get("name") != cfg.name
+            or data.get("labels") != labels):
+        raise ProfileError(
+            f"stream of {data.get('name')!r} does not record this run of "
+            f"{cfg.name!r}")
+    try:
+        blocks = _unpack(data["blocks"], "I")
+        outcomes = _unpack(data["outcomes"], "B")
+        base = StreamBase(block_counts=tuple(int(c) for c in data["block_counts"]),
+                          **{name: data[name] for name in _STREAM_BASE_FIELDS})
+    except (KeyError, TypeError, ValueError, zlib.error) as error:
+        raise ProfileError(
+            f"malformed stream document: {type(error).__name__}: {error}") from error
+    if (len(base.block_counts) != len(labels) or blocks.itemsize != 4
+            or (blocks and max(blocks) >= 2 * len(labels))
+            or (outcomes and max(outcomes) > 2)):
+        raise ProfileError("stream codes out of range for its program")
+    return ExecutionStream(blocks=blocks, outcomes=outcomes, cfg=cfg,
+                           base=base, config=config)
 
 
 def save_profile(profile: ProfileData, path: str) -> None:

@@ -7,11 +7,17 @@ and runs as a four-stage pipeline mirroring the paper's Figure 13 flow::
     profile ──┬─> optimize ──> simulate ──┐
               └───────────────────────────┴─> verify
 
-``profile`` simulates the program once per mode and carries the Section
-3.2 parameters read off its fastest-mode run; ``verify`` checks the
-replay and derives the single-mode baseline and the analytical savings
-bounds from the profile.  Programs compile inside each task through the
-per-process compile cache, so compilation is not a stage of its own.
+``profile`` simulates the program once, recording its block sequence
+and cache outcomes, re-times that recording for every other mode, and
+carries the Section 3.2 parameters read off its fastest-mode run.  With
+an artifact store it also writes the recording as a ``stream`` side
+artifact, which only ``simulate`` reads: the scheduled program is timed
+by a replay of the recording (bit-identical to simulating it), and is
+simulated in full only when no stream is at hand.  ``verify`` checks the
+scheduled run and derives the single-mode baseline and the analytical
+savings bounds from the profile.  Programs compile inside each task
+through the per-process compile cache, so compilation is not a stage of
+its own.
 
 :func:`build_task_graph` merges the pipelines of a whole sweep into one
 DAG, **deduplicating shared stages**: every experiment on ``gsm`` with
@@ -22,19 +28,24 @@ per sweep regardless of how many experiments depend on it.
 
 Tasks carry JSON-only payloads (specs in, artifact dicts out) so they
 cross process boundaries and land in the content-addressed store
-unchanged.  :func:`execute_task` is the single worker entry point that
-maps a task kind to its computation.
+unchanged.  The stream never travels in a payload: it goes from the
+``profile`` worker to the store and from the store to the ``simulate``
+worker, so the transport, the journal and ``results.jsonl`` never see
+it.  :func:`execute_task` is the single worker entry point that maps a
+task kind to its computation.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+from repro import observe
 from repro.core import DVSOptimizer
 from repro.core.analytical import savings_ratio_discrete
 from repro.core.continuous import continuous_bound
-from repro.errors import OrchestrationError, ScheduleError
+from repro.errors import CacheError, OrchestrationError, ProfileError, ScheduleError
 from repro.profiling.serialize import (
     profile_from_dict,
     profile_to_dict,
@@ -42,12 +53,17 @@ from repro.profiling.serialize import (
     run_summary_to_dict,
     schedule_from_dict,
     schedule_to_dict,
+    stream_from_dict,
+    stream_to_dict,
 )
 from repro.runtime import hashing
 from repro.simulator import Machine, SCALE_CONFIG, TransitionCostModel, XSCALE_3
 from repro.simulator.dvs import make_mode_table
+from repro.simulator.machine import ExecutionStream
 from repro.verify import tolerances
 from repro.workloads import compile_workload, get_workload
+
+logger = logging.getLogger("repro.dag")
 
 #: Pipeline stages in dependency order.
 TASK_KINDS = ("profile", "optimize", "simulate", "verify")
@@ -301,13 +317,55 @@ def _context(spec: dict[str, Any]):
     return workload, cfg, machine, inputs, workload.registers()
 
 
-def _task_profile(spec: dict[str, Any], deps: dict[str, Any]) -> dict[str, Any]:
+def _stream_key(spec: dict[str, Any], machine: Machine) -> str:
+    return hashing.stream_key(get_workload(spec["workload"]).source,
+                              spec["category"], spec["seed"], machine)
+
+
+def _task_profile(spec: dict[str, Any], deps: dict[str, Any],
+                  store=None) -> dict[str, Any]:
     _, cfg, machine, inputs, registers = _context(spec)
-    profile = DVSOptimizer(machine).profile(cfg, inputs=inputs, registers=registers)
+    stream = ExecutionStream() if store is not None else None
+    profile = DVSOptimizer(machine).profile(cfg, inputs=inputs, registers=registers,
+                                            record=stream)
+    if stream is not None and stream.base is not None:
+        # A side artifact: losing it only costs ``simulate`` a full run.
+        key = _stream_key(spec, machine)
+        try:
+            store.put(key, stream_to_dict(stream, key))
+        except CacheError as error:
+            observe.add("profiling.stream.write_failed")
+            logger.warning("%s: stream not stored: %s", cfg.name, error)
     return {"profile": profile_to_dict(profile)}
 
 
-def _task_optimize(spec: dict[str, Any], deps: dict[str, Any]) -> dict[str, Any]:
+def _load_stream(spec: dict[str, Any], cfg, machine: Machine,
+                 store) -> ExecutionStream | None:
+    """The profiling run's recording of this program, or None (counted
+    under ``verify.full_run.<why>``) when ``simulate`` must run in full."""
+    from repro.perf.engine import fastpath_disabled_env
+
+    if not machine.fastpath or fastpath_disabled_env():
+        why = "fastpath_off"
+    elif store is None:
+        why = "no_store"
+    else:
+        key = _stream_key(spec, machine)
+        document = store.get(key)
+        if document is None:
+            why = "miss"
+        else:
+            try:
+                return stream_from_dict(document, key, cfg, machine.config)
+            except ProfileError as error:
+                logger.warning("%s: stream refused: %s", cfg.name, error)
+                why = "refused"
+    observe.add(f"verify.full_run.{why}")
+    return None
+
+
+def _task_optimize(spec: dict[str, Any], deps: dict[str, Any],
+                   store=None) -> dict[str, Any]:
     _, cfg, machine, _, _ = _context(spec)
     profile = profile_from_dict(deps["profile"]["profile"])
     deadline = profile.deadline_at(spec["deadline_frac"])
@@ -361,14 +419,18 @@ def _task_optimize(spec: dict[str, Any], deps: dict[str, Any]) -> dict[str, Any]
     }
 
 
-def _task_simulate(spec: dict[str, Any], deps: dict[str, Any]) -> dict[str, Any]:
+def _task_simulate(spec: dict[str, Any], deps: dict[str, Any],
+                   store=None) -> dict[str, Any]:
     _, cfg, machine, inputs, registers = _context(spec)
     schedule = schedule_from_dict(deps["optimize"]["schedule"])
-    run = DVSOptimizer(machine).verify(cfg, schedule, inputs=inputs, registers=registers)
+    stream = _load_stream(spec, cfg, machine, store)
+    run = DVSOptimizer(machine).verify(cfg, schedule, inputs=inputs,
+                                       registers=registers, stream=stream)
     return {"run": run_summary_to_dict(run)}
 
 
-def _task_verify(spec: dict[str, Any], deps: dict[str, Any]) -> dict[str, Any]:
+def _task_verify(spec: dict[str, Any], deps: dict[str, Any],
+                 store=None) -> dict[str, Any]:
     profile = profile_from_dict(deps["profile"]["profile"])
     machine = MachineSpec(spec["levels"], spec["capacitance_uf"],
                           spec.get("fastpath", True)).build()
@@ -430,7 +492,7 @@ def _task_verify(spec: dict[str, Any], deps: dict[str, Any]) -> dict[str, Any]:
     }
 
 
-_TASK_FNS: dict[str, Callable[[dict[str, Any], dict[str, Any]], dict[str, Any]]] = {
+_TASK_FNS: dict[str, Callable[..., dict[str, Any]]] = {
     "profile": _task_profile,
     "optimize": _task_optimize,
     "simulate": _task_simulate,
@@ -455,8 +517,13 @@ def load_task_stack() -> None:
 
 
 def execute_task(kind: str, spec: dict[str, Any],
-                 deps: dict[str, Any]) -> dict[str, Any]:
-    """Run one task kind; ``deps`` maps dep *kind* to its output dict."""
+                 deps: dict[str, Any], store=None) -> dict[str, Any]:
+    """Run one task kind; ``deps`` maps dep *kind* to its output dict.
+
+    ``store`` (an :class:`~repro.runtime.cache.ArtifactStore`, or None)
+    holds the side artifacts a task writes or reads itself: the
+    profiling run's stream.
+    """
     if kind.startswith("tg-"):
         from repro.taskgraph.pipeline import execute_tg_task
 
@@ -465,4 +532,4 @@ def execute_task(kind: str, spec: dict[str, Any],
         fn = _TASK_FNS[kind]
     except KeyError:
         raise OrchestrationError(f"unknown task kind {kind!r}") from None
-    return fn(spec, deps)
+    return fn(spec, deps, store)

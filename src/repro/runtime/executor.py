@@ -189,16 +189,18 @@ def _run_task_entry(payload: dict[str, Any]) -> dict[str, Any]:
             # longer than the task budget is killed by TaskTimeout like
             # any genuine stall would be.
             faultplane.stall("worker.hang")
-            return execute_task(payload["kind"], payload["spec"], payload["deps"])
+            return execute_task(payload["kind"], payload["spec"], payload["deps"],
+                                store)
 
-        output, warnings = _with_timeout(payload.get("timeout_s"), _body)
         store_root = payload.get("store_root")
+        store = ArtifactStore(store_root) if store_root is not None else None
+        output, warnings = _with_timeout(payload.get("timeout_s"), _body)
         # Tasks may veto memoization of a degraded output (e.g. a fallback
         # schedule from a starved solver must not masquerade as the
         # optimum for future runs).
-        if (store_root is not None and payload.get("cache_key")
+        if (store is not None and payload.get("cache_key")
                 and output.get("_cacheable", True)):
-            ArtifactStore(store_root).put(payload["cache_key"], output)
+            store.put(payload["cache_key"], output)
         observe.end_span(sp, status="ok")
         transport = {
             "ok": True,

@@ -134,6 +134,21 @@ def profile_key(source: str, category: str | None, seed: int,
     )
 
 
+def stream_key(source: str, category: str | None, seed: int,
+               machine: Machine) -> str:
+    """Key for the recorded execution stream of a profiling run.
+
+    A recording depends on the program, its inputs and the cache
+    configuration, never on the mode table or the regulator, so every
+    machine with the same configuration shares it.
+    """
+    return artifact_key(
+        "stream",
+        workload=workload_fingerprint(source, category, seed),
+        config=asdict(machine.config),
+    )
+
+
 def _method_part(method: str) -> dict[str, Any]:
     """Extra key fields for a non-default optimization method.
 

@@ -283,6 +283,12 @@ class ReproServer:
         leaves behind — so only the job store knows about them.  Every
         journal append is already fsynced, so there is nothing to flush;
         ``--resume`` on the same store directory recovers the jobs.
+
+        A running job's DAG stops submitting at its next scheduling step
+        and its run thread is joined before the pool goes: a thread left
+        behind could still hold an import lock when another server in
+        this process forks its workers, and a worker forked then would
+        inherit the held lock and hang.
         """
         self._aborted = True
         if self._server is not None:
@@ -291,7 +297,7 @@ class ReproServer:
             self._scheduler_task.cancel()
         for task in list(self._clients) + list(self._notifiers):
             task.cancel()
-        self._run_threads.shutdown(wait=False, cancel_futures=True)
+        self._run_threads.shutdown(wait=True, cancel_futures=True)
         self.pool.close()
         if self.jobstore is not None:
             self.jobstore.close()
@@ -385,6 +391,7 @@ class ReproServer:
                     retries=self.config.retries,
                 ),
                 on_task=on_task,
+                should_stop=lambda: self._aborted,
                 pool=self.pool,
             )
         rows = [manifest_mod.experiment_record(spec, graph, results)
@@ -401,6 +408,10 @@ class ReproServer:
 
     def _job_finished(self, job: Job, future) -> None:
         """Loop-side completion: finalize state, wake waiters."""
+        if self._aborted:
+            # A crashed server records nothing: the job store keeps the
+            # job as admitted or running, for --resume.
+            return
         self._running -= 1
         if self._running == 0:
             self._idle.set()

@@ -63,15 +63,18 @@ the reference interpretation below (``fastpath=False`` or
 Record and replay
 =================
 
-Cache contents depend on the access order alone and control flow does
-not depend on the mode, so one run can stand in for every fixed-mode run
-of the same program and inputs.  ``run(..., record=stream)`` fills an
-:class:`ExecutionStream` with the block sequence and the outcomes of
-every execution that missed L1; :meth:`Machine.replay` re-times that
-stream under another mode — folded deltas where the replay's own state
-is clean and the block was all-L1, the timing model elsewhere — and
-returns a RunResult bit-identical to ``run(cfg, mode=m)``.  The profiler
-uses it for all modes but the first (``docs/performance.md``).
+Cache contents depend on the access order alone, and neither control
+flow nor a mode-set changes the access order, so one run can stand in
+for every fixed-mode or scheduled run of the same program and inputs.
+``run(..., record=stream)`` fills an :class:`ExecutionStream` with the
+block sequence and the outcomes of every execution that missed L1;
+:meth:`Machine.replay` re-times that stream under another mode or a
+schedule — folded deltas where the replay's own state is clean and the
+block was all-L1, the timing model elsewhere, and the edge mode-sets
+through the same switch as a live run — and returns a RunResult
+bit-identical to ``run(cfg, mode=m)`` or ``run(cfg, schedule=s)``.  The
+profiler uses it for all modes but the first, the pipeline's
+``simulate`` task for the scheduled run (``docs/performance.md``).
 """
 
 from __future__ import annotations
@@ -148,6 +151,47 @@ class RunResult:
 
 
 @dataclass
+class StreamBase:
+    """The mode-independent facts of a recorded run.
+
+    A replay copies the first two into its result and checks its own
+    cycle classes, miss count and block counts against the rest, so a
+    stream that does not describe its recorded run is refused.  A stream
+    loaded from an artifact (:func:`repro.profiling.serialize.stream_from_dict`)
+    carries only these; one recorded in memory also keeps the profile
+    dicts and the final data memory, which its replays copy.
+    """
+
+    return_value: float | None
+    instructions: int
+    block_counts: tuple[int, ...]  # per block id (position in cfg.blocks)
+    cache_cycles: int
+    ifetch_cycles: int
+    dmiss_sync_cycles: int
+    mem_misses: int
+    edge_counts: dict[Edge, int] = field(default_factory=dict)
+    path_counts: dict[tuple[str, str, str], int] = field(default_factory=dict)
+    cache_stats: dict[str, int] = field(default_factory=dict)
+    memory: DataMemory | None = None
+
+    @classmethod
+    def of(cls, result: RunResult) -> "StreamBase":
+        return cls(
+            return_value=result.return_value,
+            instructions=result.instructions,
+            block_counts=tuple(s.count for s in result.block_stats.values()),
+            cache_cycles=result.cache_cycles,
+            ifetch_cycles=result.ifetch_cycles,
+            dmiss_sync_cycles=result.dmiss_sync_cycles,
+            mem_misses=result.mem_misses,
+            edge_counts=result.edge_counts,
+            path_counts=result.path_counts,
+            cache_stats=result.cache_stats,
+            memory=result.memory,
+        )
+
+
+@dataclass
 class ExecutionStream:
     """What a recorded run leaves behind for :meth:`Machine.replay`.
 
@@ -158,7 +202,8 @@ class ExecutionStream:
         outcomes: for each odd-coded execution, its access outcome codes
             (:mod:`repro.simulator.timing`), I-fetches first.
         cfg: the recorded program (set when the run completes).
-        result: the recorded run's result (set when the run completes).
+        base: the recorded run's mode-independent facts (set when the run
+            completes).
         config: the recording machine's configuration; the outcomes hold
             for it alone (any mode table may replay them).
     """
@@ -166,8 +211,64 @@ class ExecutionStream:
     blocks: array = field(default_factory=lambda: array("I"))
     outcomes: array = field(default_factory=lambda: array("B"))
     cfg: CFG | None = None
-    result: RunResult | None = None
+    base: StreamBase | None = None
     config: MachineConfig | None = None
+
+
+class _ModeSwitch:
+    """The mode-set instruction on a scheduled edge, and its accounting.
+
+    Live runs and replays both execute mode-sets through this one object.
+    A mode-set whose value equals the current mode is silent and free; a
+    real switch stalls for ``ST`` and charges ``SE`` (Section 4.2), then
+    rebinds every mode-derived table: the timing model's constants and,
+    through the return value, the caller's timing programs and folded
+    per-block deltas.  Stale bindings would silently misprice the new
+    mode.
+    """
+
+    __slots__ = ("voltages", "transition_model", "tables", "timing", "deltas",
+                 "mode", "executions", "transitions", "time_s", "energy_nj")
+
+    def __init__(self, machine: "Machine", tables: TimingTables,
+                 timing: TimingModel, deltas, mode: int) -> None:
+        self.voltages = [p.voltage for p in machine.mode_table.points]
+        self.transition_model = machine.transition_model
+        self.tables = tables
+        self.timing = timing
+        self.deltas = deltas  # mode -> the caller's folded-delta table, or None
+        self.mode = mode
+        self.executions = 0
+        self.transitions = 0
+        self.time_s = 0.0
+        self.energy_nj = 0.0
+
+    def __call__(self, target: int):
+        """Execute one mode-set to ``target``.
+
+        Returns:
+            None when the mode-set is silent, else ``(st, programs,
+            deltas)``: the stall to add to the wall clock and the new
+            mode's timing programs and folded-delta table.
+        """
+        self.executions += 1
+        current = self.mode
+        if target == current:
+            return None
+        v_from = self.voltages[current]
+        v_to = self.voltages[target]
+        st = self.transition_model.time_s(v_from, v_to)
+        # Canonical nJ-space cost: the same method the MILP's linearized
+        # CE constant derives from, so the charged SE can never drift
+        # from the formulation's.
+        self.time_s += st
+        self.energy_nj += self.transition_model.energy_nj(v_from, v_to)
+        self.transitions += 1
+        self.mode = target
+        mode_consts, programs = self.tables.table(target)
+        self.timing.consts = mode_consts
+        deltas = self.deltas(target) if self.deltas is not None else None
+        return st, programs, deltas
 
 
 class Machine:
@@ -333,25 +434,9 @@ class Machine:
     ) -> RunResult:
         # The uninstrumented interpreter loop; run() wraps it with the
         # span/counter layer so the hot loop itself stays untouched.
-        if mode is not None and schedule is not None:
-            raise ScheduleError("pass either a fixed mode or a schedule, not both")
-        if schedule is not None:
-            for edge, m in schedule.items():
-                if not 0 <= m < len(self.mode_table):
-                    raise ScheduleError(f"schedule maps {edge} to invalid mode {m}")
-        current_mode = (
-            mode
-            if mode is not None
-            else (initial_mode if initial_mode is not None else len(self.mode_table) - 1)
-        )
-        if not 0 <= current_mode < len(self.mode_table):
-            raise ScheduleError(f"invalid mode index {current_mode}")
-        schedule = schedule or {}
-        # Apply the entry-edge mode before anything executes (no transition
-        # cost: this is the a-priori setting, as in the paper).
+        current_mode, schedule = self._start_mode(cfg, mode, schedule,
+                                                  initial_mode)
         entry_edge = (ENTRY_EDGE_SOURCE, cfg.entry)
-        if entry_edge in schedule:
-            current_mode = schedule[entry_edge]
 
         decoded, block_lines = self._decode(cfg)
         memory = DataMemory(cfg.data_size() + cfg.element_size, cfg.element_size)
@@ -385,7 +470,7 @@ class Machine:
                 use_fast = False
             else:
                 pf = program_fast(self, cfg)
-                fast_fns = pf.block_fns
+                fast_fns = pf.compiled()
                 fast_consts = pf.consts(current_mode)
                 if trace is None:
                     loop_ok = pf.loop_headers_disjoint(schedule)
@@ -402,12 +487,15 @@ class Machine:
         time_block = timing.block
         pending = timing.pending
         miss_done = 0.0
+        switch = _ModeSwitch(self, tables, timing,
+                             pf.consts if fast_fns is not None else None,
+                             current_mode)
 
         # Recording (for replays): one code per block execution, odd when
         # an access missed L1, whose outcome codes then follow in order.
         rec = rec_outs = None
         if record is not None:
-            if record.blocks or record.result is not None:
+            if record.blocks or record.base is not None:
                 raise SimulationError("record needs an empty ExecutionStream")
             rec = record.blocks.append
             rec_outs = record.outcomes
@@ -420,10 +508,6 @@ class Machine:
         cache_cycles = 0
         ifetch_cycles = 0
         instructions = 0
-        mode_transitions = 0
-        modeset_executions = 0
-        transition_energy_nj = 0.0
-        transition_time_s = 0.0
         # Run-level DRAM energy: compensated (Neumaier) accumulator state.
         mem_s = 0.0
         mem_c = 0.0
@@ -434,8 +518,6 @@ class Machine:
         acct: dict[str, list] = {label: [0, 0.0, 0.0, 0.0, 0.0] for label in cfg.blocks}
         edge_counts: dict[Edge, int] = {}
         path_counts: dict[tuple[str, str, str], int] = {}
-
-        voltages = [p.voltage for p in self.mode_table.points]
 
         label = cfg.entry
         prev_block = ENTRY_EDGE_SOURCE
@@ -631,30 +713,11 @@ class Machine:
             path_counts[triple] = path_counts.get(triple, 0) + 1
 
             if edge in schedule:
-                modeset_executions += 1
-                target_mode = schedule[edge]
-                if target_mode != current_mode:
-                    v_from = voltages[current_mode]
-                    v_to = voltages[target_mode]
-                    st = self.transition_model.time_s(v_from, v_to)
-                    # Canonical nJ-space cost: the same method the MILP's
-                    # linearized CE constant derives from, so the charged
-                    # SE can never drift from the formulation's.
-                    se_nj = self.transition_model.energy_nj(v_from, v_to)
+                switched = switch(schedule[edge])
+                if switched is not None:
+                    st, programs, fast_consts = switched
                     now += st
-                    transition_time_s += st
-                    transition_energy_nj += se_nj
-                    mode_transitions += 1
-                    current_mode = target_mode
-                    # Rebind every mode-derived table; stale bindings here
-                    # would silently misprice the new mode.
-                    mode_consts, programs = tables.table(current_mode)
-                    timing.consts = mode_consts
-                    if fast_fns is not None:
-                        # Memoized block deltas are per-mode: swap the
-                        # delta table with the mode (never reuse stale
-                        # deltas priced at the previous operating point).
-                        fast_consts = pf.consts(current_mode)
+                    current_mode = switch.mode
 
             prev_block = label
             label = next_label
@@ -671,7 +734,7 @@ class Machine:
         cache_stats = dcache.stats()
         cache_stats.update({f"i_{k}": v for k, v in icache.stats().items()})
         result = self._result(
-            acct.items(), timing, transition_energy_nj,
+            acct.items(), timing, switch,
             return_value=return_value,
             wall_time_s=now,
             memory_energy_nj=mem_s + mem_c,
@@ -682,24 +745,45 @@ class Machine:
             dependent_cycles=dependent_cycles,
             cache_cycles=cache_cycles,
             ifetch_cycles=ifetch_cycles,
-            mode_transitions=mode_transitions,
-            modeset_executions=modeset_executions,
-            transition_time_s=transition_time_s,
-            final_mode=current_mode,
             memory=memory,
         )
         if record is not None:
             record.cfg = cfg
             record.config = self.config
-            record.result = result
+            record.base = StreamBase.of(result)
         return result
 
-    def _result(self, acct_items, timing: TimingModel,
-                transition_energy_nj: float, *, dependent_cycles: int,
-                cache_cycles: int, ifetch_cycles: int, **fields) -> RunResult:
+    def _start_mode(self, cfg: CFG, mode: int | None,
+                    schedule: dict[Edge, int] | None,
+                    initial_mode: int | None) -> tuple[int, dict[Edge, int]]:
+        """Validate a run's mode arguments; returns (starting mode,
+        schedule), the schedule ``{}`` for a fixed-mode run.
+
+        The entry-edge mode applies before anything executes, with no
+        transition cost: it is the a-priori setting, as in the paper.
+        """
+        if mode is not None and schedule is not None:
+            raise ScheduleError("pass either a fixed mode or a schedule, not both")
+        if schedule is not None:
+            for edge, m in schedule.items():
+                if not 0 <= m < len(self.mode_table):
+                    raise ScheduleError(f"schedule maps {edge} to invalid mode {m}")
+        current_mode = (
+            mode
+            if mode is not None
+            else (initial_mode if initial_mode is not None else len(self.mode_table) - 1)
+        )
+        if not 0 <= current_mode < len(self.mode_table):
+            raise ScheduleError(f"invalid mode index {current_mode}")
+        schedule = schedule or {}
+        return schedule.get((ENTRY_EDGE_SOURCE, cfg.entry), current_mode), schedule
+
+    def _result(self, acct_items, timing: TimingModel, switch: _ModeSwitch,
+                *, dependent_cycles: int, cache_cycles: int,
+                ifetch_cycles: int, **fields) -> RunResult:
         """Assemble a RunResult: block totals from the per-block
         compensated accumulators, cycle classes from the timing model plus
-        the caller's folded counts."""
+        the caller's folded counts, DVS accounting from the mode-sets."""
         from repro.perf.accum import NeumaierSum
 
         cpu_total = NeumaierSum()
@@ -709,7 +793,7 @@ class Machine:
             block_stats[blabel] = BlockStats(count=a[0], time_s=a[1] + a[2],
                                              cpu_energy_nj=e_nj)
             cpu_total.add(e_nj)
-        cpu_total.add(transition_energy_nj)
+        cpu_total.add(switch.energy_nj)
         return RunResult(
             cpu_energy_nj=cpu_total.value,
             block_stats=block_stats,
@@ -721,61 +805,87 @@ class Machine:
             mem_misses=timing.mem_misses,
             t_invariant_s=timing.mem_misses * self.config.memory_latency_s,
             gated_wait_s=timing.gated_wait,
-            transition_energy_nj=transition_energy_nj,
+            mode_transitions=switch.transitions,
+            modeset_executions=switch.executions,
+            transition_energy_nj=switch.energy_nj,
+            transition_time_s=switch.time_s,
+            final_mode=switch.mode,
             **fields,
         )
 
     # -- replay -----------------------------------------------------------------
 
-    def replay(self, stream: ExecutionStream, mode: int) -> RunResult:
-        """Time a recorded run under another fixed mode, without executing it.
+    def replay(
+        self,
+        stream: ExecutionStream,
+        mode: int | None = None,
+        *,
+        schedule: dict[Edge, int] | None = None,
+        initial_mode: int | None = None,
+    ) -> RunResult:
+        """Time a recorded run under a fixed mode or a schedule, without
+        executing it.
 
         Control flow, data and cache contents do not depend on the
         operating point (the paper's assumption 1 and its asynchronous
-        memory), so the block sequence and access outcomes a recorded run
-        left in ``stream`` are those of a run at any mode.  The replay
-        feeds them through the same timing model as a live run: a block
-        recorded all-L1 is committed from its folded delta when nothing is
-        pending and no miss is outstanding, every other execution goes
-        through :class:`~repro.simulator.timing.TimingModel`.  The result
-        is bit-identical to ``run(cfg, mode=mode)`` with the stream's
-        inputs.
+        memory), and a mode-set changes only timing, so the block sequence
+        and access outcomes a recorded run left in ``stream`` are those of
+        a run at any mode or under any schedule.  The replay feeds them
+        through the same timing model as a live run: a block recorded
+        all-L1 is committed from its folded delta when nothing is pending
+        and no miss is outstanding, every other execution goes through
+        :class:`~repro.simulator.timing.TimingModel`, and the mode-set on a
+        scheduled edge executes through the same switch as in a live run.
+        The result is bit-identical to ``run(cfg, mode=mode)`` or
+        ``run(cfg, schedule=schedule, initial_mode=initial_mode)`` with the
+        stream's inputs.
 
         Args:
             stream: filled by a ``run(..., record=stream)`` on a machine
-                with this machine's configuration and mode table.
-            mode: the mode index to time the run at.
+                with this machine's configuration, or loaded from its
+                artifact.
+            mode: the fixed mode index to time the run at.
+            schedule: edge -> mode index map; exclusive with ``mode``.
+            initial_mode: starting mode under ``schedule`` (default:
+                fastest); the synthetic entry edge may override it.
 
         Raises:
             SimulationError: the stream was never recorded, or does not
                 describe its recorded run (a corrupt stream).
+            ScheduleError: invalid mode arguments, as for :meth:`run`.
         """
-        if stream.result is None:
+        if stream.base is None:
             raise SimulationError("replay of a stream that was never recorded")
         if not observe.enabled():
-            return self._replay(stream, mode)
+            return self._replay(stream, mode, schedule, initial_mode)
         with observe.span("simulator.replay", program=stream.cfg.name,
-                          mode=mode):
-            result = self._replay(stream, mode)
+                          mode=mode, scheduled=schedule is not None):
+            result = self._replay(stream, mode, schedule, initial_mode)
         observe.add("simulator.replays")
         observe.add("simulator.replay_blocks", len(stream.blocks))
+        if schedule is not None:
+            observe.add("simulator.scheduled_replays")
+            observe.add("simulator.replay_transitions", result.mode_transitions)
         return result
 
-    def _replay(self, stream: ExecutionStream, mode: int) -> RunResult:
+    def _replay(self, stream: ExecutionStream, mode: int | None,
+                schedule: dict[Edge, int] | None,
+                initial_mode: int | None) -> RunResult:
         from repro.perf.engine import program_fast
 
-        base = stream.result
+        base = stream.base
+        cfg = stream.cfg
         if stream.config != self.config:
             raise SimulationError(
                 "replay on a machine whose configuration differs from the "
                 "recording's")
-        if not 0 <= mode < len(self.mode_table):
-            raise ScheduleError(f"invalid mode index {mode}")
-        pf = program_fast(self, stream.cfg)
+        current_mode, schedule = self._start_mode(cfg, mode, schedule,
+                                                  initial_mode)
+        pf = program_fast(self, cfg)
         tables = pf.timing
         labels = tables.labels
-        mode_consts, programs = tables.table(mode)
-        consts = pf.consts(mode)
+        index = tables.index
+        mode_consts, programs = tables.table(current_mode)
         timing = TimingModel(self.config, mode_consts)
         time_block = timing.block
         pending = timing.pending
@@ -783,12 +893,30 @@ class Machine:
 
         # Per block id: [count, time_s, time_comp, e_nj, e_comp, folded].
         acct = [[0, 0.0, 0.0, 0.0, 0.0, 0] for _ in labels]
-        # Indexed by stream code: (dt, de, acct) for foldable blocks' even
-        # (all-L1) codes, None elsewhere.
-        fold: list = [None] * (2 * len(labels))
-        for label, c in consts.items():
-            bid = tables.index[label]
-            fold[bid << 1] = (c[0], c[1], acct[bid])
+        folds: dict[int, list] = {}
+
+        def fold_table(m: int) -> list:
+            # Indexed by stream code: (dt, de, acct) at the even (all-L1)
+            # codes, None at the odd ones.
+            table = folds.get(m)
+            if table is None:
+                table = [None] * (2 * len(labels))
+                for bid, c in enumerate(pf.consts(m).values()):
+                    table[bid << 1] = (c[0], c[1], acct[bid])
+                folds[m] = table
+            return table
+
+        fold = fold_table(current_mode)
+        switch = _ModeSwitch(self, tables, timing, fold_table, current_mode)
+        # Indexed by stream code: the block's scheduled out-edges as
+        # {successor's stream codes: mode}, None for a block without any.
+        out_edges: list = [None] * (2 * len(labels))
+        for (src, dst), m in schedule.items():
+            if src in index and dst in index:
+                s, d = index[src] << 1, index[dst] << 1
+                targets = out_edges[s] or {}
+                targets[d] = targets[d | 1] = m
+                out_edges[s] = out_edges[s | 1] = targets
 
         outs = stream.outcomes
         opos = 0
@@ -796,8 +924,17 @@ class Machine:
         miss_done = 0.0
         mem_s = 0.0
         mem_c = 0.0
-        unclean = 0  # all-L1 foldable executions the replay's state forbade
+        unclean = 0  # all-L1 executions the replay's state forbade folding
+        targets = None  # the previous block's scheduled out-edges
         for code in stream.blocks:
+            if targets is not None:
+                m = targets.get(code)
+                if m is not None:
+                    switched = switch(m)
+                    if switched is not None:
+                        st, programs, fold = switched
+                        now += st
+            targets = out_edges[code]
             f = fold[code]
             if f is not None and not pending and now >= miss_done:
                 dt, de, a = f
@@ -817,8 +954,7 @@ class Machine:
                 bt, e_local, m_local, opos = time_block(programs[bid], outs,
                                                         opos, now)
             else:
-                if f is not None:
-                    unclean += 1
+                unclean += 1
                 bt, e_local, m_local, _ = time_block(programs[bid], all_l1[bid],
                                                      0, now)
             miss_done = timing.miss_done
@@ -839,6 +975,9 @@ class Machine:
                 mem_c += (s - t) + m_local if s >= m_local else (m_local - t) + s
                 mem_s = t
 
+        # Folded executions' cycle classes are counts of cycles, the same
+        # at every mode.
+        consts = pf.consts(switch.mode)
         dependent_cycles = cache_cycles = ifetch_cycles = folded_total = 0
         for label, a in zip(labels, acct):
             folded = a[5]
@@ -856,7 +995,7 @@ class Machine:
             "all_l1_timed": unclean,
         }
         result = self._result(
-            zip(labels, acct), timing, 0.0,
+            zip(labels, acct), timing, switch,
             return_value=base.return_value,
             wall_time_s=now,
             memory_energy_nj=mem_s + mem_c,
@@ -867,10 +1006,6 @@ class Machine:
             dependent_cycles=dependent_cycles,
             cache_cycles=cache_cycles,
             ifetch_cycles=ifetch_cycles,
-            mode_transitions=0,
-            modeset_executions=0,
-            transition_time_s=0.0,
-            final_mode=mode,
             memory=base.memory.copy() if base.memory is not None else None,
         )
         # Mode-independent quantities must agree with the recording.
@@ -879,8 +1014,7 @@ class Machine:
                 or result.ifetch_cycles != base.ifetch_cycles
                 or result.dmiss_sync_cycles != base.dmiss_sync_cycles
                 or result.mem_misses != base.mem_misses
-                or any(result.block_stats[l].count != base.block_stats[l].count
-                       for l in labels)):
+                or tuple(a[0] for a in acct) != base.block_counts):
             raise SimulationError(
-                f"{stream.cfg.name}: replay diverged from its recorded run")
+                f"{cfg.name}: replay diverged from its recorded run")
         return result

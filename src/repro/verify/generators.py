@@ -25,6 +25,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from repro.ir.cfg import ENTRY_EDGE_SOURCE
+
 ARRAY_LEN = 64
 
 try:  # hypothesis is a dev dependency; the fuzz CLI must run without it.
@@ -134,6 +136,22 @@ def generate_program(seed: int | random.Random) -> GeneratedProgram:
         inputs={"data": seed_values},
         statements=tuple(statements),
     )
+
+
+def random_schedule(cfg, num_modes: int,
+                    rng: random.Random) -> tuple[dict, int]:
+    """A random mode-set placement over ``cfg``, for the scheduled-replay
+    differential: ``(schedule, initial_mode)``.
+
+    Every CFG edge, loop back-edges and edges inside loops included,
+    carries a mode-set with probability 0.3, to a uniformly drawn mode;
+    the synthetic entry edge carries one half the time.
+    """
+    schedule = {edge: rng.randrange(num_modes) for edge in cfg.edges()
+                if rng.random() < 0.3}
+    if rng.random() < 0.5:
+        schedule[(ENTRY_EDGE_SOURCE, cfg.entry)] = rng.randrange(num_modes)
+    return schedule, rng.randrange(num_modes)
 
 
 # -- pathological LP instances ------------------------------------------------

@@ -33,7 +33,7 @@ fuzz driver can collect and report the first failure with full context.
   (:mod:`repro.perf`) must be *bit-identical* to the reference
   interpreter on the same run, down to profile dict ordering and the
   final memory image, and so must the timing replay of its recording at
-  every mode.
+  every mode and under a schedule.
 """
 
 from __future__ import annotations
@@ -419,10 +419,12 @@ def fastpath_matches_reference(
     preserves it), and the final memory image.  Any divergence — even
     one ulp of energy or a reordered profile entry — fails the oracle.
 
-    At a fixed mode the fast run also records its execution stream, and
-    the timing replay of that stream at *every* mode of the table must
-    match the reference run at that mode the same way (the profiler
-    derives all but one mode from such replays).
+    The fast run also records its execution stream.  At a fixed mode the
+    timing replay of that stream at *every* mode of the table must match
+    the reference run at that mode the same way (the profiler derives
+    all but one mode from such replays); under a schedule the replay of
+    the stream under that schedule must match the reference scheduled
+    run (the pipeline's ``simulate`` task is such a replay).
     """
     from repro.perf.bench import result_fingerprint
     from repro.simulator.machine import ExecutionStream
@@ -430,20 +432,27 @@ def fastpath_matches_reference(
     name = "fastpath-matches-reference"
     kwargs = dict(inputs=inputs, registers=registers, mode=mode,
                   schedule=schedule, initial_mode=initial_mode)
-    stream = ExecutionStream() if mode is not None else None
+    stream = ExecutionStream()
     fast = machine.run(cfg, fastpath=True, record=stream, **kwargs)
     stats = dict(machine.last_fastpath_stats)
     reference = machine.run(cfg, fastpath=False, **kwargs)
     pairs = [("fast", fast, reference)]
-    if stream is not None:
+    if mode is not None:
         for m in range(len(machine.mode_table)):
             ref_m = reference if m == mode else machine.run(
                 cfg, fastpath=False, inputs=inputs, registers=registers, mode=m)
             pairs.append((f"replay at mode {m}", machine.replay(stream, m), ref_m))
+    else:
+        pairs.append(("scheduled replay",
+                      machine.replay(stream, schedule=schedule,
+                                     initial_mode=initial_mode),
+                      reference))
     for what, got, want in pairs:
         if result_fingerprint(got) != result_fingerprint(want):
             return _failed(name, f"{what}: {_first_divergence(got, want)}")
-    replays = f", {len(pairs) - 1} replayed modes" if stream is not None else ""
+    replays = (f", {len(pairs) - 1} replayed modes" if mode is not None
+               else f", scheduled replay with {reference.mode_transitions} "
+                    f"transitions")
     return _passed(
         name,
         f"bit-identical ({fast.instructions} instructions, "

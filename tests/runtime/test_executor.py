@@ -48,10 +48,12 @@ class TestHappyPath:
         try:
             store = ArtifactStore(tmp_path / "store")
             cold = run_graph(graph, store=store, config=ExecutorConfig(jobs=1))
-            # Nothing is simulated twice: one recorded profiling run, two
-            # timing replays of it for the other modes, one scheduled run.
-            assert observe.counter_value("simulator.runs") == 2
-            assert observe.counter_value("simulator.replays") == 2
+            # Nothing is simulated twice: one recorded profiling run, and
+            # timing replays of its stream for the other two modes and for
+            # the scheduled run.
+            assert observe.counter_value("simulator.runs") == 1
+            assert observe.counter_value("simulator.replays") == 3
+            assert observe.counter_value("simulator.scheduled_replays") == 1
             cold_compiles = len(compiles)
             observe.reset()
             warm_store = ArtifactStore(tmp_path / "store")

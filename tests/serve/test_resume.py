@@ -97,12 +97,6 @@ def test_recovery_leaves_no_unawaited_stream_wakeup(server_factory, tmp_path,
                                                     monkeypatch):
     """Aborting a server with a job in flight, then resuming it, leaves
     no progress-event wake-up behind as a never-awaited coroutine."""
-    from repro.runtime.dag import load_task_stack
-
-    # The aborted server's run thread may still be importing the task
-    # stack when the second server forks its workers; import it first so
-    # no fork can copy a held import lock.
-    load_task_stack()
     unraisable = []
     monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
     with warnings.catch_warnings(record=True) as seen:

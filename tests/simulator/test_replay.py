@@ -7,8 +7,10 @@ from dataclasses import replace
 import pytest
 
 from repro import observe
-from repro.errors import ProfileError, SimulationError
+from repro.errors import ProfileError, ScheduleError, SimulationError
 from repro.ir import FunctionBuilder
+from repro.ir.cfg import ENTRY_EDGE_SOURCE
+from repro.ir.instructions import Const
 from repro.perf.bench import result_fingerprint
 from repro.profiling.profiler import profile_program
 from repro.simulator import Machine, SCALE_CONFIG, TransitionCostModel, XSCALE_3
@@ -160,3 +162,68 @@ def test_cross_mode_checks_run_on_the_full_simulation_path():
                                fastpath=False)
     with pytest.raises(ProfileError, match="result changed across modes"):
         profile_program(machine, miss_shadow_program())
+
+
+def _scheduled_pair(schedule, initial_mode, capacitance_f=10e-6):
+    cfg = miss_shadow_program()
+    fast = Machine(SCALE_CONFIG, XSCALE_3,
+                   TransitionCostModel(capacitance_f=capacitance_f))
+    slow = Machine(SCALE_CONFIG, XSCALE_3,
+                   TransitionCostModel(capacitance_f=capacitance_f),
+                   fastpath=False)
+    stream = ExecutionStream()
+    fast.run(cfg, mode=1, record=stream)
+    replayed = fast.replay(stream, schedule=schedule, initial_mode=initial_mode)
+    reference = slow.run(cfg, schedule=schedule, initial_mode=initial_mode)
+    return replayed, reference
+
+
+@pytest.mark.parametrize("initial_mode", [0, 2])
+def test_scheduled_replay_switches_under_an_outstanding_miss(initial_mode):
+    # At 800 MHz `miss` ends with its load still in flight, so the
+    # mode-set on miss->next executes under the outstanding miss; the
+    # loop's back-edge switches back on every iteration.
+    schedule = {("miss", "next"): 0, ("next", "head"): 2, ("work", "next"): 1}
+    replayed, reference = _scheduled_pair(schedule, initial_mode)
+    assert result_fingerprint(replayed) == result_fingerprint(reference)
+    assert reference.mode_transitions >= 3
+    assert replayed.transition_energy_nj > 0 and replayed.transition_time_s > 0
+    assert replayed.modeset_executions == reference.modeset_executions
+
+
+def test_scheduled_replay_applies_the_entry_edge_mode_for_free():
+    schedule = {(ENTRY_EDGE_SOURCE, "entry"): 0, ("head", "done"): 2}
+    replayed, reference = _scheduled_pair(schedule, initial_mode=2)
+    assert result_fingerprint(replayed) == result_fingerprint(reference)
+    assert replayed.mode_transitions == 1  # only head->done switches
+    assert replayed.final_mode == 2
+
+
+def test_scheduled_replay_validates_like_run():
+    cfg = miss_shadow_program()
+    fast, _ = _machines()
+    stream = ExecutionStream()
+    fast.run(cfg, mode=0, record=stream)
+    with pytest.raises(ScheduleError, match="invalid mode"):
+        fast.replay(stream, schedule={("head", "work"): 7})
+    with pytest.raises(ScheduleError, match="not both"):
+        fast.replay(stream, 0, schedule={})
+
+
+def test_replay_generates_no_code():
+    # A fresh program: the fold tables are pure timing, so replaying a
+    # recording compiles nothing beyond what the recording run did.
+    cfg = miss_shadow_program()
+    cfg.name = "miss-shadow-codegen"
+    cfg.blocks["done"].instructions.insert(0, Const("pad", 1.0))
+    fast, _ = _machines()
+    stream = ExecutionStream()
+    fast.run(cfg, mode=0, record=stream, fastpath=False)
+    observe.enable(reset=True)
+    try:
+        fast.replay(stream, 2)
+        fast.replay(stream, schedule={("head", "work"): 0})
+        assert observe.counter_value("perf.codegen.blocks") == 0
+    finally:
+        observe.disable()
+        observe.reset()
