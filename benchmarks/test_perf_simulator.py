@@ -16,7 +16,8 @@ import json
 import pytest
 from conftest import RESULTS_DIR, write_artifact
 
-from repro.perf.bench import run_bench, write_bench_json
+from repro.perf.bench import run_bench
+from repro.perf.harness import write_document
 
 #: The tentpole acceptance floor: loop-heavy steady state, >= 3x.
 SPEEDUP_FLOOR = 3.0
@@ -32,7 +33,7 @@ def document():
 
 def test_fastpath_speedup_floor_and_identity(document):
     RESULTS_DIR.mkdir(exist_ok=True)
-    path = write_bench_json(document, RESULTS_DIR / "BENCH_simulator.json")
+    path = write_document(document, RESULTS_DIR / "BENCH_simulator.json")
 
     case = document["cases"][0]
     lines = [

@@ -17,8 +17,8 @@
     python -m repro taskgraph sweep --shapes fork-join --cores 1,2,4
     python -m repro taskgraph verify
     python -m repro fuzz --runs 0 --taskgraph-runs 10
-    python -m repro bench --taskgraph
-    python -m repro bench --summary
+    python -m repro bench taskgraph
+    python -m repro bench summary
     python -m repro stats sweep-results
     python -m repro trace summarize sweep-results
     python -m repro cache verify
@@ -781,12 +781,8 @@ def cmd_serve(args) -> int:
 
 
 def cmd_loadtest(args) -> int:
-    from repro.perf.loadtest import (
-        LoadtestConfig,
-        render_loadtest,
-        run_loadtest,
-        write_loadtest,
-    )
+    from repro.perf.harness import write_document
+    from repro.perf.loadtest import LoadtestConfig, render_loadtest, run_loadtest
 
     config = LoadtestConfig(
         base_url=args.url,
@@ -807,7 +803,7 @@ def cmd_loadtest(args) -> int:
     )
     document = run_loadtest(config)
     print(render_loadtest(document))
-    path = write_loadtest(document, args.output or "BENCH_serve.json")
+    path = write_document(document, args.output or "BENCH_serve.json")
     print(f"written to {path}")
     if document["requests"]["errors"]:
         return EXIT_FAILURE
@@ -820,148 +816,9 @@ def cmd_loadtest(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.taskgraph:
-        return _cmd_bench_taskgraph(args)
-    if args.continuous:
-        return _cmd_bench_continuous(args)
-    if args.summary:
-        return _cmd_bench_summary(args)
-    if args.solver:
-        return _cmd_bench_solver(args)
-    from repro.perf.bench import run_bench, write_bench_json
+    from repro.perf.harness import run_kind
 
-    document = run_bench(suite=args.suite, repeats=args.repeats,
-                         mode=args.mode)
-    print(f"{'case':<14s} {'reference':>10s} {'fast':>10s} "
-          f"{'speedup':>8s} {'replay':>9s} {'vs full':>8s} "
-          f"{'profile':>9s}  identical")
-    for case in document["cases"]:
-        replay = (f"{case['replay_s']:>8.3f}s {case['replay_speedup']:>7.2f}x "
-                  f"{case['profile_s']:>8.3f}s" if "replay_s" in case
-                  else f"{'-':>9s} {'-':>8s} {'-':>9s}")
-        print(f"{case['name']:<14s} {case['reference_s']:>9.3f}s "
-              f"{case['fast_s']:>9.3f}s {case['speedup']:>7.2f}x {replay}  "
-              f"{'yes' if case['identical'] else 'NO'}")
-    path = write_bench_json(document, args.output or "BENCH_simulator.json")
-    replay = (f", replay >= {document['min_replay_speedup']:.2f}x a full run"
-              if document["min_replay_speedup"] is not None else "")
-    print(f"\nheadline {document['headline_speedup']:.2f}x{replay} "
-          f"[written to {path}]")
-    if not document["all_identical"]:
-        print("bench: fast path diverged from the reference interpreter",
-              file=sys.stderr)
-        return EXIT_FAILURE
-    return EXIT_OK
-
-
-def _cmd_bench_solver(args) -> int:
-    from repro.perf.bench_solver import run_solver_bench, write_bench_json
-
-    workloads = tuple(w.strip() for w in args.workloads.split(",")
-                      if w.strip())
-    document = run_solver_bench(workloads=workloads)
-    print(f"{'case':<10s} {'warm':>9s} {'cold':>9s} {'HiGHS':>9s} "
-          f"{'warm piv':>9s} {'cold piv':>9s}  identical")
-    for case in document["cases"]:
-        for row in case["deadlines"]:
-            print(f"{case['name'] + ' D' + str(row['deadline']):<10s} "
-                  f"{row['warm_s']:>8.2f}s {row['cold_s']:>8.2f}s "
-                  f"{row['highs_s']:>8.2f}s {row['warm_pivots']:>9d} "
-                  f"{row['cold_pivots']:>9d}  "
-                  f"{'yes' if row['identical'] else 'NO'}")
-    path = write_bench_json(document, args.output or "BENCH_solver.json")
-    print(f"\nwarm {document['warm_s']:.2f}s / {document['warm_pivots']} "
-          f"pivots vs cold {document['cold_s']:.2f}s / "
-          f"{document['cold_pivots']} pivots (ratio "
-          f"{document['pivot_ratio']:.2f}) [written to {path}]")
-    if not document["all_identical"]:
-        print("bench: warm, cold and HiGHS rows are not byte-identical",
-              file=sys.stderr)
-        return EXIT_FAILURE
-    return EXIT_OK
-
-
-def _cmd_bench_taskgraph(args) -> int:
-    from repro.perf.bench_taskgraph import run_taskgraph_bench, write_bench_json
-
-    cores = tuple(int(c) for c in args.tg_cores.split(",") if c.strip())
-    document = run_taskgraph_bench(tasks=args.tg_tasks, cores=cores,
-                                   repeats=args.repeats)
-    print(f"{'case':<8s} {'solve':>9s} {'milp nJ':>14s} {'greedy nJ':>14s} "
-          f"{'gap':>7s}  optimal")
-    for case in document["cases"]:
-        print(f"{case['name']:<8s} {case['solve_s']:>8.3f}s "
-              f"{case['milp_energy_nj']:>14.1f} "
-              f"{case['greedy_energy_nj']:>14.1f} "
-              f"{case['energy_gap']:>6.1%}  "
-              f"{'yes' if case['optimal'] else 'NO'}")
-    path = write_bench_json(document, args.output or "BENCH_taskgraph.json")
-    print(f"\n{document['graph']}: worst solve "
-          f"{document['headline_solve_s']:.3f}s, best gap vs greedy "
-          f"{document['headline_gap']:.1%} [written to {path}]")
-    if not document["all_verified"]:
-        print("bench: a taskgraph case failed its differential check",
-              file=sys.stderr)
-        return EXIT_FAILURE
-    return EXIT_OK
-
-
-def _cmd_bench_continuous(args) -> int:
-    from repro.perf.bench_continuous import (
-        run_continuous_bench,
-        write_bench_json,
-    )
-
-    workloads = tuple(w.strip() for w in args.workloads.split(",")
-                      if w.strip())
-    document = run_continuous_bench(workloads=workloads)
-    print(f"{'case':<10s} {'frac':>5s} {'continuous':>12s} {'milp':>12s} "
-          f"{'gap':>7s} {'prunes':>7s} {'enq off/on':>11s}  identical")
-    for case in document["cases"]:
-        for row in case["rows"]:
-            pruner = row["pruner"]
-            print(f"{case['name']:<10s} {row['deadline_frac']:>5.2f} "
-                  f"{row['continuous_energy_nj']:>12.3g} "
-                  f"{row['milp_energy_nj']:>12.3g} "
-                  f"{row['opportunity_gap']:>6.1%} "
-                  f"{pruner['continuous_prunes']:>7d} "
-                  f"{pruner['nodes_enqueued_off']:>5d}/"
-                  f"{pruner['nodes_enqueued_on']:<5d} "
-                  f"{'yes' if pruner['identical'] else 'NO'}")
-    path = write_bench_json(document, args.output or "BENCH_continuous.json")
-    print(f"\nheadline gap {document['headline_gap']:.1%}, "
-          f"{document['continuous_prunes']} continuous prunes, enqueued "
-          f"{document['nodes_enqueued_off']} -> {document['nodes_enqueued_on']} "
-          f"[written to {path}]")
-    if not document["all_identical"]:
-        print("bench: the continuous incumbent changed a schedule",
-              file=sys.stderr)
-        return EXIT_FAILURE
-    if not document["pruner_effective"]:
-        print("bench: the continuous incumbent never pruned anything",
-              file=sys.stderr)
-        return EXIT_FAILURE
-    return EXIT_OK
-
-
-def _cmd_bench_summary(args) -> int:
-    from repro.perf.bench_summary import run_summary, write_summary_json
-
-    document = run_summary(bench_dir=args.bench_dir,
-                           baseline_dir=args.baseline_dir)
-    for key, entry in document["benches"].items():
-        print(f"{key}:")
-        for metric, value in entry["headline"].items():
-            delta = (entry["deltas"] or {}).get(metric)
-            extra = ""
-            if delta and delta["delta_rel"] is not None:
-                extra = f"  ({delta['delta_rel']:+.1%} vs baseline)"
-            print(f"  {metric:<20s} {value}{extra}")
-    if document["missing"]:
-        print(f"missing: {', '.join(document['missing'])}")
-    path = write_summary_json(document, args.output or "BENCH_summary.json")
-    print(f"[written to {path}]")
-    return EXIT_OK
+    return run_kind(args.kind, args)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1217,52 +1074,46 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser(
         "bench",
-        help="benchmark the accelerated simulator against the reference "
-             "interpreter (writes BENCH_simulator.json), or with "
-             "--solver the warm-started native simplex against cold "
-             "solves and HiGHS (writes BENCH_solver.json)",
+        help="run one bench, print its table, write BENCH_<kind>.json and "
+             "exit 1 if any of its gates fails",
     )
+    p_bench.add_argument("kind", nargs="?", default="simulator",
+                         choices=("simulator", "solver", "continuous",
+                                  "taskgraph", "summary"),
+                         help="simulator: fast path vs reference "
+                              "interpreter; solver: warm vs cold native "
+                              "solves and HiGHS over the Fig. 17/18 "
+                              "deadlines; continuous: opportunity gap and "
+                              "pruner A/B; taskgraph: the taskgraph MILP "
+                              "across core counts; summary: every "
+                              "BENCH_*.json headline with deltas vs the "
+                              "baselines (default simulator)")
     p_bench.add_argument("--suite", action="store_true",
-                         help="also benchmark every suite workload: fast "
-                              "vs reference, timing replay vs full run, and "
-                              "the 3-mode profile")
+                         help="simulator: also bench every suite workload: "
+                              "fast vs reference, timing replay vs full "
+                              "run, and the 3-mode profile")
     p_bench.add_argument("--repeats", type=int, default=1,
                          help="timing repeats per case, best-of (default 1)")
     p_bench.add_argument("--mode", type=int, default=2,
-                         help="mode index to simulate at (default 2)")
-    p_bench.add_argument("--solver", action="store_true",
-                         help="benchmark warm vs cold native solves over "
-                              "the Fig. 17/18 deadline sweep instead of the "
-                              "simulator")
-    p_bench.add_argument("--continuous", action="store_true",
-                         help="benchmark the continuous-voltage engine: "
-                              "opportunity gap vs the discrete MILP and "
-                              "the warm-incumbent pruner A/B (writes "
-                              "BENCH_continuous.json)")
-    p_bench.add_argument("--taskgraph", action="store_true",
-                         help="benchmark the taskgraph MILP across core "
-                              "counts (writes BENCH_taskgraph.json)")
+                         help="simulator: mode index to simulate at "
+                              "(default 2)")
     p_bench.add_argument("--tg-tasks", type=int, default=7,
-                         help="graph size for --taskgraph (default 7)")
+                         help="taskgraph: graph size (default 7)")
     p_bench.add_argument("--tg-cores", default="1,2,4",
-                         help="comma-joined core counts for --taskgraph "
+                         help="taskgraph: comma-joined core counts "
                               "(default 1,2,4)")
-    p_bench.add_argument("--summary", action="store_true",
-                         help="aggregate all BENCH_*.json headline metrics "
-                              "with deltas vs benchmarks/results/ (writes "
-                              "BENCH_summary.json)")
     p_bench.add_argument("--bench-dir", default=".",
-                         help="directory holding BENCH_*.json for --summary "
+                         help="summary: directory holding BENCH_*.json "
                               "(default .)")
     p_bench.add_argument("--baseline-dir", default="benchmarks/results",
-                         help="tracked baseline directory for --summary "
-                              "(default benchmarks/results)")
+                         help="tracked baselines, for the summary's deltas "
+                              "and the baseline gates; a missing baseline "
+                              "fails those gates (default benchmarks/results)")
     p_bench.add_argument("--workloads", default="adpcm,gsm",
-                         help="comma-joined workloads for --solver "
+                         help="solver, continuous: comma-joined workloads "
                               "(default adpcm,gsm)")
     p_bench.add_argument("-o", "--output", default=None,
-                         help="output JSON path (default "
-                              "BENCH_simulator.json / BENCH_solver.json)")
+                         help="output JSON path (default BENCH_<kind>.json)")
     p_bench.set_defaults(fn=cmd_bench)
 
     p_trace = sub.add_parser(

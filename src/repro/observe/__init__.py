@@ -41,6 +41,7 @@ from .core import (
     env_enabled,
     event,
     gauge,
+    percentile,
     process_gauge,
     record,
     reset,
@@ -68,7 +69,8 @@ __all__ = [
     "SNAPSHOT_FORMAT", "TRACE_ENV", "Histogram", "Span",
     "absorb", "add", "clock", "counter_value", "cpu_clock",
     "current_span_id", "disable", "enable", "enabled", "end_span",
-    "env_enabled", "event", "gauge", "process_gauge", "record", "reset",
+    "env_enabled", "event", "gauge", "percentile", "process_gauge",
+    "record", "reset",
     "snapshot", "span", "start_span", "traced",
     "FILE_FORMAT", "METRICS_NAME", "TRACE_NAME", "export",
     "histogram_summary", "host_fingerprint", "read_metrics", "read_trace",

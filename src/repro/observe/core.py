@@ -33,7 +33,7 @@ import os
 import random
 import threading
 import time
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 #: The package's wall clock (monotonic, high resolution).  All timing in
 #: repro — span durations, solver deadlines, budgets — reads this.
@@ -119,6 +119,24 @@ class Span:
         return f"Span({self.name!r}, {self.elapsed_s * 1e3:.3f} ms)"
 
 
+def percentile(values: Iterable[float], q: float) -> float:
+    """Nearest-rank percentile of ``values`` (q in [0, 100]; 0.0 if empty).
+
+    The rank is ``ceil(q * N / 100)`` computed as a single product
+    before the division: dividing first (``q / 100.0 * N``) rounds
+    q/100 to binary float and the representation error then crosses
+    integer boundaries — e.g. ``0.55 * 20`` is ``11.000000000000002``
+    whose ceiling is 12, one rank too high.  ``q * N / 100.0`` stays
+    exact for every integer-valued product.  Out-of-range q clamps
+    to the extreme samples rather than indexing out of bounds.
+    """
+    ordered = sorted(values)
+    if not ordered:
+        return 0.0
+    rank = max(1, math.ceil(q * len(ordered) / 100.0))
+    return ordered[min(rank, len(ordered)) - 1]
+
+
 class Histogram:
     """Count/sum/min/max/percentile summary of an observed value stream.
 
@@ -161,21 +179,8 @@ class Histogram:
         return self.total / self.count if self.count else 0.0
 
     def percentile(self, q: float) -> float:
-        """Nearest-rank percentile over the reservoir (q in [0, 100]).
-
-        The rank is ``ceil(q * N / 100)`` computed as a single product
-        before the division: dividing first (``q / 100.0 * N``) rounds
-        q/100 to binary float and the representation error then crosses
-        integer boundaries — e.g. ``0.55 * 20`` is ``11.000000000000002``
-        whose ceiling is 12, one rank too high.  ``q * N / 100.0`` stays
-        exact for every integer-valued product.  Out-of-range q clamps
-        to the extreme samples rather than indexing out of bounds.
-        """
-        if not self.samples:
-            return 0.0
-        ordered = sorted(self.samples)
-        rank = max(1, math.ceil(q * len(ordered) / 100.0))
-        return ordered[min(rank, len(ordered)) - 1]
+        """Nearest-rank percentile over the reservoir (q in [0, 100])."""
+        return percentile(self.samples, q)
 
     def as_dict(self) -> dict[str, Any]:
         document = {"count": self.count, "sum": self.total,

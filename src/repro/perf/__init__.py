@@ -13,8 +13,16 @@ the structurally repetitive executions profiled DVS workloads are made of:
   natural loops compiled into one function with registers as locals;
 * :mod:`repro.perf.engine` — the compiled-program cache and per-mode
   delta tables;
-* :mod:`repro.perf.bench` — the benchmark harness behind ``repro bench``
-  and ``benchmarks/test_perf_simulator.py``.
+* :mod:`repro.perf.harness` — the one harness behind ``repro bench
+  KIND``: a registry of bench documents sharing one header, writer,
+  table printer, gate check and summary;
+* :mod:`repro.perf.bench`, :mod:`~repro.perf.bench_solver`,
+  :mod:`~repro.perf.bench_continuous`, :mod:`~repro.perf.bench_taskgraph`
+  — the measurements behind the simulator, solver, continuous and
+  taskgraph entries (the first also behind
+  ``benchmarks/test_perf_simulator.py``);
+* :mod:`repro.perf.loadtest` — ``repro loadtest`` against a live
+  ``repro serve``.
 
 The fast path produces bit-identical ``RunResult``s to the reference
 interpreter (see ``docs/performance.md`` for the exactness argument); it

@@ -1,9 +1,9 @@
-"""Fast-path benchmark harness behind ``repro bench``.
+"""Simulator fast-path bench behind ``repro bench`` (``simulator``).
 
 Measures the accelerated simulator against the reference interpreter on
 the same (program, inputs, mode) points, checks bit-identity while it is
-at it, and emits a JSON document (``BENCH_simulator.json``) that CI can
-archive and compare across commits.
+at it, and returns the ``BENCH_simulator.json`` document that
+:mod:`repro.perf.harness` writes, prints and gates.
 
 Two benchmark tiers:
 
@@ -22,13 +22,10 @@ Two benchmark tiers:
 from __future__ import annotations
 
 import dataclasses
-import json
-import platform
-import time
-from pathlib import Path
 from typing import Any
 
 from repro.lang import compile_program
+from repro.perf.harness import best_of, header
 from repro.simulator.config import SCALE_CONFIG
 from repro.simulator.dvs import TransitionCostModel, XSCALE_3
 from repro.simulator.machine import ExecutionStream, Machine
@@ -89,22 +86,11 @@ def result_fingerprint(result) -> str:
     return repr(list(doc.items())) + "|" + cells
 
 
-def _best(call, repeats: int) -> tuple[float, Any]:
-    """Fastest wall time of ``repeats`` calls, and the last result."""
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        result = call()
-        best = min(best, time.perf_counter() - t0)
-    return best, result
-
-
 def _time_run(machine: Machine, cfg, inputs, registers, mode: int,
               repeats: int) -> tuple[float, Any]:
-    return _best(lambda: machine.run(cfg, inputs=dict(inputs),
-                                     registers=dict(registers), mode=mode),
-                 repeats)
+    return best_of(lambda: machine.run(cfg, inputs=dict(inputs),
+                                       registers=dict(registers), mode=mode),
+                   repeats)
 
 
 def bench_case(name: str, cfg, inputs, registers, mode: int = 2,
@@ -147,9 +133,9 @@ def suite_case(name: str, cfg, inputs, registers, mode: int = 2,
     recorded = machine.run(cfg, inputs=dict(inputs), registers=dict(registers),
                            mode=0, record=stream)
     full_s, full = _time_run(machine, cfg, inputs, registers, mode, repeats)
-    replay_s, replayed = _best(lambda: machine.replay(stream, mode), repeats)
+    replay_s, replayed = best_of(lambda: machine.replay(stream, mode), repeats)
     replay_stats = dict(machine.last_replay_stats)
-    profile_s, _ = _best(lambda: profile_program(
+    profile_s, _ = best_of(lambda: profile_program(
         machine, cfg, inputs=dict(inputs), registers=dict(registers)), repeats)
     replay_identical = (result_fingerprint(replayed) == result_fingerprint(full)
                         and result_fingerprint(machine.replay(stream, 0))
@@ -182,20 +168,9 @@ def run_bench(suite: bool = False, repeats: int = 1,
     headline = cases[0]
     replays = [c["replay_speedup"] for c in cases if "replay_speedup" in c]
     return {
-        "format": BENCH_FORMAT,
-        "benchmark": "simulator-fastpath",
-        "python": platform.python_version(),
-        "platform": platform.platform(),
+        **header("simulator-fastpath", BENCH_FORMAT),
         "headline_speedup": headline["speedup"],
         "min_replay_speedup": min(replays) if replays else None,
         "all_identical": all(c["identical"] for c in cases),
         "cases": cases,
     }
-
-
-def write_bench_json(document: dict[str, Any],
-                     path: str | Path = "BENCH_simulator.json") -> Path:
-    """Persist a benchmark document where CI expects it."""
-    path = Path(path)
-    path.write_text(json.dumps(document, indent=2, sort_keys=False) + "\n")
-    return path

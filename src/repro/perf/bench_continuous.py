@@ -1,4 +1,4 @@
-"""Continuous-engine benchmark behind ``repro bench --continuous``.
+"""Continuous-engine bench behind ``repro bench continuous``.
 
 Two measurements per (workload, deadline) grid point:
 
@@ -17,26 +17,22 @@ Two measurements per (workload, deadline) grid point:
   invariant everything else rests on — returned byte-identical schedules
   and objectives everywhere.
 
-Emits ``BENCH_continuous.json`` for CI to archive and gate against the
-tracked copy in ``benchmarks/results/``.
+Returns the ``BENCH_continuous.json`` document; its registry entry
+(:mod:`repro.perf.harness`) also gates it against the tracked copy in
+``benchmarks/results/``.
 """
 
 from __future__ import annotations
 
 import json
-import platform
-from pathlib import Path
 from typing import Any
 
-from repro import observe
 from repro.core import DVSOptimizer
 from repro.core.continuous import continuous_bound, round_up_schedule
 from repro.errors import ScheduleError
-from repro.lang import compile_program
+from repro.perf.harness import header, measured_solve, profiled_workload
 from repro.profiling.serialize import schedule_to_dict
-from repro.simulator import Machine, SCALE_CONFIG, TransitionCostModel, XSCALE_3
 from repro.solver import warmstart
-from repro.workloads import get_workload
 
 #: Schema tag for BENCH_continuous.json consumers.
 BENCH_FORMAT = 1
@@ -48,13 +44,7 @@ DEADLINE_FRACS = (0.2, 0.4, 0.6, 0.8)
 def _solve_counters(optimizer: DVSOptimizer, cfg, deadline,
                     profile) -> dict[str, Any]:
     """One native solve with counter capture (prunes, enqueued nodes)."""
-    observe.enable(reset=True)
-    try:
-        outcome = optimizer.optimize(cfg, deadline, profile=profile)
-        snapshot = observe.snapshot(reset=True)
-    finally:
-        observe.disable()
-    counters = snapshot.get("counters", {})
+    outcome, _, counters = measured_solve(optimizer, cfg, deadline, profile)
     return {
         "schedule": schedule_to_dict(outcome.schedule),
         "energy_nj": float(outcome.predicted_energy_nj),
@@ -68,12 +58,8 @@ def bench_workload(name: str,
                    deadline_fracs: tuple[float, ...] = DEADLINE_FRACS
                    ) -> dict[str, Any]:
     """One workload's opportunity-gap and pruner-A/B rows."""
-    spec = get_workload(name)
-    cfg = compile_program(spec.source, name=name)
-    machine = Machine(SCALE_CONFIG, XSCALE_3, TransitionCostModel())
+    cfg, machine, profile = profiled_workload(name)
     optimizer = DVSOptimizer(machine)
-    profile = optimizer.profile(cfg, inputs=spec.inputs(),
-                                registers=spec.registers())
     modes = sorted(profile.wall_time_s)
     t_fast = profile.wall_time_s[modes[-1]]
     t_slow = profile.wall_time_s[modes[0]]
@@ -131,19 +117,13 @@ def run_continuous_bench(workloads: tuple[str, ...] = ("adpcm", "gsm"),
                          deadline_fracs: tuple[float, ...] = DEADLINE_FRACS
                          ) -> dict[str, Any]:
     """The full benchmark document (the BENCH_continuous.json payload)."""
-    was_enabled = observe.enabled()
     cases = [bench_workload(name, deadline_fracs) for name in workloads]
-    if was_enabled and not observe.enabled():  # pragma: no cover - defensive
-        observe.enable()
     rows = [row for case in cases for row in case["rows"]]
     prunes = sum(r["pruner"]["continuous_prunes"] for r in rows)
     enq_off = sum(r["pruner"]["nodes_enqueued_off"] for r in rows)
     enq_on = sum(r["pruner"]["nodes_enqueued_on"] for r in rows)
     return {
-        "format": BENCH_FORMAT,
-        "benchmark": "continuous-engine",
-        "python": platform.python_version(),
-        "platform": platform.platform(),
+        **header("continuous-engine", BENCH_FORMAT),
         # Worst-case share of the continuous opportunity the discrete
         # table leaves on the table, in savings points.
         "headline_gap": max((r["opportunity_gap"] for r in rows),
@@ -155,11 +135,3 @@ def run_continuous_bench(workloads: tuple[str, ...] = ("adpcm", "gsm"),
         "pruner_effective": prunes > 0 and enq_on <= enq_off,
         "cases": cases,
     }
-
-
-def write_bench_json(document: dict[str, Any],
-                     path: str | Path = "BENCH_continuous.json") -> Path:
-    """Persist a benchmark document where CI expects it."""
-    path = Path(path)
-    path.write_text(json.dumps(document, indent=2, sort_keys=False) + "\n")
-    return path

@@ -1,4 +1,4 @@
-"""Solver benchmark harness behind ``repro bench --solver``.
+"""Solver bench behind ``repro bench solver``.
 
 Times the paper's Figure 17/18 experiment — the five-deadline sweep per
 workload — on the native revised simplex two ways:
@@ -14,40 +14,32 @@ same serialized schedule and the same canonical ``predicted_energy_nj``
 bits.  Pivot counts are deterministic, so the CI gate is on them
 (``warm_pivots <= 0.9 * cold_pivots``) rather than on wall time.  Warm
 starting does not win at every deadline; the per-deadline rows say where.
-Emits ``BENCH_solver.json`` for CI to archive.
+Returns the ``BENCH_solver.json`` document.
 """
 
 from __future__ import annotations
 
 import json
-import platform
-import time
-from pathlib import Path
 from typing import Any
 
-from repro import observe
 from repro.core import DVSOptimizer
-from repro.lang import compile_program
+from repro.perf.harness import header, measured_solve, profiled_workload
 from repro.profiling.serialize import schedule_to_dict
-from repro.simulator import Machine, SCALE_CONFIG, TransitionCostModel, XSCALE_3
 from repro.solver import warmstart
-from repro.workloads import derive_deadlines, get_workload
+from repro.workloads import derive_deadlines
 
 #: Schema tag for BENCH_solver.json consumers.  v2: warm vs cold revised
 #: plus a HiGHS identity row (v1 timed a dense tableau instead).
 BENCH_FORMAT = 2
 
-_PIVOTS = "solver.revised.pivots"
-
 
 def _solve_one(optimizer: DVSOptimizer, cfg, deadline, profile) -> dict[str, Any]:
     """One optimize call: seconds, native pivots and the emitted row."""
-    pivots0 = observe.counter_value(_PIVOTS)
-    t0 = time.perf_counter()
-    outcome = optimizer.optimize(cfg, deadline, profile=profile)
+    outcome, seconds, counters = measured_solve(optimizer, cfg, deadline,
+                                                profile)
     return {
-        "seconds": time.perf_counter() - t0,
-        "pivots": int(observe.counter_value(_PIVOTS) - pivots0),
+        "seconds": seconds,
+        "pivots": int(counters.get("solver.revised.pivots", 0)),
         "row": json.dumps({
             "schedule": schedule_to_dict(outcome.schedule),
             "predicted_energy_nj": outcome.predicted_energy_nj,
@@ -62,11 +54,7 @@ def bench_workload(name: str) -> dict[str, Any]:
     The profile (simulation) is built once, untimed: this benchmark
     isolates solver time, which is what Figure 18 plots.
     """
-    spec = get_workload(name)
-    cfg = compile_program(spec.source, name=name)
-    machine = Machine(SCALE_CONFIG, XSCALE_3, TransitionCostModel())
-    profile = DVSOptimizer(machine).profile(
-        cfg, inputs=spec.inputs(), registers=spec.registers())
+    cfg, machine, profile = profiled_workload(name)
     times = profile.wall_time_s
     deadlines = derive_deadlines(times[0], times[1], times[2])
 
@@ -79,13 +67,11 @@ def bench_workload(name: str) -> dict[str, Any]:
     # Reset the registry so the first deadline solves cold and the rest
     # warm-start, as a real sweep does.
     warmstart.reset()
-    observe.enable(reset=True)
     try:
         warm = [_solve_one(warm_optimizer, cfg, d, profile) for d in deadlines]
         cold = [_solve_one(cold_optimizer, cfg, d, profile) for d in deadlines]
         highs = [_solve_one(highs_optimizer, cfg, d, profile) for d in deadlines]
     finally:
-        observe.disable()
         warmstart.reset()
 
     rows = [{
@@ -121,10 +107,7 @@ def run_solver_bench(workloads: tuple[str, ...] = ("adpcm", "gsm")
     warm_s = sum(c["warm_s"] for c in cases)
     cold_s = sum(c["cold_s"] for c in cases)
     return {
-        "format": BENCH_FORMAT,
-        "benchmark": "solver-warmstart",
-        "python": platform.python_version(),
-        "platform": platform.platform(),
+        **header("solver-warmstart", BENCH_FORMAT),
         "all_identical": all(c["identical"] for c in cases),
         "warm_pivots": warm_pivots,
         "cold_pivots": cold_pivots,
@@ -134,11 +117,3 @@ def run_solver_bench(workloads: tuple[str, ...] = ("adpcm", "gsm")
         "speedup": cold_s / warm_s if warm_s > 0 else float("inf"),
         "cases": cases,
     }
-
-
-def write_bench_json(document: dict[str, Any],
-                     path: str | Path = "BENCH_solver.json") -> Path:
-    """Persist a benchmark document where CI expects it."""
-    path = Path(path)
-    path.write_text(json.dumps(document, indent=2, sort_keys=False) + "\n")
-    return path

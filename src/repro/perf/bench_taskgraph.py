@@ -1,11 +1,10 @@
-"""Taskgraph benchmark behind ``repro bench --taskgraph``.
+"""Taskgraph bench behind ``repro bench taskgraph``.
 
 Measures the multi-core taskgraph MILP on a fixed seeded fork-join
 instance across core counts: wall-clock solve time, and the energy gap
 between the proven optimum and the greedy heuristic ((greedy - milp) /
-greedy — how much the MILP is worth).  Emits ``BENCH_taskgraph.json``
-for CI to gate and archive next to the simulator/solver/serve
-documents.
+greedy — how much the MILP is worth).  Returns the
+``BENCH_taskgraph.json`` document.
 
 The benchmark doubles as a differential check: every case re-verifies
 that the solver objective equals the replayed energy and that the MILP
@@ -14,11 +13,9 @@ never loses to greedy (``all_verified``).
 
 from __future__ import annotations
 
-import platform
-import time
-from pathlib import Path
 from typing import Any
 
+from repro.perf.harness import best_of, header
 from repro.simulator.dvs import XSCALE_3, TransitionCostModel
 from repro.taskgraph.heuristic import deadline_for, greedy_taskgraph
 from repro.taskgraph.milp import build_taskgraph_milp
@@ -39,19 +36,15 @@ def bench_taskgraph_case(spec, tables, cores: int, deadline_frac: float,
                          budget_s: float | None = None) -> dict[str, Any]:
     """Benchmark one core count: best-of-``repeats`` solve + greedy gap."""
     deadline_s = deadline_for(spec, tables, cores, deadline_frac, transition)
-    best_s = float("inf")
-    solution = schedule = None
     options: dict[str, Any] = {}
     if budget_s is not None:
         options["time_limit"] = budget_s
-    for _ in range(repeats):
-        formulation = build_taskgraph_milp(spec, tables, cores, deadline_s,
-                                           transition)
-        t0 = time.perf_counter()
-        solution = formulation.solve(**options)
-        best_s = min(best_s, time.perf_counter() - t0)
-        schedule = formulation.extract_schedule(solution,
-                                               allow_incumbent=True)
+    best_s, (formulation, solution) = best_of(
+        lambda formulation: (formulation, formulation.solve(**options)),
+        repeats,
+        setup=lambda: build_taskgraph_milp(spec, tables, cores, deadline_s,
+                                           transition))
+    schedule = formulation.extract_schedule(solution, allow_incumbent=True)
     replayed = replay(spec, tables, schedule, transition)
     greedy = greedy_taskgraph(spec, tables, cores, deadline_s, transition)
     greedy_energy = greedy["replayed"]["energy_nj"]
@@ -89,10 +82,7 @@ def run_taskgraph_bench(tasks: int = 7, cores: tuple[int, ...] = (1, 2, 4),
                                   budget_s=budget_s)
              for count in cores]
     return {
-        "format": BENCH_FORMAT,
-        "benchmark": "taskgraph-milp",
-        "python": platform.python_version(),
-        "platform": platform.platform(),
+        **header("taskgraph-milp", BENCH_FORMAT),
         "graph": spec.name,
         "graph_tasks": tasks,
         "deadline_frac": deadline_frac,
@@ -102,13 +92,3 @@ def run_taskgraph_bench(tasks: int = 7, cores: tuple[int, ...] = (1, 2, 4),
         "all_verified": all(c["verified"] for c in cases),
         "cases": cases,
     }
-
-
-def write_bench_json(document: dict[str, Any],
-                     path: str | Path = "BENCH_taskgraph.json") -> Path:
-    """Persist a benchmark document where CI expects it."""
-    import json
-
-    path = Path(path)
-    path.write_text(json.dumps(document, indent=2, sort_keys=False) + "\n")
-    return path

@@ -33,26 +33,24 @@ from __future__ import annotations
 
 import asyncio
 import json
-import math
 import random
 import shlex
-import signal
 import subprocess
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
 from repro.errors import ServeError
+from repro.observe import percentile
+from repro.perf.harness import header
 from repro.serve.client import AsyncReproClient, RetryPolicy, http_request
+from repro.serve.spawn import ServerProc, spawn_server
 
 #: Schema tag for BENCH_serve.json consumers.
 LOADTEST_FORMAT = 1
-
-#: The listening line ``repro serve`` prints (parsed in --spawn mode).
-LISTEN_PREFIX = "repro serve listening on http://"
 
 
 @dataclass(frozen=True)
@@ -120,14 +118,6 @@ def build_mix(config: LoadtestConfig) -> list[dict[str, Any]]:
         endpoint = "/v1/optimize"
         plan.append({"endpoint": endpoint, "body": body, "index": index})
     return plan
-
-
-def _percentile(ordered: list[float], q: float) -> float:
-    """Nearest-rank percentile over an already-sorted sample."""
-    if not ordered:
-        return 0.0
-    rank = max(1, math.ceil(q / 100.0 * len(ordered)))
-    return ordered[rank - 1]
 
 
 def _parse_base_url(base_url: str) -> tuple[str, int]:
@@ -226,37 +216,22 @@ def _cold_baseline(config: LoadtestConfig) -> dict[str, Any] | None:
     }
 
 
-def _spawn_server(config: LoadtestConfig) -> tuple[subprocess.Popen, str]:
-    """Fork ``repro serve --port 0`` and parse its listening line."""
-    command = [sys.executable, "-m", "repro", "serve", "--port", "0"]
-    if config.cache_dir:
-        command += ["--cache-dir", config.cache_dir]
-    command += shlex.split(config.spawn_args)
-    proc = subprocess.Popen(command, stdout=subprocess.PIPE,
-                            stderr=subprocess.STDOUT, text=True)
-    deadline = time.monotonic() + 60.0
-    assert proc.stdout is not None
-    while time.monotonic() < deadline:
-        line = proc.stdout.readline()
-        if not line:
-            raise ServeError(
-                f"spawned server exited early "
-                f"(code {proc.poll()}) before listening")
-        if LISTEN_PREFIX in line:
-            address = line.split(LISTEN_PREFIX, 1)[1].split()[0]
-            return proc, f"http://{address}"
-    proc.kill()
-    raise ServeError("spawned server never printed its listening line")
-
-
 def run_loadtest(config: LoadtestConfig,
                  progress=None) -> dict[str, Any]:
     """Run one campaign; returns the BENCH_serve.json document."""
-    proc: subprocess.Popen | None = None
-    base_url = config.base_url
+    with tempfile.TemporaryDirectory(prefix="repro-loadtest-") as scratch:
+        server: ServerProc | None = None
+        if config.base_url is None:
+            flags = ["--cache-dir", config.cache_dir] if config.cache_dir else []
+            server = spawn_server(flags + shlex.split(config.spawn_args),
+                                  Path(scratch) / "serve.log", timeout_s=60.0)
+        return _campaign(config, server, progress)
+
+
+def _campaign(config: LoadtestConfig, server: ServerProc | None,
+              progress=None) -> dict[str, Any]:
+    base_url = server.url if server is not None else config.base_url
     drain: dict[str, Any] | None = None
-    if base_url is None:
-        proc, base_url = _spawn_server(config)
     host, port = _parse_base_url(base_url)
     try:
         plan = build_mix(config)
@@ -277,14 +252,8 @@ def run_loadtest(config: LoadtestConfig,
         except (ServeError, OSError, asyncio.TimeoutError, ValueError):
             metrics, health = {}, {}
     finally:
-        if proc is not None:
-            proc.send_signal(signal.SIGTERM)
-            try:
-                code = proc.wait(timeout=60)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                code = proc.wait(timeout=10)
-            drain = {"signal": "SIGTERM", "exit_code": code}
+        if server is not None:
+            drain = {"signal": "SIGTERM", "exit_code": server.drain(60.0)}
 
     latencies = sorted(o.latency_s for o in outcomes)
     statuses: dict[str, int] = {}
@@ -294,9 +263,9 @@ def run_loadtest(config: LoadtestConfig,
     derived = metrics.get("derived", {})
     ok_count = sum(1 for o in outcomes if o.ok)
     cold = _cold_baseline(config)
-    p50 = _percentile(latencies, 50)
+    p50 = percentile(latencies, 50)
     document: dict[str, Any] = {
-        "format": LOADTEST_FORMAT,
+        **header("serve-loadtest", LOADTEST_FORMAT),
         "config": {
             "requests": config.requests,
             "concurrency": config.concurrency,
@@ -308,7 +277,7 @@ def run_loadtest(config: LoadtestConfig,
             "max_attempts": config.max_attempts,
             "unique_requests": unique,
             "base_url": base_url,
-            "spawned": proc is not None,
+            "spawned": server is not None,
         },
         "requests": {
             "total": len(outcomes),
@@ -321,8 +290,8 @@ def run_loadtest(config: LoadtestConfig,
         },
         "latency_s": {
             "p50": p50,
-            "p90": _percentile(latencies, 90),
-            "p99": _percentile(latencies, 99),
+            "p90": percentile(latencies, 90),
+            "p99": percentile(latencies, 99),
             "mean": (sum(latencies) / len(latencies)) if latencies else 0.0,
             "max": latencies[-1] if latencies else 0.0,
         },
@@ -340,13 +309,6 @@ def run_loadtest(config: LoadtestConfig,
     if drain is not None:
         document["drain"] = drain
     return document
-
-
-def write_loadtest(document: dict[str, Any],
-                   path: str | Path = "BENCH_serve.json") -> Path:
-    path = Path(path)
-    path.write_text(json.dumps(document, indent=2, sort_keys=False) + "\n")
-    return path
 
 
 def render_loadtest(document: dict[str, Any]) -> str:

@@ -38,8 +38,6 @@ import json
 import os
 import random
 import signal
-import subprocess
-import sys
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -56,12 +54,10 @@ from repro.runtime.sweep import SweepConfig, run_sweep
 from repro.serve import protocol
 from repro.serve.client import ClientOutcome, ReproClient, RetryPolicy
 from repro.serve.jobstore import JobStore
+from repro.serve.spawn import spawn_server
 
 #: Schema tag for campaign.json consumers.
 CAMPAIGN_FORMAT = 1
-
-#: The listening line ``repro serve`` prints.
-_LISTEN_PREFIX = "repro serve listening on http://"
 
 
 @dataclass(frozen=True)
@@ -355,57 +351,6 @@ def run_sweep_scenario(
 # -- spawned servers -------------------------------------------------------------
 
 
-class _ServerProc:
-    """One spawned ``repro serve`` subprocess."""
-
-    def __init__(self, proc: subprocess.Popen, host: str, port: int) -> None:
-        self.proc = proc
-        self.host = host
-        self.port = port
-
-    def sigkill(self) -> None:
-        self.proc.kill()
-        self.proc.wait(timeout=30)
-
-    def drain(self, timeout_s: float = 120.0) -> int:
-        self.proc.send_signal(signal.SIGTERM)
-        try:
-            return self.proc.wait(timeout=timeout_s)
-        except subprocess.TimeoutExpired:
-            self.sigkill()
-            return -9
-
-    def ensure_dead(self) -> None:
-        if self.proc.poll() is None:
-            self.sigkill()
-
-
-def _spawn_server(flags: list[str], log_path: Path, env: dict[str, str],
-                  timeout_s: float) -> _ServerProc:
-    """Start ``repro serve --port 0 FLAGS``, logging to ``log_path``."""
-    log_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(log_path, "w") as log:
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve", "--port", "0", *flags],
-            stdout=log, stderr=subprocess.STDOUT, text=True, env=env)
-    deadline = time.monotonic() + timeout_s
-    while time.monotonic() < deadline:
-        text = log_path.read_text()
-        if _LISTEN_PREFIX in text:
-            address = text.split(_LISTEN_PREFIX, 1)[1].split()[0]
-            host, _, port = address.partition(":")
-            return _ServerProc(proc, host, int(port))
-        if proc.poll() is not None:
-            raise ServeError(f"chaos server exited early (code "
-                             f"{proc.returncode}) before listening; "
-                             f"see {log_path}")
-        time.sleep(0.05)
-    proc.kill()
-    proc.wait(timeout=30)
-    raise ServeError(f"chaos server never printed its listening line; "
-                     f"see {log_path}")
-
-
 def _server_env(plan: FaultPlan | None = None) -> dict[str, str]:
     env = dict(os.environ)
     env.pop(faultplane.PLAN_ENV, None)
@@ -472,7 +417,7 @@ def run_serve_scenario(
     faultplane.uninstall()
     log(f"computing fault-free reference rows for {workload}")
     reference = reference_rows(workload, tuple(fracs.values()), seed)
-    server = _spawn_server(
+    server = spawn_server(
         ["--jobs", str(jobs), "--runs", "1", "--no-cache"],
         Path(output_dir) / "serve.log", _server_env(), timeout_s)
     client = ReproClient(server.host, server.port,
@@ -615,7 +560,7 @@ def _run_seed(seed: int, config: CampaignConfig, out_dir: Path,
         result.retries += outcome.retries
         result.rejected += outcome.rejected
 
-    server = _spawn_server(flags, seed_dir / "serve.log", env,
+    server = spawn_server(flags, seed_dir / "serve.log", env,
                            config.spawn_timeout_s)
     metrics_a: dict[str, Any] | None = None
     try:
@@ -661,7 +606,7 @@ def _run_seed(seed: int, config: CampaignConfig, out_dir: Path,
     _merge_fired(result.fired, _fault_counters(metrics_a))
 
     # Phase 3: resume and hold the durability contract to account.
-    resumed = _spawn_server(flags + ["--resume"], seed_dir / "resume.log",
+    resumed = spawn_server(flags + ["--resume"], seed_dir / "resume.log",
                             env, config.spawn_timeout_s)
     metrics_b: dict[str, Any] | None = None
     try:

@@ -3,8 +3,8 @@
 ``repro serve`` (PR 7) kept every job in memory, so a server crash lost
 queued and running work and forgot finished results.  The job store
 records the life of every admitted job in an append-only JSONL journal
-(``<store-dir>/jobs.jsonl``) with the same durability contract as
-:mod:`repro.resilience.journal`:
+(``<store-dir>/jobs.jsonl``) on the sweep journal's mechanics
+(:class:`repro.resilience.journal.AppendLog`):
 
 * a **header** line pins the on-disk format version;
 * an **admit** line carries the canonical request document (the exact
@@ -28,19 +28,14 @@ interrupted jobs and rehydrates finished ones for byte-identical replay.
 
 from __future__ import annotations
 
-import json
-import logging
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, TextIO
+from typing import Any
 
 from repro.errors import JournalError
-from repro.resilience import faultplane
-from repro.resilience.journal import payload_digest
-
-logger = logging.getLogger(__name__)
+from repro.resilience.journal import AppendLog, dumps, payload_digest
 
 #: On-disk job-store format version.
 JOBSTORE_FORMAT = 1
@@ -81,16 +76,15 @@ def _finish_digest(state: str, http_status: int, error: str | None,
     })
 
 
-class JobStore:
+class JobStore(AppendLog):
     """Append-only admission/start/finish journal for one store directory."""
+
+    FORMAT = JOBSTORE_FORMAT
+    LABEL = "job store"
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
-        self.path = self.root / "jobs.jsonl"
-        self._handle: TextIO | None = None
-        self._broken = False
-
-    # -- reading ---------------------------------------------------------------
+        super().__init__(self.root / "jobs.jsonl")
 
     def load(self) -> dict[str, StoredJob]:
         """Every job the previous run durably admitted, keyed by request key.
@@ -103,32 +97,10 @@ class JobStore:
             JournalError: the journal was written by a different format
                 version — resuming would silently misread records.
         """
-        if not self.path.is_file():
-            return {}
+        loaded = self._read()
         jobs: dict[str, StoredJob] = {}
-        with open(self.path) as handle:
-            first = handle.readline()
-            try:
-                header = json.loads(first)
-            except json.JSONDecodeError:
-                return {}  # torn before the header ever landed
-            if not isinstance(header, dict) or header.get("type") != "header":
-                return {}
-            if header.get("format") != JOBSTORE_FORMAT:
-                raise JournalError(
-                    f"job store {self.path} has format {header.get('format')!r}, "
-                    f"this build writes {JOBSTORE_FORMAT}"
-                )
-            for line in handle:
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    break  # torn tail of a crashed append; later bytes untrusted
-                if not isinstance(record, dict):
-                    continue
-                self._apply(jobs, record)
+        for record in loaded[1] if loaded is not None else ():
+            self._apply(jobs, record)
         return jobs
 
     @staticmethod
@@ -188,7 +160,6 @@ class JobStore:
         replacing the old file, then opened for appends.
         """
         self.root.mkdir(parents=True, exist_ok=True)
-        header = {"type": "header", "format": JOBSTORE_FORMAT}
         if resume:
             if recovered is None:
                 recovered = self.load()
@@ -196,12 +167,13 @@ class JobStore:
                                        suffix=".tmp")
             try:
                 with os.fdopen(fd, "w") as handle:
-                    handle.write(_dumps(header) + "\n")
+                    handle.write(dumps({"type": "header",
+                                        "format": self.FORMAT}) + "\n")
                     for job in recovered.values():
-                        handle.write(_dumps(self._admit_record(
+                        handle.write(dumps(self._admit_record(
                             job.key, job.job_id, job.tenant, job.request)) + "\n")
                         if job.terminal:
-                            handle.write(_dumps(self._finish_record(
+                            handle.write(dumps(self._finish_record(
                                 job.key, job.state, job.http_status,
                                 job.error, job.result)) + "\n")
                     handle.flush()
@@ -213,10 +185,9 @@ class JobStore:
                 except OSError:
                     pass
                 raise
-            self._handle = open(self.path, "a")
+            self._open(append=True)
         else:
-            self._handle = open(self.path, "w")
-            self._append(header)
+            self._open(append=False, header={})
 
     def admit(self, key: str, job_id: str, tenant: str,
               request: dict[str, Any]) -> None:
@@ -258,52 +229,6 @@ class JobStore:
             "result": result,
             "digest": _finish_digest(state, http_status, error, result),
         }
-
-    def _append(self, record: dict[str, Any]) -> None:
-        if self._handle is None:
-            raise JournalError("job store not started")
-        if self._broken:
-            return  # a torn write already poisoned the tail; see below
-        text = _dumps(record) + "\n"
-        torn = faultplane.torn_text(text)
-        if torn is not None:
-            # Simulated power loss mid-append: only a prefix reaches the
-            # disk.  Appending after it would glue valid JSON onto the
-            # torn line and silently lose everything that follows on
-            # load, so the store fails safe: it stops journaling (resume
-            # recomputes the lost tail) instead of corrupting history.
-            self._handle.write(torn)
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
-            self._broken = True
-            logger.warning(
-                "job store %s: torn write injected; journaling disabled for "
-                "this process (recovery will re-run the unrecorded tail)",
-                self.path)
-            return
-        self._handle.write(text)
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
-
-    @property
-    def broken(self) -> bool:
-        """True once a torn write disabled further journaling."""
-        return self._broken
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-    def __enter__(self) -> "JobStore":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-def _dumps(record: dict[str, Any]) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
 __all__ = ["JOBSTORE_FORMAT", "JobStore", "StoredJob"]

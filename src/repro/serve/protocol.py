@@ -53,6 +53,9 @@ from repro.workloads import get_workload
 #: Request schema version (bumped with incompatible changes).
 PROTOCOL_VERSION = 1
 
+#: How ``repro serve`` announces its address; spawners parse the line.
+LISTEN_PREFIX = "repro serve listening on http://"
+
 #: Hard ceiling on experiments per request regardless of server config.
 ABSOLUTE_MAX_GRID = 256
 

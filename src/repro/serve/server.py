@@ -744,7 +744,7 @@ class ReproServer:
 async def _amain(server: ReproServer) -> int:
     await server.start()
     assert server.port is not None
-    print(f"repro serve listening on http://{server.config.host}:"
+    print(f"{protocol.LISTEN_PREFIX}{server.config.host}:"
           f"{server.port} (workers={server.config.jobs}, "
           f"runs={server.config.runs}, queue={server.config.max_queue})",
           flush=True)

@@ -3,12 +3,10 @@
 import json
 from pathlib import Path
 
-from repro.perf.bench_summary import run_summary, write_summary_json
-from repro.perf.bench_taskgraph import (
-    BENCH_FORMAT,
-    run_taskgraph_bench,
-    write_bench_json,
-)
+from repro.perf.bench_taskgraph import BENCH_FORMAT, run_taskgraph_bench
+from repro.perf.harness import run_summary
+from repro.perf.harness import write_document as write_bench_json
+from repro.perf.harness import write_document as write_summary_json
 
 #: A graph this small solves in well under a second per core count.
 FAST = dict(tasks=4, cores=(1, 2), deadline_frac=0.5)

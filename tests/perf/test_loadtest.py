@@ -5,10 +5,10 @@ import json
 import pytest
 
 from repro.errors import ServeError
+from repro.observe import percentile as _percentile
 from repro.perf.loadtest import (
     LoadtestConfig,
     _parse_base_url,
-    _percentile,
     build_mix,
     render_loadtest,
 )

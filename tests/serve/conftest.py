@@ -26,6 +26,16 @@ _CONNECT_RETRIES = 20
 _CONNECT_BACKOFF_S = 0.05
 
 
+def _quiet_cancelled(loop, context) -> None:
+    """Drop the report of a client task that ``abort()`` cancelled.
+
+    Before Python 3.12 the stream's done-callback calls
+    ``task.exception()``, which raises on a cancelled task.
+    """
+    if not isinstance(context.get("exception"), asyncio.CancelledError):
+        loop.default_exception_handler(context)
+
+
 class LiveServer:
     """A running :class:`ReproServer` plus a tiny synchronous client."""
 
@@ -42,6 +52,7 @@ class LiveServer:
 
     def _run(self) -> None:
         asyncio.set_event_loop(self.loop)
+        self.loop.set_exception_handler(_quiet_cancelled)
         self.loop.run_forever()
 
     def _wait_ready(self) -> None:
@@ -89,13 +100,20 @@ class LiveServer:
             self.loop.close()
 
     def abort(self) -> None:
-        """Simulate a crash: tear the server down without draining."""
-        def _abort() -> None:
+        """Simulate a crash: tear the server down without draining.
+
+        The loop stops only after the client tasks the abort cancelled
+        have unwound and closed their sockets; a task still pending
+        when the loop closes is reported as destroyed while pending.
+        """
+        async def _abort() -> None:
             self.server.abort()
-            # Stop on the *next* loop pass so the cancelled client tasks
-            # unwind (and close their sockets) while the loop is alive.
-            self.loop.call_soon(lambda: self.loop.call_soon(self.loop.stop))
-        self.loop.call_soon_threadsafe(_abort)
+            current = asyncio.current_task()
+            pending = [t for t in asyncio.all_tasks() if t is not current]
+            if pending:
+                await asyncio.wait(pending, timeout=10)
+        asyncio.run_coroutine_threadsafe(_abort(), self.loop).result(60)
+        self.loop.call_soon_threadsafe(self.loop.stop)
         self.thread.join(10)
         if not self.loop.is_running():
             self.loop.close()

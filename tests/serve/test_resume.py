@@ -14,11 +14,12 @@ import warnings
 import pytest
 
 from repro import observe
-from repro.resilience.campaign import _server_env, _spawn_server
+from repro.resilience.campaign import _server_env
 from repro.serve import protocol
 from repro.serve.client import ReproClient
 from repro.serve.jobstore import JobStore
 from repro.serve.server import ServeConfig
+from repro.serve.spawn import spawn_server
 
 BODY = {"workload": "adpcm", "deadline_frac": 0.5}
 
@@ -147,8 +148,8 @@ def test_fresh_start_truncates_stale_store(server_factory, tmp_path):
 
 def test_sigkilled_server_leaves_no_pool_workers(tmp_path):
     """Pool workers exit when their server dies without a drain."""
-    server = _spawn_server(["--jobs", "1", "--no-cache"],
-                           tmp_path / "serve.log", _server_env(), 90.0)
+    server = spawn_server(["--jobs", "1", "--no-cache"],
+                          tmp_path / "serve.log", _server_env(), 90.0)
     pids: list[int] = []
     try:
         client = ReproClient(server.host, server.port)

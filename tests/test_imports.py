@@ -65,6 +65,15 @@ def test_importing_the_cli_loads_neither_numpy_nor_scipy():
     assert out.strip() == "[]"
 
 
+def test_sweep_and_serve_import_no_bench_module():
+    """Bench, loadtest and server-spawning code stays off both paths."""
+    probe = ("import sys, repro.cli, repro.runtime.sweep, repro.serve.server; "
+             "print(sorted(m for m in sys.modules if m.startswith(("
+             "'repro.perf.bench', 'repro.perf.harness', "
+             "'repro.perf.loadtest', 'repro.serve.spawn'))))")
+    assert _python("-c", probe).strip() == "[]"
+
+
 @pytest.fixture(scope="module")
 def filled(tmp_path_factory):
     """A cold dijkstra x 0.5 sweep: its cache and its results.jsonl."""
