@@ -58,15 +58,19 @@ at the slowest mode).
 certificate, schedule check, differential and metamorphic oracles) over
 one workload; ``fuzz`` runs it over seeded random programs.  Both exit
 non-zero on any oracle failure, as does ``optimize`` when its verified
-run misses the deadline or diverges from the predicted energy.
+run fails a check (deadline, predicted energy, program result).
 
 ``sweep`` drives whole experiment grids (suite x deadline fraction x
 mode-table level count) through :mod:`repro.runtime`: a process pool
 executes independent grid points concurrently and every expensive
-artifact is memoized in the content-addressed store.  ``profile`` and
-``optimize`` consult the same store when one is configured (via
-``--cache-dir`` or ``$REPRO_CACHE_DIR``), so a profile captured by a
-sweep is reused by a later interactive ``optimize`` and vice versa.
+artifact is memoized in the content-addressed store.  ``profile``,
+``params``, ``bound`` and ``optimize`` are one-experiment sweeps: each
+builds the task graph of its grid point and runs it inline (the first
+three only its ``profile`` task), then prints from the task outputs.
+They use the store when one is configured (``--cache-dir`` or
+``$REPRO_CACHE_DIR``) under the sweep's keys and payloads, so a sweep
+and a later ``optimize`` reuse each other's profiles, schedules and
+runs.  ``optimize --profile FILE`` caches nothing.
 """
 
 from __future__ import annotations
@@ -78,17 +82,7 @@ import sys
 from pathlib import Path
 
 from repro import observe
-from repro.core import DVSOptimizer
-from repro.core.analytical import savings_ratio_discrete
 from repro.errors import ReproError
-from repro.profiling import extract_params
-from repro.profiling.serialize import (
-    load_profile,
-    profile_from_dict,
-    profile_to_dict,
-    save_profile,
-    save_schedule,
-)
 from repro.resilience import (
     EXIT_DEGRADED,
     EXIT_FAILURE,
@@ -96,23 +90,12 @@ from repro.resilience import (
     EXIT_OK,
     EXIT_USAGE,
 )
-from repro.runtime import hashing
 from repro.runtime.cache import ArtifactStore, CACHE_DIR_ENV, DEFAULT_CACHE_DIR
-from repro.simulator import Machine, SCALE_CONFIG, TransitionCostModel, XSCALE_3
-from repro.simulator.dvs import make_mode_table
-from repro.verify import tolerances
-from repro.workloads import all_workloads, compile_workload, get_workload
-
-
-def _machine(levels: int | None, capacitance_uf: float,
-             fastpath: bool = True) -> Machine:
-    table = XSCALE_3 if levels is None else make_mode_table(levels)
-    return Machine(SCALE_CONFIG, table,
-                   TransitionCostModel(capacitance_f=capacitance_uf * 1e-6),
-                   fastpath=fastpath)
 
 
 def _workload_context(name: str, category: str | None, seed: int):
+    from repro.workloads import compile_workload, get_workload
+
     spec = get_workload(name)
     cfg = compile_workload(name)
     inputs = spec.inputs(category=category, seed=seed)
@@ -133,22 +116,64 @@ def _store_from_args(args) -> ArtifactStore | None:
     return ArtifactStore(root) if root else None
 
 
-def _cached_profile(store, optimizer, spec, cfg, category, seed, inputs, registers):
-    """Profile via the artifact store when one is configured."""
-    key = None
-    if store is not None:
-        key = hashing.profile_key(spec.source, category, seed, optimizer.machine)
-        payload = store.get(key)
-        if payload is not None:
-            return profile_from_dict(payload["profile"]), "cache hit"
-    profile = optimizer.profile(cfg, inputs=inputs, registers=registers)
-    if store is not None:
-        store.put(key, {"profile": profile_to_dict(profile)})
-        return profile, "profiled, cached"
-    return profile, "profiled"
+def _experiment(args, deadline_frac: float = 0.5):
+    """The command's grid point, as ``repro sweep`` would name it."""
+    from repro.runtime.dag import ExperimentSpec, MachineSpec
+
+    return ExperimentSpec(
+        workload=args.workload, deadline_frac=deadline_frac,
+        category=args.category, seed=args.seed,
+        machine=MachineSpec(args.levels, args.capacitance_uf,
+                            not args.no_fastpath))
+
+
+def _pipeline(experiment, store: ArtifactStore | None,
+              kinds: tuple[str, ...] | None = None,
+              solver_budget_s: float | None = None,
+              profile: dict | None = None) -> dict:
+    """Run one experiment through the sweep's task graph, inline.
+
+    ``kinds`` keeps only those tasks (all four by default); ``profile``
+    is a profile task output to use instead of profiling.  Returns the
+    :class:`~repro.runtime.executor.TaskResult` of each kind; a failed
+    task raises its error.
+    """
+    from repro.runtime.dag import TaskGraph, build_task_graph
+    from repro.runtime.executor import ExecutorConfig, run_graph
+
+    graph = build_task_graph([experiment], solver_budget_s=solver_budget_s)
+    if kinds is not None:
+        graph = TaskGraph({tid: task for tid, task in graph.tasks.items()
+                           if task.kind in kinds}, graph.experiments)
+    completed = None if profile is None else {
+        tid: profile for tid, task in graph.tasks.items()
+        if task.kind == "profile"}
+    results = run_graph(graph, store, ExecutorConfig(jobs=1, retries=0),
+                        completed=completed)
+    by_kind = {}
+    for tid in graph.topo_order():
+        result = by_kind[results[tid].kind] = results[tid]
+        if result.status == "failed":
+            if result.error_type == "KeyboardInterrupt":
+                raise KeyboardInterrupt
+            raise ReproError(result.error)
+    return by_kind
+
+
+def _profiled(args):
+    """(profile, mode table, profile TaskResult) of the command's workload."""
+    from repro.profiling.serialize import profile_from_dict
+
+    experiment = _experiment(args)
+    result = _pipeline(experiment, _store_from_args(args),
+                       kinds=("profile",))["profile"]
+    return (profile_from_dict(result.output["profile"]),
+            experiment.machine.build().mode_table, result)
 
 
 def cmd_list(_args) -> int:
+    from repro.workloads import all_workloads
+
     print(f"{'workload':<14s} {'categories':<18s} description")
     for spec in all_workloads():
         print(f"{spec.name:<14s} {','.join(spec.categories):<18s} {spec.description}")
@@ -157,8 +182,7 @@ def cmd_list(_args) -> int:
 
 def cmd_run(args) -> int:
     spec, cfg, inputs, registers = _workload_context(args.workload, args.category, args.seed)
-    machine = _machine(args.levels, args.capacitance_uf,
-                       not getattr(args, "no_fastpath", False))
+    machine = _experiment(args).machine.build()
     mode = args.mode if args.mode is not None else len(machine.mode_table) - 1
     result = machine.run(cfg, inputs=inputs, registers=registers, mode=mode)
     point = machine.mode_table[mode]
@@ -173,10 +197,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_params(args) -> int:
-    spec, cfg, inputs, registers = _workload_context(args.workload, args.category, args.seed)
-    machine = _machine(args.levels, args.capacitance_uf,
-                       not getattr(args, "no_fastpath", False))
-    params = extract_params(machine, cfg, inputs=inputs, registers=registers)
+    params = _profiled(args)[0].params
     print(f"{args.workload} analytical parameters (Section 3.2):")
     print(f"  N_overlap    {params.n_overlap / 1e3:12.1f} Kcycles")
     print(f"  N_dependent  {params.n_dependent / 1e3:12.1f} Kcycles")
@@ -187,19 +208,14 @@ def cmd_params(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    spec, cfg, inputs, registers = _workload_context(args.workload, args.category, args.seed)
-    machine = _machine(args.levels, args.capacitance_uf,
-                       not getattr(args, "no_fastpath", False))
-    optimizer = DVSOptimizer(machine)
-    category = args.category or spec.categories[0]
-    store = _store_from_args(args)
-    profile, how = _cached_profile(
-        store, optimizer, spec, cfg, category, args.seed, inputs, registers
-    )
-    if store is not None:
+    from repro.profiling.serialize import save_profile
+
+    profile, mode_table, result = _profiled(args)
+    if result.cache != "off":
+        how = "cache hit" if result.cache == "hit" else "profiled, cached"
         print(f"profile for {args.workload} ({how})")
     for mode in sorted(profile.wall_time_s):
-        print(f"  mode {mode} ({machine.mode_table[mode]}): "
+        print(f"  mode {mode} ({mode_table[mode]}): "
               f"{profile.wall_time_s[mode] * 1e3:.3f} ms, "
               f"{profile.cpu_energy_nj[mode] / 1e3:.1f} uJ")
     if args.output:
@@ -208,141 +224,116 @@ def cmd_profile(args) -> int:
     return 0
 
 
-def _resolve_deadline(profile, frac: float) -> float:
-    # Delegates to the profile, which rejects single-mode profiles (a
-    # degenerate fast->slow range would silently yield zero slack).
-    return profile.deadline_at(frac)
+#: What a failed ``verify`` check means, for the ``optimize`` error line.
+_CHECK_ERRORS = {
+    "deadline_met": "verified run missed the deadline "
+                    "({measured_ms:.3f} ms > {deadline_ms:.3f} ms)",
+    "energy_predicted": "simulated energy diverged from the MILP "
+                        "prediction (rel err {rel_err:.2e})",
+    "result_preserved": "verified run changed the program's result",
+}
 
 
 def cmd_optimize(args) -> int:
-    spec, cfg, inputs, registers = _workload_context(args.workload, args.category, args.seed)
-    machine = _machine(args.levels, args.capacitance_uf,
-                       not getattr(args, "no_fastpath", False))
-    optimizer = DVSOptimizer(machine)
-    category = args.category or spec.categories[0]
-    store = _store_from_args(args)
-    if args.profile:
-        profile = load_profile(args.profile)
-    else:
-        profile, _ = _cached_profile(
-            store, optimizer, spec, cfg, category, args.seed, inputs, registers
-        )
-    deadline = _resolve_deadline(profile, args.deadline_frac)
-
-    # The schedule artifact round-trips through the same store keys a
-    # sweep uses, so `repro sweep` and `repro optimize` reuse each
-    # other's MILP solves.  Certificates only exist on fresh solves; a
-    # cached schedule is still verified by re-simulation below.
-    sched_key = (
-        hashing.schedule_key(spec.source, category, args.seed, machine,
-                             args.deadline_frac)
-        if store is not None and not args.profile
-        else None
+    from repro.profiling.serialize import (
+        load_profile,
+        profile_from_dict,
+        profile_to_dict,
+        save_schedule,
+        schedule_from_dict,
     )
-    cached = store.get(sched_key) if sched_key is not None else None
-    degraded = False
-    if cached is not None:
-        from repro.profiling.serialize import schedule_from_dict
 
-        schedule = schedule_from_dict(cached["schedule"])
-        predicted_energy_nj = cached["predicted_energy_nj"]
-        certificate = None
+    experiment = _experiment(args, args.deadline_frac)
+    store, profile = _store_from_args(args), None
+    if args.profile:
+        # Nothing derived from a foreign profile may be cached under the
+        # workload's keys.
+        store, profile = None, {
+            "profile": profile_to_dict(load_profile(args.profile))}
+    results = _pipeline(experiment, store, solver_budget_s=args.solver_budget,
+                        profile=profile)
+    optimize = results["optimize"].output
+    solver = optimize["solver"]
+    degraded = solver.get("degraded", False)
+    run = results["simulate"].output["run"]
+    verify = results["verify"].output
+    deadline = optimize["deadline_s"]
+    if results["optimize"].cache == "hit":
         print("  (schedule from artifact cache)")
-    else:
-        outcome = optimizer.optimize(cfg, deadline, profile=profile,
-                                     budget_s=args.solver_budget)
-        schedule = outcome.schedule
-        predicted_energy_nj = outcome.predicted_energy_nj
-        certificate = outcome.certificate
-        degraded = not outcome.solution.ok
-        if degraded or args.solver_budget is not None:
-            gap = outcome.optimality_gap
-            gap_text = f"{gap:.1%}" if gap is not None else "unknown"
-            print(f"  solver tier {outcome.fallback_tier}, "
-                  f"optimality gap {gap_text}, "
-                  f"solved in {outcome.solve_time_s:.3f}s"
-                  + (" [degraded]" if degraded else ""))
-        # Only proven-optimal solves are memoized: a budget-starved
-        # fallback must not poison the cache for future exact runs.
-        if sched_key is not None and not degraded:
-            from repro.profiling.serialize import schedule_to_dict
-
-            store.put(sched_key, {
-                "schedule": schedule_to_dict(schedule),
-                "deadline_s": deadline,
-                "predicted_energy_nj": outcome.predicted_energy_nj,
-                "predicted_time_s": outcome.predicted_time_s,
-                "solver": {
-                    "status": outcome.solution.status.value,
-                    "solve_time_s": outcome.solve_time_s,
-                    "num_independent_edges": outcome.num_independent_edges,
-                    "num_assignments": len(schedule.assignment),
-                },
-            })
-    run = optimizer.verify(cfg, schedule, inputs=inputs, registers=registers)
-    mode, baseline = optimizer.best_single_mode(profile, deadline)
+    elif degraded or args.solver_budget is not None:
+        gap = solver["optimality_gap"]
+        gap_text = f"{gap:.1%}" if gap is not None else "unknown"
+        print(f"  solver tier {solver['fallback_tier']}, "
+              f"optimality gap {gap_text}, "
+              f"solved in {solver['solve_time_s']:.3f}s"
+              + (" [degraded]" if degraded else ""))
+    savings = verify["savings_vs_single_mode"]
     print(f"deadline {deadline * 1e3:.3f} ms "
           f"(fraction {args.deadline_frac:.2f} of the fast->slow range)")
-    print(f"  MILP edge schedule : {run.cpu_energy_nj / 1e3:9.1f} uJ in "
-          f"{run.wall_time_s * 1e3:.3f} ms, {run.mode_transitions} transitions "
-          f"({1 - run.cpu_energy_nj / baseline:+.1%} vs single mode {mode})")
-    # Verification gates the exit code: a deadline miss or a prediction
-    # mismatch is a pipeline failure, not a log line.
-    status = 0
-    if run.wall_time_s > deadline * (1 + tolerances.DEADLINE_REL_SLACK):
-        print(f"error: verified run missed the deadline "
-              f"({run.wall_time_s * 1e3:.3f} ms > {deadline * 1e3:.3f} ms)",
-              file=sys.stderr)
-        status = 1
-    energy_err = (abs(run.cpu_energy_nj - predicted_energy_nj)
-                  / max(1.0, predicted_energy_nj))
-    if energy_err > tolerances.ENERGY_PREDICTION_REL_TOL:
-        print(f"error: simulated energy diverged from the MILP prediction "
-              f"(rel err {energy_err:.2e} > "
-              f"{tolerances.ENERGY_PREDICTION_REL_TOL:.0e})", file=sys.stderr)
-        status = 1
-    if certificate is not None and not certificate.ok:
-        print(f"error: {certificate.summary}", file=sys.stderr)
-        status = 1
+    print(f"  MILP edge schedule : {run['cpu_energy_nj'] / 1e3:9.1f} uJ in "
+          f"{run['wall_time_s'] * 1e3:.3f} ms, {run['mode_transitions']} "
+          f"transitions ("
+          + (f"{savings:+.1%}" if savings is not None else "n/a")
+          + f" vs single mode {verify['baseline_mode']})")
+    # Verification gates the exit code: a failed check is a pipeline
+    # failure, not a log line.
+    failed = [check for check, ok in verify["checks"].items() if not ok]
+    for check in failed:
+        print("error: " + _CHECK_ERRORS[check].format(
+            measured_ms=run["wall_time_s"] * 1e3, deadline_ms=deadline * 1e3,
+            rel_err=verify["energy_prediction_rel_err"]), file=sys.stderr)
     if args.compare:
-        from repro.core.baselines import build_block_formulation, greedy_schedule
-
-        greedy = greedy_schedule(
-            profile, machine.mode_table, deadline,
-            transition_model=machine.transition_model,
-        )
-        greedy_run = optimizer.verify(
-            cfg, greedy.schedule, inputs=inputs, registers=registers
-        )
-        print(f"  greedy heuristic   : {greedy_run.cpu_energy_nj / 1e3:9.1f} uJ in "
-              f"{greedy_run.wall_time_s * 1e3:.3f} ms")
-        block_form = build_block_formulation(
-            profile, machine.mode_table, deadline,
-            transition_model=machine.transition_model, include_transitions=True,
-        )
-        block = block_form.extract_schedule(block_form.solve(), profile)
-        block_run = optimizer.verify(cfg, block, inputs=inputs, registers=registers)
-        print(f"  block-grain MILP   : {block_run.cpu_energy_nj / 1e3:9.1f} uJ in "
-              f"{block_run.wall_time_s * 1e3:.3f} ms")
-        print(f"  best single mode   : {baseline / 1e3:9.1f} uJ")
+        _compare_baselines(
+            args, profile_from_dict(results["profile"].output["profile"]),
+            deadline, verify["baseline_energy_nj"])
     if args.output:
-        save_schedule(schedule, args.output)
+        save_schedule(schedule_from_dict(optimize["schedule"]), args.output)
         print(f"schedule written to {args.output}")
-    if status == 0 and degraded:
-        return EXIT_DEGRADED  # verified, but not a proven optimum
-    return status
+    if failed:
+        return EXIT_FAILURE
+    # Verified, but not a proven optimum.
+    return EXIT_DEGRADED if degraded else EXIT_OK
+
+
+def _compare_baselines(args, profile, deadline: float,
+                       baseline_energy_nj: float) -> None:
+    """``optimize --compare``: simulate the greedy and block-grain
+    schedules next to the MILP's."""
+    from repro.core import DVSOptimizer
+    from repro.core.baselines import build_block_formulation, greedy_schedule
+
+    _, cfg, inputs, registers = _workload_context(args.workload, args.category,
+                                                  args.seed)
+    optimizer = DVSOptimizer(_experiment(args).machine.build())
+    machine = optimizer.machine
+    greedy = greedy_schedule(
+        profile, machine.mode_table, deadline,
+        transition_model=machine.transition_model,
+    )
+    greedy_run = optimizer.verify(
+        cfg, greedy.schedule, inputs=inputs, registers=registers
+    )
+    print(f"  greedy heuristic   : {greedy_run.cpu_energy_nj / 1e3:9.1f} uJ in "
+          f"{greedy_run.wall_time_s * 1e3:.3f} ms")
+    block_form = build_block_formulation(
+        profile, machine.mode_table, deadline,
+        transition_model=machine.transition_model, include_transitions=True,
+    )
+    block = block_form.extract_schedule(block_form.solve(), profile)
+    block_run = optimizer.verify(cfg, block, inputs=inputs, registers=registers)
+    print(f"  block-grain MILP   : {block_run.cpu_energy_nj / 1e3:9.1f} uJ in "
+          f"{block_run.wall_time_s * 1e3:.3f} ms")
+    print(f"  best single mode   : {baseline_energy_nj / 1e3:9.1f} uJ")
 
 
 def cmd_bound(args) -> int:
-    spec, cfg, inputs, registers = _workload_context(args.workload, args.category, args.seed)
-    machine = _machine(args.levels, args.capacitance_uf,
-                       not getattr(args, "no_fastpath", False))
-    optimizer = DVSOptimizer(machine)
-    profile = optimizer.profile(cfg, inputs=inputs, registers=registers)
-    deadline = _resolve_deadline(profile, args.deadline_frac)
-    bound = savings_ratio_discrete(profile.params, deadline, machine.mode_table)
+    from repro.core.analytical import savings_ratio_discrete
+
+    profile, mode_table, _ = _profiled(args)
+    deadline = profile.deadline_at(args.deadline_frac)
+    bound = savings_ratio_discrete(profile.params, deadline, mode_table)
     print(f"{args.workload}: analytical savings bound at deadline "
-          f"{deadline * 1e3:.3f} ms with {len(machine.mode_table)} levels: {bound:.1%}")
+          f"{deadline * 1e3:.3f} ms with {len(mode_table)} levels: {bound:.1%}")
     return 0
 
 
@@ -350,8 +341,7 @@ def cmd_verify(args) -> int:
     from repro.verify.fuzz import verify_program
 
     spec, cfg, inputs, registers = _workload_context(args.workload, args.category, args.seed)
-    machine = _machine(args.levels, args.capacitance_uf,
-                       not getattr(args, "no_fastpath", False))
+    machine = _experiment(args).machine.build()
     results = verify_program(
         spec.source,
         inputs,
@@ -368,39 +358,31 @@ def cmd_verify(args) -> int:
     return 1 if failures else 0
 
 
+def _fuzz_progress(every: int, things: str, failures: str):
+    """A fuzz progress callback: a line every ``every`` cases, at the
+    end, and whenever something has failed."""
+    def progress(done: int, total: int, failed: int) -> None:
+        if done % every == 0 or done == total or failed:
+            print(f"  {done}/{total} {things}, {failed} {failures}", flush=True)
+    return progress
+
+
 def cmd_fuzz(args) -> int:
-    from repro.verify.fuzz import fuzz, fuzz_lps
+    from repro.verify.fuzz import fuzz, fuzz_continuous, fuzz_lps
 
     exit_code = 0
-    if args.lp_runs:
-        def lp_progress(done: int, total: int, failures: int) -> None:
-            if done % 50 == 0 or done == total or failures:
-                print(f"  {done}/{total} LP instances, {failures} "
-                      f"disagreements", flush=True)
-
-        lp_report = fuzz_lps(runs=args.lp_runs, seed=args.seed,
-                             on_progress=lp_progress)
-        print(lp_report.summary)
-        for failure in lp_report.failures:
+    for runs, fuzzer, progress in (
+            (args.lp_runs, fuzz_lps,
+             _fuzz_progress(50, "LP instances", "disagreements")),
+            (args.continuous_runs, fuzz_continuous,
+             _fuzz_progress(10, "continuous programs", "violations"))):
+        if not runs:
+            continue
+        report = fuzzer(runs=runs, seed=args.seed, on_progress=progress)
+        print(report.summary)
+        for failure in report.failures:
             print(f"\n{failure}", file=sys.stderr)
-        if not lp_report.ok:
-            exit_code = 1
-
-    if args.continuous_runs:
-        from repro.verify.fuzz import fuzz_continuous
-
-        def cont_progress(done: int, total: int, failures: int) -> None:
-            if done % 10 == 0 or done == total or failures:
-                print(f"  {done}/{total} continuous programs, {failures} "
-                      f"violations", flush=True)
-
-        cont_report = fuzz_continuous(runs=args.continuous_runs,
-                                      seed=args.seed,
-                                      on_progress=cont_progress)
-        print(cont_report.summary)
-        for failure in cont_report.failures:
-            print(f"\n{failure}", file=sys.stderr)
-        if not cont_report.ok:
+        if not report.ok:
             exit_code = 1
 
     if args.taskgraph_runs:
@@ -413,21 +395,16 @@ def cmd_fuzz(args) -> int:
     if args.runs <= 0:
         return exit_code
 
-    machine = _machine(args.levels, args.capacitance_uf,
-                       not getattr(args, "no_fastpath", False))
-
-    def progress(done: int, total: int, failures: int) -> None:
-        if done % 10 == 0 or done == total or failures:
-            print(f"  {done}/{total} programs, {failures} failures", flush=True)
+    from repro.runtime.dag import MachineSpec
 
     report = fuzz(
         runs=args.runs,
         seed=args.seed,
-        machine=machine,
+        machine=MachineSpec(args.levels, args.capacitance_uf).build(),
         check_backends=not args.no_backends,
         check_metamorphic=not args.no_metamorphic,
         stop_on_failure=not args.keep_going,
-        on_progress=progress,
+        on_progress=_fuzz_progress(10, "programs", "failures"),
     )
     print(report.summary)
     for failure in report.failures:
@@ -438,10 +415,7 @@ def cmd_fuzz(args) -> int:
 def _parse_levels(text: str) -> tuple[int | None, ...]:
     """``"xscale"`` or comma-joined level counts (``"xscale,7,13"``)."""
     out: list[int | None] = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
+    for part in _csv(text):
         if part in ("xscale", "xscale-3"):
             out.append(None)
         else:
@@ -471,10 +445,45 @@ def _fault_alias(args):
     return faultplane.installed(plan)
 
 
-def _run_sweep(args, config, **kwargs):
-    """``run_sweep`` for ``sweep``/``taskgraph sweep``: per-task progress
-    lines, under the ``--inject-fault`` plan."""
-    from repro.runtime.sweep import run_sweep
+def _csv(text: str) -> tuple[str, ...]:
+    return tuple(part.strip() for part in text.split(",") if part.strip())
+
+
+def _fracs(text: str) -> tuple[float, ...]:
+    return tuple(float(part) for part in _csv(text))
+
+
+def _cache_root(args) -> str | None:
+    """``--cache-dir``, else ``$REPRO_CACHE_DIR``, else the default
+    store; None under ``--no-cache``."""
+    if getattr(args, "no_cache", False):
+        return None
+    return args.cache_dir or os.environ.get(CACHE_DIR_ENV) or DEFAULT_CACHE_DIR
+
+
+def _run_sweep(args, label: str, experiments=None, run_info_extra=None,
+               **fields):
+    """``sweep``/``taskgraph sweep``: run the grid under the
+    ``--inject-fault`` plan with per-task progress lines, print the
+    summary lines, and return the report and its ok records."""
+    from repro.runtime.sweep import SweepConfig, run_sweep
+
+    config = SweepConfig(
+        deadline_fracs=_fracs(args.deadline_fracs),
+        levels=_parse_levels(args.levels),
+        seed=args.seed,
+        capacitance_uf=args.capacitance_uf,
+        jobs=args.jobs,
+        task_timeout_s=args.timeout if args.timeout > 0 else None,
+        retries=args.retries,
+        cache_dir=_cache_root(args),
+        output_dir=args.output_dir,
+        solver_budget_s=args.solver_budget,
+        solver_backend=args.solver_backend,
+        resume=args.resume,
+        trace=args.trace,
+        **fields,
+    )
 
     def progress(result) -> None:
         if args.quiet:
@@ -487,11 +496,31 @@ def _run_sweep(args, config, **kwargs):
               flush=True)
 
     with _fault_alias(args):
-        return run_sweep(config, on_task=progress, **kwargs)
+        report = run_sweep(config, on_task=progress, experiments=experiments,
+                           run_info_extra=run_info_extra)
+    records = report.experiment_records
+    ok = [r for r in records if r["status"] == "ok"]
+    print(f"\n{label}: {len(ok)}/{len(records)} experiments ok, "
+          f"{len(report.results)} tasks in {report.wall_time_s:.2f}s "
+          f"(jobs={config.jobs})")
+    if report.resumed_tasks:
+        print(f"resume: {report.resumed_tasks} tasks replayed from the journal")
+    if report.cache_stats:
+        stats = report.cache_stats
+        quarantined = (f", {stats['quarantined']} quarantined"
+                       if stats.get("quarantined") else "")
+        print(f"cache: {stats['hits']} hits, {stats['misses']} misses"
+              f"{quarantined} ({config.cache_dir})")
+    return report, ok
 
 
-def _sweep_exit(report) -> int:
-    """Print a sweep's degraded tasks and output paths; its exit code."""
+def _sweep_exit(report, verify_kind: str) -> int:
+    """Print a sweep's failed experiments, degraded tasks and output
+    paths; its exit code."""
+    for record in report.failures:
+        failed = ", ".join(sorted(record.get("failures", {verify_kind: None})))
+        print(f"  {record['experiment']:<44s} {record['status'].upper()}: "
+              f"{failed}", file=sys.stderr)
     for task_id in report.degraded_tasks:
         print(f"  {task_id:<44s} DEGRADED: fallback tier schedule "
               f"(verified, not proven optimal)", file=sys.stderr)
@@ -520,58 +549,16 @@ def _sweep_exit(report) -> int:
 
 
 def cmd_sweep(args) -> int:
-    from repro.runtime.sweep import SweepConfig
-
-    workloads = tuple(w.strip() for w in args.workloads.split(",") if w.strip())
-    fracs = tuple(float(f) for f in args.deadline_fracs.split(","))
-    cache_dir = None if args.no_cache else (
-        args.cache_dir or os.environ.get(CACHE_DIR_ENV) or DEFAULT_CACHE_DIR
-    )
-    config = SweepConfig(
-        workloads=workloads,
-        deadline_fracs=fracs,
-        levels=_parse_levels(args.levels),
-        seed=args.seed,
-        capacitance_uf=args.capacitance_uf,
-        jobs=args.jobs,
-        task_timeout_s=args.timeout if args.timeout > 0 else None,
-        retries=args.retries,
-        cache_dir=cache_dir,
-        output_dir=args.output_dir,
-        solver_budget_s=args.solver_budget,
-        solver_backend=args.solver_backend,
-        continuous_prune=args.continuous_prune,
-        resume=args.resume,
-        trace=args.trace,
-        fastpath=not args.no_fastpath,
-    )
-
-    report = _run_sweep(args, config)
-
-    records = report.experiment_records
-    ok = [r for r in records if r["status"] == "ok"]
-    print(f"\nsweep: {len(ok)}/{len(records)} experiments ok, "
-          f"{len(report.results)} tasks in {report.wall_time_s:.2f}s "
-          f"(jobs={config.jobs})")
-    if report.resumed_tasks:
-        print(f"resume: {report.resumed_tasks} tasks replayed from the journal")
-    if report.cache_stats:
-        stats = report.cache_stats
-        quarantined = (f", {stats['quarantined']} quarantined"
-                       if stats.get("quarantined") else "")
-        print(f"cache: {stats['hits']} hits, {stats['misses']} misses"
-              f"{quarantined} ({cache_dir})")
+    report, ok = _run_sweep(args, "sweep", workloads=_csv(args.workloads),
+                            continuous_prune=args.continuous_prune,
+                            fastpath=not args.no_fastpath)
     for record in ok:
         savings = record["savings_vs_single_mode"]
         bound = record["savings_bound"]
         savings_text = f"{savings:+.1%}" if savings is not None else "n/a"
         bound_text = f" (bound {bound:.1%})" if bound is not None else ""
         print(f"  {record['experiment']:<44s} savings {savings_text}{bound_text}")
-    for record in report.failures:
-        failed = ", ".join(sorted(record.get("failures", {"verify": None})))
-        print(f"  {record['experiment']:<44s} {record['status'].upper()}: {failed}",
-              file=sys.stderr)
-    return _sweep_exit(report)
+    return _sweep_exit(report, "verify")
 
 
 def cmd_taskgraph(args) -> int:
@@ -597,65 +584,27 @@ def _cmd_taskgraph_verify(args) -> int:
 
 
 def _cmd_taskgraph_sweep(args) -> int:
-    from repro.runtime.sweep import SweepConfig
     from repro.taskgraph.pipeline import build_tg_grid
 
-    shapes = tuple(s.strip() for s in args.shapes.split(",") if s.strip())
-    cores = tuple(int(c) for c in args.cores.split(",") if c.strip())
-    fracs = tuple(float(f) for f in args.deadline_fracs.split(","))
-    levels = _parse_levels(args.levels)
+    shapes = _csv(args.shapes)
+    cores = tuple(int(c) for c in _csv(args.cores))
     grid = build_tg_grid(shapes=shapes, tasks=args.tasks, cores=cores,
-                         deadline_fracs=fracs, seed=args.seed,
-                         levels=levels,
+                         deadline_fracs=_fracs(args.deadline_fracs),
+                         seed=args.seed, levels=_parse_levels(args.levels),
                          capacitance_uf=args.capacitance_uf)
-    cache_dir = None if args.no_cache else (
-        args.cache_dir or os.environ.get(CACHE_DIR_ENV) or DEFAULT_CACHE_DIR
-    )
-    config = SweepConfig(
-        workloads=(),
-        deadline_fracs=fracs,
-        levels=levels,
-        seed=args.seed,
-        capacitance_uf=args.capacitance_uf,
-        jobs=args.jobs,
-        task_timeout_s=args.timeout if args.timeout > 0 else None,
-        retries=args.retries,
-        cache_dir=cache_dir,
-        output_dir=args.output_dir,
-        solver_budget_s=args.solver_budget,
-        solver_backend=args.solver_backend,
-        resume=args.resume,
-        trace=args.trace,
-    )
-
-    report = _run_sweep(args, config, experiments=grid, run_info_extra={
-        "family": "taskgraph",
-        "shapes": list(shapes),
-        "graph_tasks": args.tasks,
-        "cores": list(cores),
-    })
-
-    records = report.experiment_records
-    ok = [r for r in records if r["status"] == "ok"]
-    print(f"\ntaskgraph sweep: {len(ok)}/{len(records)} experiments ok, "
-          f"{len(report.results)} tasks in {report.wall_time_s:.2f}s "
-          f"(jobs={config.jobs})")
-    if report.resumed_tasks:
-        print(f"resume: {report.resumed_tasks} tasks replayed from the journal")
-    if report.cache_stats:
-        stats = report.cache_stats
-        print(f"cache: {stats['hits']} hits, {stats['misses']} misses "
-              f"({cache_dir})")
+    report, ok = _run_sweep(args, "taskgraph sweep", workloads=(),
+                            experiments=grid, run_info_extra={
+                                "family": "taskgraph",
+                                "shapes": list(shapes),
+                                "graph_tasks": args.tasks,
+                                "cores": list(cores),
+                            })
     for record in ok:
         savings = record["savings_vs_greedy"]
         savings_text = f"{savings:+.1%}" if savings is not None else "n/a"
         print(f"  {record['experiment']:<44s} vs greedy {savings_text} "
               f"({record['mode_switches']} switches)")
-    for record in report.failures:
-        failed = ", ".join(sorted(record.get("failures", {"tg-verify": None})))
-        print(f"  {record['experiment']:<44s} {record['status'].upper()}: "
-              f"{failed}", file=sys.stderr)
-    return _sweep_exit(report)
+    return _sweep_exit(report, "tg-verify")
 
 
 def cmd_trace(args) -> int:
@@ -691,8 +640,7 @@ def cmd_stats(args) -> int:
 def cmd_cache(args) -> int:
     from repro.runtime.cache import verify_store
 
-    root = args.cache_dir or os.environ.get(CACHE_DIR_ENV) or DEFAULT_CACHE_DIR
-    store = ArtifactStore(root)
+    store = ArtifactStore(_cache_root(args))
     if args.cache_command == "clear":
         removed = store.clear()
         print(f"removed {removed} artifacts from {store.root}")
@@ -707,8 +655,7 @@ def cmd_cache(args) -> int:
 def cmd_chaos(args) -> int:
     from repro.resilience import campaign
 
-    workloads = tuple(w.strip() for w in args.workloads.split(",") if w.strip())
-    fracs = tuple(float(f) for f in args.deadline_fracs.split(","))
+    workloads, fracs = _csv(args.workloads), _fracs(args.deadline_fracs)
 
     def progress(message: str) -> None:
         if not args.quiet:
@@ -757,10 +704,6 @@ def cmd_serve(args) -> int:
         except ValueError:
             raise ReproError(
                 f"--tenant-weight wants NAME=WEIGHT, got {spec!r}") from None
-    cache_dir = None
-    if not args.no_cache:
-        cache_dir = (args.cache_dir or os.environ.get(CACHE_DIR_ENV)
-                     or DEFAULT_CACHE_DIR)
     config = ServeConfig(
         host=args.host,
         port=args.port,
@@ -768,7 +711,7 @@ def cmd_serve(args) -> int:
         runs=args.runs,
         max_queue=args.max_queue,
         max_grid=args.max_grid,
-        cache_dir=cache_dir,
+        cache_dir=_cache_root(args),
         task_timeout_s=args.timeout or None,
         retries=args.retries,
         solver_backend=args.solver_backend,
@@ -791,10 +734,8 @@ def cmd_loadtest(args) -> int:
         concurrency=args.concurrency,
         duplicate_ratio=args.duplicate_ratio,
         seed=args.seed,
-        workloads=tuple(w.strip() for w in args.workloads.split(",")
-                        if w.strip()),
-        deadline_fracs=tuple(float(f)
-                             for f in args.deadline_fracs.split(",")),
+        workloads=_csv(args.workloads),
+        deadline_fracs=_fracs(args.deadline_fracs),
         tenants=args.tenants,
         timeout_s=args.timeout,
         cold_runs=args.cold_runs,
@@ -936,46 +877,54 @@ def build_parser() -> argparse.ArgumentParser:
                         help="collect all failures instead of stopping at the first")
     p_fuzz.set_defaults(fn=cmd_fuzz)
 
+    def add_grid_run(p, output_dir: str):
+        """The options ``sweep`` and ``taskgraph sweep`` share."""
+        p.add_argument("--deadline-fracs", default="0.35,0.7",
+                       help="comma-joined deadline fractions (default 0.35,0.7)")
+        p.add_argument("--capacitance-uf", type=float, default=10.0,
+                       help="regulator capacitance in uF (default 10)")
+        p.add_argument("--jobs", type=int, default=1,
+                       help="worker processes (default 1)")
+        p.add_argument("--timeout", type=float, default=600.0,
+                       help="per-task wall-clock budget in seconds "
+                            "(default 600; 0 disables)")
+        p.add_argument("--retries", type=int, default=1,
+                       help="retry budget per task (default 1)")
+        p.add_argument("--inject-fault", default=None, metavar="PATTERN[@N]",
+                       help="crash task ids matching a glob (testing; "
+                            "a worker.crash fault plan); @N crashes "
+                            "only the first N attempts")
+        p.add_argument("--cache-dir", default=None,
+                       help="artifact-store directory (default: "
+                            "$REPRO_CACHE_DIR or .repro-cache)")
+        p.add_argument("--no-cache", action="store_true",
+                       help="run without the artifact store")
+        p.add_argument("--output-dir", default=output_dir,
+                       help=f"manifest/results directory (default {output_dir})")
+        p.add_argument("--quiet", action="store_true",
+                       help="suppress per-task progress lines")
+        p.add_argument("--resume", action="store_true",
+                       help="replay completed tasks from the output "
+                            "directory's crash-safe journal")
+        p.add_argument("--trace", action="store_true",
+                       help="collect spans/metrics and write trace.jsonl "
+                            "+ metrics.json next to the manifest "
+                            "(also enabled by $REPRO_TRACE=1)")
+
     p_sweep = sub.add_parser(
         "sweep",
         help="run an experiment grid in parallel with artifact caching",
     )
     p_sweep.add_argument("--workloads", default="adpcm,epic,gsm,mpeg,mpg123,ghostscript",
                          help="comma-joined workload names (default: the paper suite)")
-    p_sweep.add_argument("--deadline-fracs", default="0.35,0.7",
-                         help="comma-joined deadline fractions (default 0.35,0.7)")
     p_sweep.add_argument("--levels", default="xscale",
                          help="comma-joined mode tables: 'xscale' and/or level "
                               "counts, e.g. 'xscale,7,13' (default xscale)")
-    p_sweep.add_argument("--jobs", type=int, default=1,
-                         help="worker processes (default 1)")
     p_sweep.add_argument("--seed", type=int, default=0, help="input seed")
-    p_sweep.add_argument("--capacitance-uf", type=float, default=10.0,
-                         help="regulator capacitance in uF (default 10)")
-    p_sweep.add_argument("--timeout", type=float, default=600.0,
-                         help="per-task wall-clock budget in seconds "
-                              "(default 600; 0 disables)")
-    p_sweep.add_argument("--retries", type=int, default=1,
-                         help="retry budget per task (default 1)")
     p_sweep.add_argument("--no-fastpath", action="store_true",
                          help="simulate on the reference interpreter only "
                               "(results.jsonl is byte-identical either way)")
-    p_sweep.add_argument("--inject-fault", default=None, metavar="PATTERN[@N]",
-                         help="crash task ids matching a glob (testing; "
-                              "a worker.crash fault plan); @N crashes "
-                              "only the first N attempts")
-    p_sweep.add_argument("--cache-dir", default=None,
-                         help="artifact-store directory (default: "
-                              "$REPRO_CACHE_DIR or .repro-cache)")
-    p_sweep.add_argument("--no-cache", action="store_true",
-                         help="run without the artifact store")
-    p_sweep.add_argument("--output-dir", default="sweep-results",
-                         help="manifest/results directory (default sweep-results)")
-    p_sweep.add_argument("--quiet", action="store_true",
-                         help="suppress per-task progress lines")
-    p_sweep.add_argument("--resume", action="store_true",
-                         help="replay completed tasks from the output "
-                              "directory's crash-safe journal")
+    add_grid_run(p_sweep, "sweep-results")
     p_sweep.add_argument("--solver-budget", type=float, default=None,
                          metavar="SECONDS",
                          help="anytime wall-clock budget per optimize task "
@@ -991,10 +940,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="warm-start the native branch and bound with "
                               "the continuous round-up incumbent (pure "
                               "accelerator: results are byte-identical)")
-    p_sweep.add_argument("--trace", action="store_true",
-                         help="collect spans/metrics and write trace.jsonl "
-                              "+ metrics.json next to the manifest "
-                              "(also enabled by $REPRO_TRACE=1)")
     p_sweep.set_defaults(fn=cmd_sweep)
 
     p_tg = sub.add_parser(
@@ -1015,38 +960,11 @@ def build_parser() -> argparse.ArgumentParser:
                             help="tasks per generated graph (default 6)")
     p_tg_sweep.add_argument("--cores", default="1,2",
                             help="comma-joined core counts (default 1,2)")
-    p_tg_sweep.add_argument("--deadline-fracs", default="0.35,0.7",
-                            help="comma-joined deadline fractions "
-                                 "(default 0.35,0.7)")
     p_tg_sweep.add_argument("--levels", default="xscale",
                             help="comma-joined mode tables (default xscale)")
     p_tg_sweep.add_argument("--seed", type=int, default=0,
                             help="graph/input seed (default 0)")
-    p_tg_sweep.add_argument("--capacitance-uf", type=float, default=10.0,
-                            help="regulator capacitance in uF (default 10)")
-    p_tg_sweep.add_argument("--jobs", type=int, default=1,
-                            help="worker processes (default 1)")
-    p_tg_sweep.add_argument("--timeout", type=float, default=600.0,
-                            help="per-task wall-clock budget in seconds "
-                                 "(default 600; 0 disables)")
-    p_tg_sweep.add_argument("--retries", type=int, default=1,
-                            help="retry budget per task (default 1)")
-    p_tg_sweep.add_argument("--inject-fault", default=None,
-                            metavar="PATTERN[@N]",
-                            help="kill task ids matching a glob (testing)")
-    p_tg_sweep.add_argument("--cache-dir", default=None,
-                            help="artifact-store directory (default: "
-                                 "$REPRO_CACHE_DIR or .repro-cache)")
-    p_tg_sweep.add_argument("--no-cache", action="store_true",
-                            help="run without the artifact store")
-    p_tg_sweep.add_argument("--output-dir", default="taskgraph-results",
-                            help="manifest/results directory (default "
-                                 "taskgraph-results)")
-    p_tg_sweep.add_argument("--quiet", action="store_true",
-                            help="suppress per-task progress lines")
-    p_tg_sweep.add_argument("--resume", action="store_true",
-                            help="replay completed tasks from the output "
-                                 "directory's crash-safe journal")
+    add_grid_run(p_tg_sweep, "taskgraph-results")
     p_tg_sweep.add_argument("--solver-budget", type=float, default=None,
                             metavar="SECONDS",
                             help="anytime wall-clock budget per tg-solve "
@@ -1055,9 +973,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tg_sweep.add_argument("--solver-backend", default="auto",
                             choices=("auto", "scipy", "native"),
                             help="MILP backend for tg-solve tasks")
-    p_tg_sweep.add_argument("--trace", action="store_true",
-                            help="collect spans/metrics and write "
-                                 "trace.jsonl + metrics.json")
     p_tg_sweep.set_defaults(fn=cmd_taskgraph)
     p_tg_verify = tg_sub.add_parser(
         "verify",

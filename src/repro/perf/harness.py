@@ -18,7 +18,9 @@ Everything else is shared:
   (:func:`profiled_workload`).
 
 A gate that compares against a baseline reads
-``<baseline-dir>/<file name>``; a missing baseline fails it.
+``<baseline-dir>/<file name>``; a missing baseline fails it, and so does
+one measured on another grid (workloads and deadlines, or graph size
+and core counts), without comparing any number.
 """
 
 from __future__ import annotations
@@ -159,6 +161,9 @@ class Bench:
     rows: Callable[[Document], Iterable[Document]] = _cases
     columns: tuple[tuple[str, str], ...] = ()  # (field path, format spec)
     gates: tuple[Gate, ...] = ()
+    # The grid a document was measured on; baseline gates fail, unchecked,
+    # when it differs from the baseline's.
+    grid: Callable[[Document], str] | None = None
 
 
 def _csv(text: str) -> tuple[str, ...]:
@@ -201,6 +206,18 @@ def _summary_rows(document: Document) -> Iterable[Document]:
                              or {}).get("delta_rel")}
             for key, entry in document["benches"].items()
             for metric, value in entry["headline"].items()]
+
+
+def _taskgraph_grid(document: Document) -> str:
+    return (f"tasks {document['graph_tasks']}, cores "
+            + ",".join(str(case["cores"]) for case in document["cases"]))
+
+
+def _continuous_grid(document: Document) -> str:
+    return " ".join(
+        f"{case['name']}@" + ",".join(f"{row['deadline_frac']:g}"
+                                      for row in case["rows"])
+        for case in document["cases"])
 
 
 def _gap_matches_baseline(doc: Document, base: Document | None) -> bool:
@@ -249,7 +266,8 @@ BENCHES: dict[str, Bench] = {
                # The MILP must be worth running on the seeded instance.
                Gate("headline_gap_gt_0.05", lambda d, b: d["headline_gap"] > 0.05),
                Gate("headline_gap_matches_baseline", _gap_matches_baseline,
-                    baseline=True))),
+                    baseline=True)),
+        grid=_taskgraph_grid),
     "continuous": Bench(
         "BENCH_continuous.json",
         ("headline_gap", "continuous_prunes", "nodes_enqueued_off",
@@ -268,7 +286,8 @@ BENCHES: dict[str, Bench] = {
                     d["continuous_prunes"] >= b["continuous_prunes"],
                     baseline=True),
                Gate("nodes_enqueued_on_le_off", lambda d, b:
-                    d["nodes_enqueued_on"] <= d["nodes_enqueued_off"]))),
+                    d["nodes_enqueued_on"] <= d["nodes_enqueued_off"])),
+        grid=_continuous_grid),
     "summary": Bench(
         "BENCH_summary.json", ("missing",), run=_run_summary,
         rows=_summary_rows,
@@ -360,11 +379,25 @@ def render_table(columns: tuple[tuple[str, str], ...],
         for line in table)
 
 
+def grid_mismatch(bench: Bench, document: Document,
+                  baseline: Document | None) -> str | None:
+    """Why ``document`` cannot be compared with ``baseline``, or None."""
+    if bench.grid is None or baseline is None:
+        return None
+    ours, theirs = bench.grid(document), bench.grid(baseline)
+    return (None if ours == theirs else
+            f"measured on {ours}, the baseline on {theirs}")
+
+
 def failed_gates(bench: Bench, document: Document,
                  baseline: Document | None) -> list[str]:
-    """Names of the gates ``document`` fails."""
+    """Names of the gates ``document`` fails.  A baseline gate fails
+    unchecked when there is no baseline or it was measured on another
+    grid."""
+    incomparable = (baseline is None
+                    or grid_mismatch(bench, document, baseline) is not None)
     return [gate.name for gate in bench.gates
-            if (gate.baseline and baseline is None)
+            if (gate.baseline and incomparable)
             or not gate.check(document, baseline)]
 
 
@@ -384,4 +417,8 @@ def run_kind(kind: str, args) -> int:
         print(f"bench: gate {name} failed", file=sys.stderr)
     if failed and baseline is None and any(g.baseline for g in bench.gates):
         print(f"bench: no baseline at {baseline_path}", file=sys.stderr)
+    mismatch = grid_mismatch(bench, document, baseline)
+    if mismatch is not None:
+        print(f"bench: not comparable with {baseline_path}: {mismatch}",
+              file=sys.stderr)
     return EXIT_FAILURE if failed else EXIT_OK

@@ -437,6 +437,17 @@ def run_graph(
                 out.append(task)
         return out
 
+    def tainted(task: Task) -> bool:
+        """True when a dependency's output is uncacheable (``_cacheable:
+        false``, e.g. a budget-starved schedule).  What is computed from
+        it is uncacheable too: never served from or written under the
+        key of the exact result, and never journaled."""
+        return any(not results[dep].output.get("_cacheable", True)
+                   for dep in task.deps)
+
+    def cache_key(task: Task) -> str | None:
+        return None if store is None or tainted(task) else task.cache_key
+
     def resolve_without_running(task: Task) -> TaskResult | None:
         """Skip on failed deps; serve cache hits without a worker."""
         failed_deps = [d for d in task.deps if not results[d].ok]
@@ -448,8 +459,7 @@ def run_graph(
                       f"{results[failed_deps[0]].status}",
                 error_type="SkippedDependency",
             )
-        if (store is not None and task.cache_key is not None
-                and task.task_id not in probed):
+        if cache_key(task) is not None and task.task_id not in probed:
             probed.add(task.task_id)
             probe = observe.start_span("executor.cache_probe",
                                        task=task.task_id)
@@ -481,7 +491,7 @@ def run_graph(
             },
             "attempt": attempt,
             "timeout_s": config.task_timeout_s,
-            "cache_key": task.cache_key,
+            "cache_key": cache_key(task),
             "store_root": str(store.root) if store is not None else None,
             "inject_fault": faultplane.crash_due(task.task_id, attempt),
             "trace": observe.enabled(),
@@ -510,14 +520,18 @@ def run_graph(
                 observe.record("executor.queue_wait_s",
                                max(0.0, started - tspan.t0))
             observe.end_span(tspan, ok=transport["ok"])
+        key = cache_key(task)
         if transport["ok"]:
+            output = transport["output"]
+            if tainted(task):
+                output = {**output, "_cacheable": False}
             finish(TaskResult(
                 task_id=task_id, kind=task.kind, status="ok",
                 experiments=task.experiments,
-                cache="miss" if (store and task.cache_key) else "off",
+                cache="miss" if key else "off",
                 attempts=attempts[task_id],
                 wall_time_s=transport["wall_time_s"],
-                output=transport["output"],
+                output=output,
                 warnings=tuple(transport.get("warnings", ())),
             ))
             return
@@ -535,7 +549,7 @@ def run_graph(
         finish(TaskResult(
             task_id=task_id, kind=task.kind, status="failed",
             experiments=task.experiments,
-            cache="miss" if (store and task.cache_key) else "off",
+            cache="miss" if key else "off",
             attempts=attempts[task_id],
             wall_time_s=transport["wall_time_s"],
             error=transport["error"],

@@ -45,12 +45,13 @@ def _tracked(kind):
     return json.loads((TRACKED / harness.BENCHES[kind].filename).read_text())
 
 
-def _bench(monkeypatch, tmp_path, kind, document, baseline_dir=TRACKED):
-    """``repro bench KIND`` with the run replaced by ``document``."""
+def _bench(monkeypatch, tmp_path, kind, document, baseline_dir=TRACKED,
+           argv=()):
+    """``repro bench KIND [ARGV]`` with the run replaced by ``document``."""
     bench = harness.BENCHES[kind]
     monkeypatch.setitem(harness.BENCHES, kind, dataclasses.replace(
         bench, run=lambda args: document))
-    return cli.main(["bench", kind, "-o", str(tmp_path / bench.filename),
+    return cli.main(["bench", kind, *argv, "-o", str(tmp_path / bench.filename),
                      "--baseline-dir", str(baseline_dir)])
 
 
@@ -91,6 +92,44 @@ def test_missing_baseline_fails_the_baseline_gates(monkeypatch, tmp_path,
     for gate in harness.BENCHES[kind].gates:
         assert (f"gate {gate.name} failed" in err) == gate.baseline
     assert "no baseline at" in err
+
+
+def _regridded(kind):
+    """The tracked document as a smaller grid writes it, with every
+    headline number unchanged."""
+    document = _tracked(kind)
+    if kind == "taskgraph":
+        document["graph_tasks"] = 4
+        document["cases"] = [c for c in document["cases"] if c["cores"] <= 2]
+    else:
+        document["cases"] = document["cases"][:1]
+    return document
+
+
+@pytest.mark.parametrize("kind,argv,ours,theirs", [
+    ("taskgraph", ["--tg-tasks", "4", "--tg-cores", "1,2"],
+     "tasks 4, cores 1,2", "tasks 7, cores 1,2,4"),
+    ("continuous", ["--workloads", "adpcm"], "adpcm@0.2,0.4,0.6,0.8",
+     "adpcm@0.2,0.4,0.6,0.8 gsm@0.2,0.4,0.6,0.8"),
+])
+def test_a_baseline_of_another_grid_fails_its_gates_unchecked(
+        monkeypatch, tmp_path, capsys, kind, argv, ours, theirs):
+    checked = []
+    bench = harness.BENCHES[kind]
+    gates = tuple(
+        dataclasses.replace(gate, check=lambda d, b, gate=gate: (
+            checked.append(gate.name) or gate.check(d, b)))
+        for gate in bench.gates)
+    monkeypatch.setitem(harness.BENCHES, kind,
+                        dataclasses.replace(bench, gates=gates))
+    code = _bench(monkeypatch, tmp_path, kind, _regridded(kind), argv=argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    for gate in bench.gates:
+        assert (f"gate {gate.name} failed" in err) == gate.baseline
+        # A baseline gate never compares numbers across grids.
+        assert (gate.name in checked) != gate.baseline
+    assert f"measured on {ours}, the baseline on {theirs}" in err
 
 
 def test_summary_covers_every_tracked_document():

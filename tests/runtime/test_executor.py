@@ -72,6 +72,25 @@ class TestHappyPath:
             if graph.tasks[task_id].cache_key:
                 assert result.output == cold[task_id].output
 
+    def test_what_a_degraded_schedule_feeds_is_never_cached(self, tmp_path):
+        """A starved solve's simulate must not land under the exact
+        schedule's run key, or a later exact run replays the wrong run
+        and fails its energy check."""
+        spec = ExperimentSpec(workload="adpcm", deadline_frac=0.35)
+        store = ArtifactStore(tmp_path / "store")
+        starved = by_kind(run_graph(
+            build_task_graph([spec], solver_budget_s=1e-4), store=store,
+            config=ExecutorConfig(jobs=1, retries=0)))
+        assert starved["optimize"].output["solver"]["degraded"]
+        assert starved["simulate"].cache == "off"
+        assert starved["simulate"].output["_cacheable"] is False
+        exact = by_kind(run_graph(build_task_graph([spec]), store=store,
+                                  config=ExecutorConfig(jobs=1, retries=0)))
+        assert exact["profile"].cache == "hit"
+        assert (exact["optimize"].cache, exact["simulate"].cache) == (
+            "miss", "miss")
+        assert exact["verify"].output["ok"] is True
+
     def test_pool_execution_matches_inline(self, graph, tmp_path):
         inline = run_graph(graph, config=ExecutorConfig(jobs=1))
         pooled = run_graph(graph, config=ExecutorConfig(jobs=2))
