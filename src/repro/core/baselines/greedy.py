@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import ScheduleError
 from repro.core.milp.schedule import DVSSchedule
 from repro.core.milp.transition import TransitionCosts
 from repro.profiling.profile_data import ProfileData
@@ -40,15 +39,6 @@ class GreedyOutcome:
     predicted_time_s: float
     moves_taken: int
     moves_considered: int
-
-
-def _best_single_mode(profile: ProfileData, deadline_s: float, num_modes: int) -> int:
-    for mode in range(num_modes):
-        if profile.wall_time_s[mode] <= deadline_s * (1 + 1e-9):
-            return mode
-    raise ScheduleError(
-        f"deadline {deadline_s:.6g}s infeasible even at the fastest mode"
-    )
 
 
 def _schedule_from_block_modes(
@@ -74,7 +64,7 @@ def greedy_schedule(
     """
     num_modes = len(mode_table)
     costs = TransitionCosts.from_model(transition_model)
-    base_mode = _best_single_mode(profile, deadline_s, num_modes)
+    base_mode, _ = profile.best_single_mode(deadline_s, num_modes)
     block_mode = {label: base_mode for label in profile.block_counts}
 
     # Candidate moves: (block, slower mode), ranked by energy saved per

@@ -61,24 +61,24 @@ class OptimizationOutcome:
     solve_time_s: float
     filter_result: FilterResult | None = None
     # Independent re-check of the solve (constraint residuals, bounds,
-    # integrality, objective recomputation); always attached by the
-    # optimizer, which refuses to ship an uncertified solution.  The
-    # greedy fallback tier has no MILP point to certify; its outcome
-    # carries a ``schedule_check`` replay report instead.
+    # integrality, objective recomputation); attached to every MILP
+    # tier's outcome, which is refused when it fails.  The continuous
+    # and greedy tiers have no MILP point to certify.
     certificate: CertificateReport | None = None
-    # Which rung of the anytime fallback chain produced the schedule
-    # ("milp-scipy", "milp-native" or "greedy"); exact solves record the
-    # backend that ran.
+    # Which rung of the tier ladder produced the schedule ("milp-scipy",
+    # "milp-native", "continuous" or "greedy"); an exact MILP solve names
+    # the backend that ran.
     fallback_tier: str = "milp"
     # Relative gap between the emitted schedule's energy and the best
     # proven lower bound (0.0 for a proven optimum, None when no bound
     # could be established within budget).
     optimality_gap: float | None = 0.0
-    # Every fallback rung tried, in order, with its verdict.
+    # Every rung tried, in order, with its verdict; an exact solve has
+    # exactly one, the accepted one.
     tier_attempts: tuple = ()
     # Independent first-principles replay of the final schedule
     # (:func:`repro.verify.schedule_check.check_schedule`); attached by
-    # the anytime path for every tier.
+    # the ladder to every outcome, exact or budgeted, of every tier.
     schedule_check: object | None = None
 
     @property
@@ -196,73 +196,35 @@ class DVSOptimizer:
             profile: reuse an existing profile instead of re-simulating.
             use_filtering: override the constructor's filtering choice.
             hoist: apply the silent-mode-set hoisting post-pass.
-            budget_s: wall-clock budget for the solve.  When set, the
-                anytime fallback chain (HiGHS → native B&B incumbent →
-                greedy heuristic) guarantees a feasible, independently
-                checked schedule within roughly this budget instead of
-                raising on solver limits; the outcome's
-                ``fallback_tier``/``optimality_gap`` report how it was
-                obtained.  When None (the default), the solve is exact
-                and solver limits raise.
+            budget_s: wall-clock budget for the solve.  Every solve runs
+                the tier ladder of :mod:`repro.resilience.anytime`.  When
+                set, the ladder falls back (HiGHS → native B&B incumbent
+                → continuous round-up → greedy heuristic) and guarantees
+                a feasible, independently checked schedule within
+                roughly this budget instead of raising on solver limits;
+                the outcome's ``fallback_tier``/``optimality_gap`` report
+                how it was obtained.  When None (the default), the solve
+                is exact: the requested backend's tier alone, with no
+                time limit.
 
         Raises:
-            ScheduleError: when the MILP is infeasible (deadline too tight
-                even at the fastest mode); without ``budget_s``, also when
-                the solver hits its limits.
+            ScheduleError: when the deadline is infeasible (too tight even
+                at the fastest mode); without ``budget_s``, also when the
+                solver finishes without an optimum or the schedule fails
+                its feasibility replay.
+            VerificationError: without ``budget_s``, when the solution's
+                certificate is invalid.
         """
         if profile is None:
             profile = self.profile(cfg, inputs=inputs, registers=registers)
-        if budget_s is not None:
-            from repro.resilience.anytime import optimize_anytime
+        from repro.resilience.anytime import optimize_anytime
 
+        with observe.span("optimizer.optimize", program=profile.name,
+                          deadline_s=deadline_s):
             return optimize_anytime(
                 self, cfg, deadline_s, profile, budget_s,
                 use_filtering=use_filtering, hoist=hoist,
             )
-        if self.backend == "continuous":
-            return self._optimize_continuous(
-                cfg, deadline_s, profile, use_filtering, hoist
-            )
-        from repro.verify.certificate import verify_certificate
-
-        formulation, filter_result = self.build(profile, deadline_s, use_filtering)
-
-        options = dict(self.solver_options)
-        if options.pop("continuous_prune", False):
-            incumbent = self.continuous_incumbent(
-                profile, deadline_s, formulation, filter_result
-            )
-            if incumbent is not None:
-                options["incumbent"] = incumbent
-        with observe.span("optimizer.optimize", program=profile.name,
-                          deadline_s=deadline_s) as sp:
-            solution = formulation.solve(backend=self.backend, **options)
-        solve_time = sp.elapsed_s
-        if not solution.ok:
-            raise ScheduleError(
-                f"MILP for {profile.name!r} at deadline {deadline_s:.6g}s "
-                f"finished with status {solution.status.value}"
-            )
-        certificate = verify_certificate(formulation, solution)
-        certificate.raise_if_invalid()
-        schedule = formulation.extract_schedule(solution)
-        energy, time_s = formulation.price(schedule)
-        schedule.validate_against(cfg)
-        if hoist:
-            schedule = schedule.hoist_silent(profile)
-        return OptimizationOutcome(
-            schedule=schedule,
-            solution=solution,
-            formulation=formulation,
-            profile=profile,
-            predicted_energy_nj=energy,
-            predicted_time_s=time_s,
-            solve_time_s=solve_time,
-            filter_result=filter_result,
-            certificate=certificate,
-            fallback_tier=f"milp-{solution.backend}",
-            optimality_gap=solution.optimality_gap(),
-        )
 
     # -- the exact continuous-voltage engine ---------------------------------------
 
@@ -277,111 +239,6 @@ class DVSOptimizer:
 
         return continuous_bound(profile, self.machine.mode_table, deadline_s)
 
-    def continuous_incumbent(
-        self,
-        profile: ProfileData,
-        deadline_s: float,
-        formulation: MilpFormulation,
-        filter_result: FilterResult | None,
-    ):
-        """Warm B&B incumbent ``(x, objective)`` from the continuous round-up.
-
-        Returns None when the bound or round-up is unavailable (e.g. a
-        single-mode profile or an infeasible deadline) — pruning is an
-        accelerator, never a prerequisite.  The vector is checked against
-        the formulation's own deadline row before it is handed over, so
-        an injected incumbent is always a feasible point of the exact
-        model being solved.
-        """
-        from repro.core.continuous import continuous_bound, round_up_schedule
-
-        try:
-            bound = continuous_bound(profile, self.machine.mode_table, deadline_s)
-            rounded = round_up_schedule(
-                profile, self.machine.mode_table, deadline_s, bound.speeds,
-                self.machine.transition_model, filter_result,
-            )
-        except ScheduleError:
-            return None
-        if rounded is None:
-            return None
-        x, objective, time_s = formulation.incumbent_vector(rounded.rep_modes)
-        if time_s > deadline_s:
-            return None
-        observe.add("optimizer.continuous_incumbents")
-        return x, objective
-
-    def _optimize_continuous(
-        self,
-        cfg: CFG,
-        deadline_s: float,
-        profile: ProfileData,
-        use_filtering: bool | None,
-        hoist: bool,
-    ) -> OptimizationOutcome:
-        """The ``backend="continuous"`` path: exact continuous optimum,
-        rounded up to a feasible discrete schedule.
-
-        The outcome's ``predicted_energy_nj`` is the rounded schedule's
-        exact model objective (a feasible point, not a proven optimum —
-        the solution status is FEASIBLE and ``optimality_gap`` prices it
-        against the continuous lower bound).  Never times out: the whole
-        path is O(n^2) + a handful of profile replays.
-        """
-        from repro.core.continuous import continuous_bound, round_up_schedule
-        from repro.solver.solution import Solution, SolveStatus
-        from repro.verify.schedule_check import check_schedule
-
-        formulation, filter_result = self.build(profile, deadline_s, use_filtering)
-        with observe.span("optimizer.continuous", program=profile.name,
-                          deadline_s=deadline_s) as sp:
-            bound = continuous_bound(profile, self.machine.mode_table, deadline_s)
-            rounded = round_up_schedule(
-                profile, self.machine.mode_table, deadline_s, bound.speeds,
-                self.machine.transition_model, filter_result,
-            )
-            if rounded is None:
-                raise ScheduleError(
-                    f"deadline {deadline_s:.6g}s infeasible for {profile.name!r}: "
-                    "even the all-fastest schedule misses it"
-                )
-            x, objective, time_s = formulation.incumbent_vector(rounded.rep_modes)
-        schedule = rounded.schedule
-        schedule.validate_against(cfg)
-        if hoist:
-            schedule = schedule.hoist_silent(profile)
-        feasibility = check_schedule(
-            schedule, cfg, profile, self.machine.mode_table,
-            self.machine.transition_model, deadline_s,
-        )
-        if not feasibility.ok:
-            raise ScheduleError(
-                f"continuous round-up failed its feasibility replay: "
-                f"{feasibility.summary}"
-            )
-        solution = Solution(
-            status=SolveStatus.FEASIBLE,
-            objective=objective,
-            x=x,
-            backend="continuous",
-            best_bound=bound.energy_nj,
-        )
-        gap = max(0.0, (objective - bound.energy_nj) / max(1.0, abs(objective)))
-        return OptimizationOutcome(
-            schedule=schedule,
-            solution=solution,
-            formulation=formulation,
-            profile=profile,
-            predicted_energy_nj=objective,
-            predicted_time_s=time_s,
-            solve_time_s=sp.elapsed_s,
-            filter_result=filter_result,
-            certificate=None,
-            fallback_tier="continuous",
-            optimality_gap=gap,
-            schedule_check=feasibility,
-        )
-
     def optimize_multi(
         self,
         cfg: CFG,
@@ -391,7 +248,7 @@ class DVSOptimizer:
     ) -> OptimizationOutcome:
         """Section 4.3: one schedule for several weighted input categories."""
         from repro.core.milp.multidata import build_multidata_formulation
-        from repro.verify.certificate import verify_certificate
+        from repro.resilience.anytime import milp_outcome
 
         apply_filter = (
             use_filtering if use_filtering is not None else self.filter_threshold > 0
@@ -411,35 +268,14 @@ class DVSOptimizer:
         options.pop("continuous_prune", None)  # single-profile hint only
         backend = self.backend if self.backend != "continuous" else "auto"
         with observe.span("optimizer.optimize_multi",
-                          categories=len(categories)) as sp:
+                          categories=len(categories)):
             solution = formulation.solve(backend=backend, **options)
-        solve_time = sp.elapsed_s
         if not solution.ok:
             raise ScheduleError(
                 f"multi-category MILP finished with status {solution.status.value}"
             )
-        certificate = verify_certificate(formulation, solution)
-        certificate.raise_if_invalid()
-        schedule = formulation.extract_schedule(solution)
-        energy, time_s = formulation.price(schedule)
-        schedule.validate_against(cfg)
-        if hoist:
-            # Removal is safe only when the mode-set is silent on every
-            # category's profiled paths, so all profiles go in at once.
-            schedule = schedule.hoist_silent(*[c.profile for c in categories])
-        return OptimizationOutcome(
-            schedule=schedule,
-            solution=solution,
-            formulation=formulation,
-            profile=categories[0].profile,
-            predicted_energy_nj=energy,
-            predicted_time_s=time_s,
-            solve_time_s=solve_time,
-            filter_result=filter_result,
-            certificate=certificate,
-            fallback_tier=f"milp-{solution.backend}",
-            optimality_gap=solution.optimality_gap(),
-        )
+        return milp_outcome(formulation, solution, cfg,
+                            [c.profile for c in categories], hoist, filter_result)
 
     # -- verification ---------------------------------------------------------------
 
@@ -521,11 +357,4 @@ class DVSOptimizer:
         This is the baseline the paper normalizes against ("the best
         single frequency that meets the deadline").
         """
-        num_modes = len(self.machine.mode_table)
-        for mode in range(num_modes):
-            if profile.wall_time_s[mode] <= deadline_s * (1 + 1e-9):
-                return mode, profile.cpu_energy_nj[mode]
-        raise ScheduleError(
-            f"deadline {deadline_s:.6g}s infeasible for {profile.name!r}: "
-            f"fastest mode needs {profile.wall_time_s[num_modes - 1]:.6g}s"
-        )
+        return profile.best_single_mode(deadline_s, len(self.machine.mode_table))

@@ -44,11 +44,31 @@ SUMMARY_FORMAT = 1
 # -- shared document plumbing -------------------------------------------------------
 
 
+#: Numeric libraries a document records the versions of: pivot, node
+#: and prune counts move with them, though no optimum does.
+LIBRARIES = ("numpy", "scipy")
+
+
 def header(benchmark: str, fmt: int) -> Document:
     """The fields every bench document starts with."""
-    return {"format": fmt, "benchmark": benchmark,
-            "python": platform.python_version(),
-            "platform": platform.platform()}
+    from importlib import metadata
+
+    document = {"format": fmt, "benchmark": benchmark,
+                "python": platform.python_version(),
+                "platform": platform.platform()}
+    for name in LIBRARIES:
+        try:
+            document[name] = metadata.version(name)
+        except metadata.PackageNotFoundError:
+            document[name] = "unknown"
+    return document
+
+
+def _library_versions(document: Document | None) -> str:
+    """"numpy X, scipy Y" as a document recorded them; "unknown" for
+    one written before documents carried them."""
+    return ", ".join(f"{name} {(document or {}).get(name, 'unknown')}"
+                     for name in LIBRARIES)
 
 
 def write_document(document: Document, path: str | Path) -> Path:
@@ -413,8 +433,12 @@ def run_kind(kind: str, args) -> int:
     baseline_path = Path(args.baseline_dir) / bench.filename
     baseline = _load(baseline_path)
     failed = failed_gates(bench, document, baseline)
+    baseline_gates = {gate.name for gate in bench.gates if gate.baseline}
     for name in failed:
-        print(f"bench: gate {name} failed", file=sys.stderr)
+        versions = (f" ({_library_versions(document)} here; "
+                    f"{_library_versions(baseline)} in the baseline)"
+                    if name in baseline_gates else "")
+        print(f"bench: gate {name} failed{versions}", file=sys.stderr)
     if failed and baseline is None and any(g.baseline for g in bench.gates):
         print(f"bench: no baseline at {baseline_path}", file=sys.stderr)
     mismatch = grid_mismatch(bench, document, baseline)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.errors import ProfileError
+from repro.errors import ProfileError, ScheduleError
 from repro.ir.cfg import Edge
 
 if TYPE_CHECKING:
@@ -110,6 +110,23 @@ class ProfileData:
         t_fast = self.wall_time_s[modes[-1]]
         t_slow = self.wall_time_s[modes[0]]
         return t_fast + frac * (t_slow - t_fast)
+
+    def best_single_mode(self, deadline_s: float,
+                         num_modes: int | None = None) -> tuple[int, float]:
+        """Slowest single mode meeting the deadline and its energy (nJ).
+
+        Modes are indexed slowest first; ``num_modes`` defaults to the
+        profiled count.  Raises :class:`~repro.errors.ScheduleError`
+        when even the fastest mode misses the deadline.
+        """
+        num_modes = self.num_modes if num_modes is None else num_modes
+        for mode in range(num_modes):
+            if self.wall_time_s[mode] <= deadline_s * (1 + 1e-9):
+                return mode, self.cpu_energy_nj[mode]
+        raise ScheduleError(
+            f"deadline {deadline_s:.6g}s infeasible for {self.name!r}: "
+            f"fastest mode needs {self.wall_time_s[num_modes - 1]:.6g}s"
+        )
 
     def block_energy_share(self, mode: int) -> dict[str, float]:
         """Fraction of whole-run energy attributable to each block at a mode

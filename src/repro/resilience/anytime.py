@@ -1,7 +1,8 @@
-"""Anytime optimization: a budgeted solve that always returns a schedule.
+"""The tier ladder: the one path from a formulation to a checked schedule.
 
-:func:`optimize_anytime` runs the Section 4.2 MILP under a wall-clock
-budget and degrades through a fallback chain instead of raising:
+:func:`optimize_anytime` runs every solve of the Section 4.2 MILP, exact
+or budgeted.  Under a wall-clock budget it degrades through a fallback
+chain instead of raising:
 
 1. **HiGHS** (``scipy``) with the remaining budget as its time limit —
    the normal fast path; a proven optimum when it finishes, a checked
@@ -19,6 +20,11 @@ budget and degrades through a fallback chain instead of raising:
    parameters; feasible by construction whenever any single mode meets
    the deadline, i.e. whenever the problem is feasible at all.
 
+An exact solve (no budget) is the one-tier ladder: only the requested
+tier (the ``auto``/``scipy``/``native`` MILP, or ``continuous``), with
+no time limit and no fallback.  Every MILP tier gets the optimizer's
+``solver_options``.
+
 Every tier's output passes through the *same* two independent gates
 before it is accepted:
 
@@ -34,25 +40,31 @@ tier, reports the optimality gap against the best proven lower bound
 (the MILP dual bound, or the LP relaxation for the greedy tier) and
 records every attempt so manifests can explain *why* a run degraded.
 
-The only exception that escapes is genuine infeasibility: a deadline
-below the all-fastest runtime has no schedule in any tier, and
-pretending otherwise would emit an infeasible result — the one thing
-this module exists to prevent.
+The last tier's failure escapes.  For an exact solve that is the
+requested tier's (a failed solver status or an infeasible round-up
+raises :class:`~repro.errors.ScheduleError`, an invalid certificate
+:class:`~repro.errors.VerificationError`); for a budgeted one it is the
+greedy tier's, i.e. genuine infeasibility: a deadline below the
+all-fastest runtime has no schedule in any tier, and pretending
+otherwise would emit an infeasible result — the one thing this module
+exists to prevent.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro import observe
 from repro.core.baselines.greedy import greedy_schedule
-from repro.errors import ScheduleError
+from repro.core.scheduler import OptimizationOutcome
+from repro.errors import ReproError, ScheduleError
 from repro.solver import load_backends
 from repro.solver.solution import Solution, SolveStatus
-from repro.verify.certificate import verify_certificate
+from repro.verify import certificate as certificates
 from repro.verify.schedule_check import check_schedule
 
 #: Smallest wall-clock slice worth handing to a MILP backend; with less
@@ -98,16 +110,109 @@ def _lp_relaxation_bound(formulation, backend: str, time_limit: float) -> float 
     return None
 
 
+def _relative_gap(objective: float, bound: float) -> float:
+    return max(0.0, (objective - bound) / max(1.0, abs(objective)))
+
+
+# -- the shared tail: a candidate becomes an outcome ----------------------------------
+
+
+def milp_outcome(formulation, solution, cfg, profiles, hoist: bool,
+                 filter_result=None) -> OptimizationOutcome:
+    """Certify a MILP point, extract, price, validate and hoist it.
+
+    ``profiles`` are every profile the schedule must stay silent-safe
+    on (one, or one per input category).  Raises
+    :class:`~repro.errors.VerificationError` on an invalid certificate
+    and :class:`~repro.errors.ScheduleError` on an unusable point.
+    """
+    certificate = certificates.verify_certificate(
+        formulation, solution, allow_incumbent=True)
+    certificate.raise_if_invalid()
+    schedule = formulation.extract_schedule(solution, allow_incumbent=True)
+    energy, time_s = formulation.price(schedule)
+    schedule.validate_against(cfg)
+    if hoist:
+        # Removal is safe only when the mode-set is silent on every
+        # profile's paths, so all profiles go in at once.
+        schedule = schedule.hoist_silent(*profiles)
+    return OptimizationOutcome(
+        schedule=schedule,
+        solution=solution,
+        formulation=formulation,
+        profile=profiles[0],
+        predicted_energy_nj=energy,
+        predicted_time_s=time_s,
+        solve_time_s=solution.wall_time,
+        filter_result=filter_result,
+        certificate=certificate,
+        fallback_tier=f"milp-{solution.backend}",
+        optimality_gap=solution.optimality_gap(),
+    )
+
+
+def _round_up(optimizer, profile, deadline_s: float, filter_result):
+    """The exact continuous optimum and its round-up to discrete modes.
+
+    Returns ``(bound, rounded)``.  Raises
+    :class:`~repro.errors.ScheduleError` when either is unavailable
+    (a single-mode profile, or a deadline the all-fastest schedule
+    misses).
+    """
+    from repro.core import continuous
+
+    machine = optimizer.machine
+    bound = continuous.continuous_bound(profile, machine.mode_table, deadline_s)
+    rounded = continuous.round_up_schedule(
+        profile, machine.mode_table, deadline_s, bound.speeds,
+        machine.transition_model, filter_result,
+    )
+    if rounded is None:
+        raise ScheduleError(
+            f"deadline {deadline_s:.6g}s infeasible for {profile.name!r}: "
+            "even the all-fastest schedule misses it"
+        )
+    return bound, rounded
+
+
+def _round_up_outcome(formulation, bound, rounded, cfg, profile, hoist: bool,
+                     filter_result=None) -> OptimizationOutcome:
+    """A round-up as an outcome: a feasible point (status FEASIBLE) of
+    the exact model, its gap priced against the continuous bound."""
+    x, objective, time_s = formulation.incumbent_vector(rounded.rep_modes)
+    schedule = rounded.schedule
+    schedule.validate_against(cfg)
+    if hoist:
+        schedule = schedule.hoist_silent(profile)
+    return OptimizationOutcome(
+        schedule=schedule,
+        solution=Solution(status=SolveStatus.FEASIBLE, objective=objective,
+                          x=x, backend="continuous",
+                          best_bound=bound.energy_nj),
+        formulation=formulation,
+        profile=profile,
+        predicted_energy_nj=objective,
+        predicted_time_s=time_s,
+        solve_time_s=0.0,
+        filter_result=filter_result,
+        fallback_tier=TIER_CONTINUOUS,
+        optimality_gap=_relative_gap(objective, bound.energy_nj),
+    )
+
+
+# -- the ladder -----------------------------------------------------------------------
+
+
 def optimize_anytime(
     optimizer,
     cfg,
     deadline_s: float,
     profile,
-    budget_s: float,
+    budget_s: float | None = None,
     use_filtering: bool | None = None,
     hoist: bool = True,
 ):
-    """Budgeted optimize that never raises except for true infeasibility.
+    """Run the tier ladder for one program and deadline.
 
     Args:
         optimizer: the :class:`~repro.core.scheduler.DVSOptimizer`.
@@ -115,7 +220,8 @@ def optimize_anytime(
         deadline_s: execution-time budget for the profiled input.
         profile: the program's per-mode profile (must be pre-computed —
             profiling is not charged against the solver budget).
-        budget_s: wall-clock budget for the solve chain, in seconds.
+        budget_s: wall-clock budget for the solve chain, in seconds;
+            None for the exact solve (the requested tier alone).
         use_filtering, hoist: as in
             :meth:`~repro.core.scheduler.DVSOptimizer.optimize`.
 
@@ -125,191 +231,73 @@ def optimize_anytime(
         describe how the schedule was obtained.
 
     Raises:
-        ScheduleError: only when the deadline is genuinely infeasible
-            (below the all-fastest-mode runtime).
+        ScheduleError, VerificationError: the last tier's rejection (see
+            the module docstring).
     """
-    from repro.core.scheduler import OptimizationOutcome
-
-    if budget_s <= 0:
+    exact = budget_s is None
+    if not exact and budget_s <= 0:
         raise ScheduleError(f"anytime budget must be positive, got {budget_s:g}")
 
     formulation, filter_result = optimizer.build(profile, deadline_s, use_filtering)
     machine = optimizer.machine
-    # The backends' scipy imports take longer than a small solve; a fresh
-    # process or pool worker must not spend its budget on them.
-    load_backends()
+    if not exact:
+        # The backends' scipy imports take longer than a small solve; a
+        # fresh process or pool worker must not spend its budget on them.
+        load_backends()
     start = observe.clock()
     attempts: list[TierAttempt] = []
 
     def remaining() -> float:
-        return budget_s - (observe.clock() - start)
+        return math.inf if exact else budget_s - (observe.clock() - start)
 
-    def reject(attempt: TierAttempt) -> None:
-        attempts.append(attempt)
-        observe.add("anytime.tier_rejections")
-        logger.info("anytime tier %s rejected: %s", attempt.tier, attempt.detail)
-
-    def gate_schedule(schedule):
-        """Independent replay check; returns (report, hoisted schedule)."""
-        final = schedule.hoist_silent(profile) if hoist else schedule
-        report = check_schedule(
-            final, cfg, profile, machine.mode_table,
-            machine.transition_model, deadline_s,
-        )
-        return report, final
-
-    # -- MILP tiers -------------------------------------------------------------
-    tiers = []
-    if optimizer.backend != "continuous":
-        if optimizer.backend in ("auto", "scipy"):
-            tiers.append((TIER_SCIPY, "scipy"))
-        tiers.append((TIER_NATIVE, "native"))
-
-    for tier, backend in tiers:
-        left = remaining()
-        if left < MIN_TIER_BUDGET_S:
-            reject(TierAttempt(tier, False, "budget exhausted"))
-            continue
-        with observe.span("anytime.tier", tier=tier, budget_s=left) as tsp:
+    def milp_options() -> dict:
+        options = dict(optimizer.solver_options)
+        if options.pop("continuous_prune", False):
+            # Warm B&B incumbent from the round-up: an accelerator, never
+            # a prerequisite, and handed over only when it meets the
+            # formulation's own deadline row.
             try:
-                solution = formulation.solve(backend=backend, time_limit=left)
-            except Exception as error:  # noqa: BLE001 — a dead backend is a tier miss
-                reject(TierAttempt(
-                    tier, False, f"{type(error).__name__}: {error}",
-                    tsp.elapsed_s,
-                ))
-                continue
-            tier_time = tsp.elapsed_s
-            if not solution.has_incumbent:
-                reject(TierAttempt(
-                    tier, False, f"status {solution.status.value}, no incumbent",
-                    tier_time,
-                ))
-                continue
-            certificate = verify_certificate(formulation, solution, allow_incumbent=True)
-            if not certificate.ok:
-                reject(TierAttempt(tier, False, certificate.summary, tier_time))
-                continue
-            try:
-                schedule = formulation.extract_schedule(solution, allow_incumbent=True)
-                energy, time_s = formulation.price(schedule)
-                schedule.validate_against(cfg)
-            except ScheduleError as error:
-                reject(TierAttempt(tier, False, str(error), tier_time))
-                continue
-            feasibility, final = gate_schedule(schedule)
-            if not feasibility.ok:
-                reject(TierAttempt(tier, False, feasibility.summary, tier_time))
-                continue
-
-            gap = solution.optimality_gap()
-            if gap is None:
-                bound = _lp_relaxation_bound(
-                    formulation, backend, max(remaining(), RELAX_BOUND_BUDGET_S)
-                )
-                if bound is not None:
-                    gap = max(0.0, (solution.objective - bound)
-                              / max(1.0, abs(solution.objective)))
-            proven = solution.ok
-            attempts.append(TierAttempt(
-                tier, True,
-                "proven optimal" if proven else
-                f"incumbent, gap {gap:.3%}" if gap is not None else
-                "incumbent, gap unknown",
-                tsp.elapsed_s,
-            ))
-            observe.add(f"anytime.tier.{tier}")
-            tsp.set(accepted=True)
-        return OptimizationOutcome(
-            schedule=final,
-            solution=solution,
-            formulation=formulation,
-            profile=profile,
-            predicted_energy_nj=energy,
-            predicted_time_s=time_s,
-            solve_time_s=observe.clock() - start,
-            filter_result=filter_result,
-            certificate=certificate,
-            fallback_tier=tier,
-            optimality_gap=gap,
-            tier_attempts=tuple(attempts),
-            schedule_check=feasibility,
-        )
-
-    # -- continuous round-up tier -----------------------------------------------
-    # Deterministic polynomial time: this tier is exempt from the budget
-    # check — it cannot time out, which is exactly why it sits between
-    # the budgeted MILP tiers and the last-resort greedy.
-    from repro.core.continuous import continuous_bound, round_up_schedule
-
-    with observe.span("anytime.tier", tier=TIER_CONTINUOUS) as tsp:
-        cont_outcome = None
-        try:
-            cont_bound = continuous_bound(
-                profile, machine.mode_table, deadline_s
-            )
-            rounded = round_up_schedule(
-                profile, machine.mode_table, deadline_s, cont_bound.speeds,
-                machine.transition_model, filter_result,
-            )
-        except ScheduleError as error:
-            reject(TierAttempt(TIER_CONTINUOUS, False, str(error), tsp.elapsed_s))
-            rounded = None
-        else:
-            if rounded is None:
-                reject(TierAttempt(
-                    TIER_CONTINUOUS, False,
-                    "all-fastest schedule misses the deadline", tsp.elapsed_s,
-                ))
-        if rounded is not None:
+                _, rounded = _round_up(optimizer, profile, deadline_s, filter_result)
+            except ScheduleError:
+                return options
             x, objective, time_s = formulation.incumbent_vector(rounded.rep_modes)
-            try:
-                rounded.schedule.validate_against(cfg)
-            except ScheduleError as error:
-                reject(TierAttempt(TIER_CONTINUOUS, False, str(error), tsp.elapsed_s))
-            else:
-                feasibility, final = gate_schedule(rounded.schedule)
-                if not feasibility.ok:
-                    reject(TierAttempt(
-                        TIER_CONTINUOUS, False, feasibility.summary, tsp.elapsed_s
-                    ))
-                else:
-                    gap = max(0.0, (objective - cont_bound.energy_nj)
-                              / max(1.0, abs(objective)))
-                    attempts.append(TierAttempt(
-                        TIER_CONTINUOUS, True,
-                        f"round-up from continuous optimum, gap {gap:.3%}",
-                        tsp.elapsed_s,
-                    ))
-                    observe.add(f"anytime.tier.{TIER_CONTINUOUS}")
-                    tsp.set(accepted=True)
-                    solution = Solution(
-                        status=SolveStatus.FEASIBLE,
-                        objective=objective,
-                        x=x,
-                        backend="continuous",
-                        best_bound=cont_bound.energy_nj,
-                    )
-                    cont_outcome = OptimizationOutcome(
-                        schedule=final,
-                        solution=solution,
-                        formulation=formulation,
-                        profile=profile,
-                        predicted_energy_nj=objective,
-                        predicted_time_s=time_s,
-                        solve_time_s=observe.clock() - start,
-                        filter_result=filter_result,
-                        certificate=None,
-                        fallback_tier=TIER_CONTINUOUS,
-                        optimality_gap=gap,
-                        tier_attempts=tuple(attempts),
-                        schedule_check=feasibility,
-                    )
-    if cont_outcome is not None:
-        return cont_outcome
+            if time_s <= deadline_s:
+                observe.add("optimizer.continuous_incumbents")
+                options["incumbent"] = (x, objective)
+        return options
 
-    # -- greedy tier ------------------------------------------------------------
-    with observe.span("anytime.tier", tier=TIER_GREEDY) as tsp:
+    def milp_tier(backend: str, options: dict):
+        def run():
+            left = remaining()
+            if left < MIN_TIER_BUDGET_S:
+                raise ScheduleError("budget exhausted")
+            limit = {} if exact else {"time_limit": left}
+            solution = formulation.solve(backend=backend, **limit, **options)
+            if not (solution.ok if exact else solution.has_incumbent):
+                raise ScheduleError(
+                    f"MILP for {profile.name!r} at deadline {deadline_s:.6g}s "
+                    f"finished with status {solution.status.value}"
+                )
+            outcome = milp_outcome(formulation, solution, cfg, [profile], hoist,
+                                   filter_result)
+            if outcome.optimality_gap is None:
+                bound = _lp_relaxation_bound(
+                    formulation, backend, max(remaining(), RELAX_BOUND_BUDGET_S))
+                if bound is not None:
+                    outcome.optimality_gap = _relative_gap(solution.objective, bound)
+            return outcome, "incumbent"
+        return run
+
+    def continuous_tier():
+        # Deterministic polynomial time: exempt from the budget check —
+        # it cannot time out, which is exactly why it sits between the
+        # budgeted MILP tiers and the last-resort greedy.
+        bound, rounded = _round_up(optimizer, profile, deadline_s, filter_result)
+        outcome = _round_up_outcome(formulation, bound, rounded, cfg, profile,
+                                   hoist, filter_result)
+        return outcome, "round-up from continuous optimum"
+
+    def greedy_tier():
         # Raises ScheduleError when no single mode meets the deadline; such a
         # deadline is below the all-fastest runtime, so the MILP is infeasible
         # too and there is nothing feasible to return.
@@ -317,48 +305,70 @@ def optimize_anytime(
             profile, machine.mode_table, deadline_s,
             transition_model=machine.transition_model,
         )
-        feasibility, final = gate_schedule(greedy.schedule)
-        if not feasibility.ok:
-            # By construction this cannot happen (the greedy acceptance check
-            # prices exactly what the replay recomputes); treat it as the
-            # infeasibility it would be rather than emit an unchecked result.
-            raise ScheduleError(
-                f"greedy fallback failed its feasibility replay: {feasibility.summary}"
-            )
-        bound = _lp_relaxation_bound(formulation, optimizer.backend
-                                     if optimizer.backend != "auto" else "auto",
+        bound = _lp_relaxation_bound(formulation, optimizer.backend,
                                      RELAX_BOUND_BUDGET_S)
-        gap = None
-        if bound is not None:
-            gap = max(0.0, (greedy.predicted_energy_nj - bound)
-                      / max(1.0, abs(greedy.predicted_energy_nj)))
-        attempts.append(TierAttempt(
-            TIER_GREEDY, True,
-            f"{greedy.moves_taken}/{greedy.moves_considered} moves"
-            + (f", gap {gap:.3%}" if gap is not None else ", gap unknown"),
-            tsp.elapsed_s,
-        ))
-        observe.add(f"anytime.tier.{TIER_GREEDY}")
-        tsp.set(accepted=True)
-    solution = Solution(
-        status=SolveStatus.FEASIBLE,
-        objective=greedy.predicted_energy_nj,
-        x=np.empty(0),
-        backend="greedy",
-        best_bound=bound,
-    )
-    return OptimizationOutcome(
-        schedule=final,
-        solution=solution,
-        formulation=formulation,
-        profile=profile,
-        predicted_energy_nj=greedy.predicted_energy_nj,
-        predicted_time_s=greedy.predicted_time_s,
-        solve_time_s=observe.clock() - start,
-        filter_result=filter_result,
-        certificate=None,
-        fallback_tier=TIER_GREEDY,
-        optimality_gap=gap,
-        tier_attempts=tuple(attempts),
-        schedule_check=feasibility,
-    )
+        energy = greedy.predicted_energy_nj
+        outcome = OptimizationOutcome(
+            schedule=(greedy.schedule.hoist_silent(profile) if hoist
+                      else greedy.schedule),
+            solution=Solution(status=SolveStatus.FEASIBLE, objective=energy,
+                              x=np.empty(0), backend="greedy", best_bound=bound),
+            formulation=formulation,
+            profile=profile,
+            predicted_energy_nj=energy,
+            predicted_time_s=greedy.predicted_time_s,
+            solve_time_s=0.0,
+            filter_result=filter_result,
+            fallback_tier=TIER_GREEDY,
+            optimality_gap=None if bound is None else _relative_gap(energy, bound),
+        )
+        return outcome, f"{greedy.moves_taken}/{greedy.moves_considered} moves"
+
+    if optimizer.backend == "continuous":
+        backends = []
+    elif exact:
+        backends = [optimizer.backend]
+    else:
+        backends = (["scipy"] if optimizer.backend in ("auto", "scipy") else []) + ["native"]
+    options = milp_options() if backends else {}
+    tiers = [(f"milp-{backend}", milp_tier(backend, options)) for backend in backends]
+    if not (exact and tiers):
+        tiers.append((TIER_CONTINUOUS, continuous_tier))
+    if not exact:
+        tiers.append((TIER_GREEDY, greedy_tier))
+
+    for position, (tier, run) in enumerate(tiers):
+        with observe.span("anytime.tier", tier=tier) as tsp:
+            try:
+                outcome, note = run()
+                report = check_schedule(
+                    outcome.schedule, cfg, profile, machine.mode_table,
+                    machine.transition_model, deadline_s,
+                )
+                if not report.ok:
+                    raise ScheduleError(f"{outcome.fallback_tier} schedule failed "
+                                        f"its feasibility replay: {report.summary}")
+            except Exception as error:
+                if position == len(tiers) - 1:
+                    raise
+                # A dead backend or a failed gate is a tier miss.
+                detail = (str(error) if isinstance(error, ReproError)
+                          else f"{type(error).__name__}: {error}")
+                attempts.append(TierAttempt(tier, False, detail, tsp.elapsed_s))
+                observe.add("anytime.tier_rejections")
+                logger.info("anytime tier %s rejected: %s", tier, detail)
+                continue
+            gap = outcome.optimality_gap
+            attempts.append(TierAttempt(
+                outcome.fallback_tier, True,
+                "proven optimal" if outcome.solution.ok else
+                f"{note}, gap {gap:.3%}" if gap is not None else
+                f"{note}, gap unknown",
+                tsp.elapsed_s,
+            ))
+            observe.add(f"anytime.tier.{outcome.fallback_tier}")
+            tsp.set(accepted=True)
+        outcome.solve_time_s = observe.clock() - start
+        outcome.tier_attempts = tuple(attempts)
+        outcome.schedule_check = report
+        return outcome

@@ -188,9 +188,7 @@ def reference_rows(workload: str, fracs: tuple[float, ...], seed: int = 0,
         graph = build_task_graph(list(parsed.experiments),
                                  solver_budget_s=None, solver_backend="auto")
         results = run_graph(graph, store=store, config=ExecutorConfig(jobs=1))
-        rows = [manifest_mod.experiment_record(spec, graph, results)
-                for spec in sorted(graph.experiments,
-                                   key=lambda s: s.experiment_id)]
+        rows = manifest_mod.experiment_records(graph, results)
         reference[frac] = [_canon(row) for row in rows]
     return reference
 

@@ -196,6 +196,25 @@ def experiment_record(
     return record
 
 
+def experiment_records(
+    graph: TaskGraph, results: dict[str, TaskResult]
+) -> list[dict[str, Any]]:
+    """Every experiment's :func:`experiment_record`, sorted by id."""
+    return [experiment_record(spec, graph, results)
+            for spec in sorted(graph.experiments,
+                               key=lambda s: s.experiment_id)]
+
+
+def degraded_tasks(results: dict[str, TaskResult]) -> list[str]:
+    """Solve tasks that fell back below a proven optimum, sorted."""
+    return sorted(
+        r.task_id for r in results.values()
+        if r.kind in ("optimize", "tg-solve") and r.ok
+        and r.output is not None
+        and r.output.get("solver", {}).get("degraded")
+    )
+
+
 def write_results(
     path: str | Path,
     graph: TaskGraph,
@@ -204,8 +223,7 @@ def write_results(
     """Write the deterministic per-experiment records, sorted by id."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    specs = sorted(graph.experiments, key=lambda s: s.experiment_id)
-    lines = [_dump(experiment_record(spec, graph, results)) for spec in specs]
+    lines = [_dump(record) for record in experiment_records(graph, results)]
     path.write_text("\n".join(lines) + "\n")
     return path
 

@@ -76,11 +76,7 @@ class SweepReport:
 
     @property
     def experiment_records(self) -> list[dict[str, Any]]:
-        return [
-            manifest_mod.experiment_record(spec, self.graph, self.results)
-            for spec in sorted(self.graph.experiments,
-                               key=lambda s: s.experiment_id)
-        ]
+        return manifest_mod.experiment_records(self.graph, self.results)
 
     @property
     def failures(self) -> list[dict[str, Any]]:
@@ -90,12 +86,7 @@ class SweepReport:
     @property
     def degraded_tasks(self) -> list[str]:
         """Solve tasks that fell back below a proven optimum."""
-        return sorted(
-            r.task_id for r in self.results.values()
-            if r.kind in ("optimize", "tg-solve") and r.ok
-            and r.output is not None
-            and r.output.get("solver", {}).get("degraded")
-        )
+        return manifest_mod.degraded_tasks(self.results)
 
     @property
     def verify_failures(self) -> list[dict[str, Any]]:

@@ -394,17 +394,11 @@ class ReproServer:
                 should_stop=lambda: self._aborted,
                 pool=self.pool,
             )
-        rows = [manifest_mod.experiment_record(spec, graph, results)
-                for spec in sorted(graph.experiments,
-                                   key=lambda s: s.experiment_id)]
+        rows = manifest_mod.experiment_records(graph, results)
         failures = sorted(r["experiment"] for r in rows
                           if r["status"] != "ok")
-        degraded = sorted(
-            r.task_id for r in results.values()
-            if r.kind in ("optimize", "tg-solve") and r.ok
-            and r.output is not None
-            and r.output.get("solver", {}).get("degraded"))
-        return {"rows": rows, "failures": failures, "degraded": degraded}
+        return {"rows": rows, "failures": failures,
+                "degraded": manifest_mod.degraded_tasks(results)}
 
     def _job_finished(self, job: Job, future) -> None:
         """Loop-side completion: finalize state, wake waiters."""

@@ -82,6 +82,36 @@ def test_one_flipped_field_fails_its_gate(monkeypatch, tmp_path, capsys,
     assert f"bench: gate {gate} failed" in capsys.readouterr().err
 
 
+def test_header_records_the_numeric_library_versions():
+    document = harness.header("x", 1)
+    assert set(harness.LIBRARIES) <= set(document)
+    assert all(document[name] for name in harness.LIBRARIES)
+
+
+def test_a_failed_baseline_gate_names_both_library_versions(
+        monkeypatch, tmp_path, capsys):
+    document = _tracked("continuous")
+    document["continuous_prunes"] -= 1
+    document.update(numpy="0.0.1", scipy="0.0.2")
+    baseline = dict(_tracked("continuous"))
+    for name in harness.LIBRARIES:
+        baseline.pop(name, None)  # a baseline older than the fields
+    (tmp_path / "base").mkdir()
+    (tmp_path / "base" / "BENCH_continuous.json").write_text(
+        json.dumps(baseline))
+    assert _bench(monkeypatch, tmp_path, "continuous", document,
+                  baseline_dir=tmp_path / "base") == 1
+    err = capsys.readouterr().err
+    assert ("bench: gate continuous_prunes_ge_baseline failed (numpy 0.0.1, "
+            "scipy 0.0.2 here; numpy unknown, scipy unknown in the baseline)"
+            in err)
+    # A gate that reads no baseline names no versions.
+    document["pruner_effective"] = False
+    assert _bench(monkeypatch, tmp_path, "continuous", document,
+                  baseline_dir=tmp_path / "base") == 1
+    assert "bench: gate pruner_effective failed\n" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("kind", ["taskgraph", "continuous"])
 def test_missing_baseline_fails_the_baseline_gates(monkeypatch, tmp_path,
                                                    capsys, kind):

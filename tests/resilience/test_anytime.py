@@ -3,6 +3,8 @@ contract of ``DVSOptimizer.optimize(budget_s=...)``."""
 
 import pytest
 
+from repro import observe
+from repro.core.scheduler import DVSOptimizer
 from repro.errors import ScheduleError
 from repro.resilience.anytime import TIER_CONTINUOUS, TIER_GREEDY
 from repro.solver.solution import SolveStatus
@@ -38,6 +40,26 @@ class TestGenerousBudget:
         assert outcome.tier_attempts[-1].accepted
         assert outcome.tier_attempts[-1].tier == outcome.fallback_tier
 
+    def test_budgeted_native_solve_honours_solver_options(
+            self, machine3, small_cfg, small_profile):
+        deadline = small_profile.deadline_at(0.5)
+        optimizer = DVSOptimizer(machine3, backend="native",
+                                 solver_options={"continuous_prune": True})
+        was_enabled = observe.enabled()
+        observe.enable(reset=True)
+        try:
+            budgeted = optimizer.optimize(small_cfg, deadline,
+                                          profile=small_profile, budget_s=60.0)
+            incumbents = observe.counter_value("optimizer.continuous_incumbents")
+        finally:
+            observe.snapshot(reset=True)
+            if not was_enabled:
+                observe.disable()
+        exact = optimizer.optimize(small_cfg, deadline, profile=small_profile)
+        assert incumbents >= 1
+        assert budgeted.fallback_tier == "milp-native"
+        assert budgeted.predicted_energy_nj == exact.predicted_energy_nj
+
 
 class TestStarvedBudget:
     def test_falls_back_to_continuous_but_stays_feasible(self, optimizer,
@@ -57,6 +79,18 @@ class TestStarvedBudget:
         assert outcome.schedule_check.ok
         # ... and meets the deadline it was asked for.
         assert outcome.predicted_time_s <= deadline * (1 + 1e-9)
+
+    def test_starved_continuous_tier_is_the_continuous_backend(
+            self, optimizer, machine3, small_cfg, small_profile):
+        deadline = small_profile.deadline_at(0.5)
+        starved = optimizer.optimize(small_cfg, deadline,
+                                     profile=small_profile, budget_s=1e-4)
+        backend = DVSOptimizer(machine3, backend="continuous").optimize(
+            small_cfg, deadline, profile=small_profile)
+        assert starved.fallback_tier == backend.fallback_tier == TIER_CONTINUOUS
+        assert starved.schedule.assignment == backend.schedule.assignment
+        assert starved.predicted_energy_nj == backend.predicted_energy_nj
+        assert starved.optimality_gap == backend.optimality_gap
 
     def test_greedy_still_reachable_when_continuous_rejects(
             self, optimizer, small_cfg, small_profile, monkeypatch):
@@ -120,3 +154,10 @@ class TestContract:
         assert outcome.fallback_tier.startswith("milp-")
         assert outcome.optimality_gap == 0.0
         assert not outcome.degraded
+        # The exact solve is the one-tier ladder: replay-checked, and
+        # one accepted attempt.
+        assert outcome.schedule_check is not None
+        assert outcome.schedule_check.ok
+        assert len(outcome.tier_attempts) == 1
+        assert outcome.tier_attempts[0].accepted
+        assert outcome.tier_attempts[0].tier == outcome.fallback_tier
