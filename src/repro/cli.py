@@ -514,11 +514,12 @@ def _run_sweep(args, label: str, experiments=None, run_info_extra=None,
     return report, ok
 
 
-def _sweep_exit(report, verify_kind: str) -> int:
-    """Print a sweep's failed experiments, degraded tasks and output
-    paths; its exit code."""
+def _sweep_exit(report) -> int:
+    """Print a sweep's failed experiments (the failed tasks, or the
+    failed checks), degraded tasks and output paths; its exit code."""
     for record in report.failures:
-        failed = ", ".join(sorted(record.get("failures", {verify_kind: None})))
+        failed = ", ".join(sorted(record.get("failures") or [
+            name for name, ok in record["checks"].items() if not ok]))
         print(f"  {record['experiment']:<44s} {record['status'].upper()}: "
               f"{failed}", file=sys.stderr)
     for task_id in report.degraded_tasks:
@@ -558,7 +559,7 @@ def cmd_sweep(args) -> int:
         savings_text = f"{savings:+.1%}" if savings is not None else "n/a"
         bound_text = f" (bound {bound:.1%})" if bound is not None else ""
         print(f"  {record['experiment']:<44s} savings {savings_text}{bound_text}")
-    return _sweep_exit(report, "verify")
+    return _sweep_exit(report)
 
 
 def cmd_taskgraph(args) -> int:
@@ -604,7 +605,7 @@ def _cmd_taskgraph_sweep(args) -> int:
         savings_text = f"{savings:+.1%}" if savings is not None else "n/a"
         print(f"  {record['experiment']:<44s} vs greedy {savings_text} "
               f"({record['mode_switches']} switches)")
-    return _sweep_exit(report, "tg-verify")
+    return _sweep_exit(report)
 
 
 def cmd_trace(args) -> int:

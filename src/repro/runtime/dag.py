@@ -33,13 +33,24 @@ unchanged.  The stream never travels in a payload: it goes from the
 worker, so the transport, the journal and ``results.jsonl`` never see
 it.  :func:`execute_task` is the single worker entry point that maps a
 task kind to its computation.
+
+Experiment families.  :class:`ExperimentSpec` is one family; the
+multi-core task graphs of :mod:`repro.taskgraph.pipeline` are another.
+A family's spec class declares everything the runtime needs (see
+:class:`Experiment`): its stages (:meth:`ExperimentSpec.stages`), their
+computations (entries of :data:`TASK_FNS`), the identity and ``ok``
+fields of its ``results.jsonl`` rows, and its fair-queue cost.
+:func:`build_task_graph`, :func:`execute_task` and
+:func:`repro.runtime.manifest.experiment_record` read only that
+declaration, so one graph may mix families.
 """
 
 from __future__ import annotations
 
+import importlib
 import logging
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Protocol
 
 from repro import observe
 from repro.core import DVSOptimizer
@@ -96,6 +107,50 @@ class MachineSpec:
     def table_tag(self) -> str:
         return "xscale-3" if self.levels is None else f"alpha-{self.levels}"
 
+    @classmethod
+    def from_payload(cls, payload: dict[str, Any]) -> MachineSpec:
+        """The machine a worker payload (either family's) describes."""
+        return cls(payload["levels"], payload["capacitance_uf"],
+                   payload.get("fastpath", True))
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One task of a grid point's pipeline, as its family declares it."""
+
+    kind: str
+    task_id: str
+    deps: tuple[str, ...] = ()
+    cache_key: str | None = None  # None -> never memoized
+    solve: bool = False  # the stage that takes the sweep's solver options
+
+
+class Experiment(Protocol):
+    """What an experiment family's spec class declares.
+
+    The runtime reads nothing else of a spec: no code outside the
+    family's module asks which family a spec belongs to.
+    """
+
+    #: Fair-queue weight of one grid point (``ParsedRequest.cost``).
+    queue_cost: int
+
+    @property
+    def experiment_id(self) -> str: ...
+
+    def payload(self) -> dict[str, Any]:
+        """JSON-compatible worker payload, the ``spec`` of every task."""
+
+    def stages(self, solver_backend: str) -> list[Stage]:
+        """The pipeline in dependency order; shared stages share ids."""
+
+    def identity_fields(self) -> dict[str, Any]:
+        """The grid point's fields of its ``results.jsonl`` row."""
+
+    def ok_fields(self, outputs: dict[str, dict[str, Any]]) -> dict[str, Any]:
+        """Row fields of a run whose tasks all succeeded, from the task
+        outputs by kind; ``verified`` and ``checks`` among them."""
+
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -106,6 +161,8 @@ class ExperimentSpec:
     category: str | None = None
     seed: int = 0
     machine: MachineSpec = field(default_factory=MachineSpec)
+
+    queue_cost = 1
 
     def resolved_category(self) -> str:
         """The concrete input category (a workload's first when unset),
@@ -136,6 +193,68 @@ class ExperimentSpec:
             "fastpath": self.machine.fastpath,
         }
 
+    @classmethod
+    def from_payload(cls, payload: dict[str, Any]) -> ExperimentSpec:
+        return cls(payload["workload"], payload["deadline_frac"],
+                   payload["category"], payload["seed"],
+                   MachineSpec.from_payload(payload))
+
+    def stages(self, solver_backend: str = "auto") -> list[Stage]:
+        """``profile`` (shared across deadlines), then ``optimize``,
+        ``simulate`` and ``verify`` for this deadline."""
+        source = get_workload(self.workload).source
+        machine = self.machine.build()
+        category, seed, frac = self.resolved_category(), self.seed, self.deadline_frac
+        # The continuous backend's round-up is another schedule than the
+        # MILP optimum, so its artifacts are keyed apart.
+        method = "continuous" if solver_backend == "continuous" else "milp"
+        eid = self.experiment_id
+        profile = f"profile:{self.shared_id}"
+        optimize, simulate = f"optimize:{eid}", f"simulate:{eid}"
+        return [
+            Stage("profile", profile, (),
+                  hashing.profile_key(source, category, seed, machine)),
+            Stage("optimize", optimize, (profile,),
+                  hashing.schedule_key(source, category, seed, machine, frac,
+                                       method=method), solve=True),
+            Stage("simulate", simulate, (optimize,),
+                  hashing.run_summary_key(source, category, seed, machine,
+                                          frac, method=method)),
+            Stage("verify", f"verify:{eid}", (profile, optimize, simulate)),
+        ]
+
+    def identity_fields(self) -> dict[str, Any]:
+        return {
+            "workload": self.workload,
+            "category": self.category or "default",
+            "seed": self.seed,
+            "mode_table": self.machine.table_tag,
+            "capacitance_uf": self.machine.capacitance_uf,
+            "deadline_frac": self.deadline_frac,
+        }
+
+    def ok_fields(self, outputs: dict[str, dict[str, Any]]) -> dict[str, Any]:
+        optimize = outputs["optimize"]
+        run = outputs["simulate"]["run"]
+        verify = outputs["verify"]
+        return {
+            "deadline_s": optimize["deadline_s"],
+            "savings_bound": verify["savings_bound"],
+            "continuous_energy_nj": verify["continuous_energy_nj"],
+            "continuous_savings_bound": verify["continuous_savings_bound"],
+            "predicted_energy_nj": optimize["predicted_energy_nj"],
+            "predicted_time_s": optimize["predicted_time_s"],
+            "measured_energy_nj": run["cpu_energy_nj"],
+            "measured_time_s": run["wall_time_s"],
+            "mode_transitions": run["mode_transitions"],
+            "return_value": run["return_value"],
+            "verified": verify["ok"],
+            "checks": verify["checks"],
+            "baseline_mode": verify["baseline_mode"],
+            "baseline_energy_nj": verify["baseline_energy_nj"],
+            "savings_vs_single_mode": verify["savings_vs_single_mode"],
+        }
+
 
 @dataclass
 class Task:
@@ -154,7 +273,7 @@ class TaskGraph:
     """A validated DAG of tasks plus the experiments they serve."""
 
     tasks: dict[str, Task]
-    experiments: list[ExperimentSpec]
+    experiments: list[Experiment]
 
     def validate(self) -> None:
         """Reject dangling dependencies and cycles."""
@@ -196,7 +315,7 @@ class TaskGraph:
 
 
 def build_task_graph(
-    experiments: list[ExperimentSpec],
+    experiments: list[Experiment],
     solver_budget_s: float | None = None,
     solver_backend: str = "auto",
     continuous_prune: bool = False,
@@ -204,20 +323,19 @@ def build_task_graph(
     """Merge per-experiment pipelines into one deduplicated DAG.
 
     Args:
-        experiments: the grid points to run.
-        solver_budget_s: optional wall-clock budget for each ``optimize``
-            task (anytime solving with fallback tiers).  Cache keys are
+        experiments: the grid points to run, of any family.
+        solver_budget_s: optional wall-clock budget for each solve stage
+            (anytime solving with fallback tiers).  Cache keys are
             unchanged: a budgeted solve that still proves optimality is
             the same artifact as an unbudgeted one, and degraded solves
             are never cached (``_cacheable``).
-        solver_backend: MILP backend for ``optimize`` tasks ("auto",
-            "scipy", "native").  Like ``solver_budget_s`` (and the
-            fastpath knob), an execution hint excluded from cache keys:
-            every backend must produce the identical optimum, and the
-            certificate/replay checks enforce that.  The "continuous"
-            backend is the exception — it returns a different
-            (round-up) schedule by design, so its optimize/simulate
-            artifacts are keyed under ``method="continuous"``.
+        solver_backend: MILP backend for solve stages ("auto", "scipy",
+            "native").  Like ``solver_budget_s`` (and the fastpath knob),
+            an execution hint excluded from cache keys: every backend
+            must produce the identical optimum, and the certificate and
+            replay checks enforce that.  The "continuous" backend is the
+            exception — it returns a different (round-up) schedule by
+            design, so a family keys its artifacts apart (``stages``).
         continuous_prune: warm-start the native branch and bound with
             the continuous round-up incumbent.  An execution hint: the
             pruner may only skip work, never change the answer (enforced
@@ -225,80 +343,33 @@ def build_task_graph(
     """
     if not experiments:
         raise OrchestrationError("sweep grid is empty")
-    # The taskgraph family builds its own pipelines; mixed grids merge
-    # both DAGs (task ids are disjoint by construction: tg-* prefixes).
-    tg_specs = [e for e in experiments
-                if getattr(e, "family", None) == "taskgraph"]
-    if tg_specs:
-        from repro.taskgraph.pipeline import build_tg_task_graph
-
-        tg_graph = build_tg_task_graph(tg_specs,
-                                       solver_budget_s=solver_budget_s,
-                                       solver_backend=solver_backend)
-        rest = [e for e in experiments
-                if getattr(e, "family", None) != "taskgraph"]
-        if not rest:
-            return tg_graph
-        merged = build_task_graph(rest, solver_budget_s=solver_budget_s,
-                                  solver_backend=solver_backend,
-                                  continuous_prune=continuous_prune)
-        merged.tasks.update(tg_graph.tasks)
-        merged.experiments.extend(tg_graph.experiments)
-        merged.validate()
-        return merged
-    seen_ids = set()
-    for exp in experiments:
-        if exp.experiment_id in seen_ids:
-            raise OrchestrationError(
-                f"duplicate grid point {exp.experiment_id!r}"
-            )
-        seen_ids.add(exp.experiment_id)
+    solver_options: dict[str, Any] = {}
+    if solver_budget_s is not None:
+        solver_options["solver_budget_s"] = solver_budget_s
+    if solver_backend != "auto":
+        solver_options["solver_backend"] = solver_backend
+    if continuous_prune:
+        solver_options["continuous_prune"] = True
 
     tasks: dict[str, Task] = {}
-
-    def ensure(task_id: str, kind: str, spec: dict[str, Any],
-               deps: tuple[str, ...], cache_key: str | None,
-               experiment_id: str) -> str:
-        task = tasks.get(task_id)
-        if task is None:
-            tasks[task_id] = Task(task_id=task_id, kind=kind, spec=spec,
-                                  deps=deps, cache_key=cache_key,
-                                  experiments=(experiment_id,))
-        elif experiment_id not in task.experiments:
-            task.experiments += (experiment_id,)
-        return task_id
-
+    seen_ids = set()
     for exp in experiments:
         eid = exp.experiment_id
+        if eid in seen_ids:
+            raise OrchestrationError(f"duplicate grid point {eid!r}")
+        seen_ids.add(eid)
         spec = exp.payload()
-        source = get_workload(exp.workload).source
-        machine = exp.machine.build()
-        category, seed, frac = exp.resolved_category(), exp.seed, exp.deadline_frac
-
-        profile_id = ensure(
-            f"profile:{exp.shared_id}", "profile", spec, (),
-            hashing.profile_key(source, category, seed, machine), eid)
-        opt_spec = dict(spec)
-        if solver_budget_s is not None:
-            opt_spec["solver_budget_s"] = solver_budget_s
-        if solver_backend != "auto":
-            opt_spec["solver_backend"] = solver_backend
-        if continuous_prune:
-            opt_spec["continuous_prune"] = True
-        if opt_spec == spec:
-            opt_spec = spec
-        method = "continuous" if solver_backend == "continuous" else "milp"
-        optimize_id = ensure(
-            f"optimize:{eid}", "optimize", opt_spec, (profile_id,),
-            hashing.schedule_key(source, category, seed, machine, frac,
-                                 method=method), eid)
-        simulate_id = ensure(
-            f"simulate:{eid}", "simulate", spec, (optimize_id,),
-            hashing.run_summary_key(source, category, seed, machine, frac,
-                                    method=method), eid)
-        ensure(
-            f"verify:{eid}", "verify", spec,
-            (profile_id, optimize_id, simulate_id), None, eid)
+        solve_spec = {**spec, **solver_options} if solver_options else spec
+        for stage in exp.stages(solver_backend):
+            task = tasks.get(stage.task_id)
+            if task is None:
+                tasks[stage.task_id] = Task(
+                    task_id=stage.task_id, kind=stage.kind,
+                    spec=solve_spec if stage.solve else spec,
+                    deps=stage.deps, cache_key=stage.cache_key,
+                    experiments=(eid,))
+            elif eid not in task.experiments:
+                task.experiments += (eid,)
 
     graph = TaskGraph(tasks=tasks, experiments=list(experiments))
     graph.validate()
@@ -311,8 +382,7 @@ def build_task_graph(
 def _context(spec: dict[str, Any]):
     workload = get_workload(spec["workload"])
     cfg = compile_workload(spec["workload"])
-    machine = MachineSpec(spec["levels"], spec["capacitance_uf"],
-                          spec.get("fastpath", True)).build()
+    machine = MachineSpec.from_payload(spec).build()
     inputs = workload.inputs(category=spec["category"], seed=spec["seed"])
     return workload, cfg, machine, inputs, workload.registers()
 
@@ -374,11 +444,8 @@ def _task_optimize(spec: dict[str, Any], deps: dict[str, Any],
     # and branching pseudocosts from one deadline to the next through
     # the per-process registry.  Ephemeral execution state — never
     # cached, never serialized.
-    table_tag = ("xscale-3" if spec["levels"] is None
-                 else f"alpha-{spec['levels']}")
-    warm_key = (f"{spec['workload']}.{spec['category']}.s{spec['seed']}"
-                f".{table_tag}.c{spec['capacitance_uf']:g}")
-    solver_options: dict[str, Any] = {"warm_key": warm_key}
+    solver_options: dict[str, Any] = {
+        "warm_key": ExperimentSpec.from_payload(spec).shared_id}
     if spec.get("continuous_prune"):
         solver_options["continuous_prune"] = True
     backend = spec.get("solver_backend", "auto")
@@ -432,8 +499,7 @@ def _task_simulate(spec: dict[str, Any], deps: dict[str, Any],
 def _task_verify(spec: dict[str, Any], deps: dict[str, Any],
                  store=None) -> dict[str, Any]:
     profile = profile_from_dict(deps["profile"]["profile"])
-    machine = MachineSpec(spec["levels"], spec["capacitance_uf"],
-                          spec.get("fastpath", True)).build()
+    machine = MachineSpec.from_payload(spec).build()
     optimize = deps["optimize"]
     run = run_summary_from_dict(deps["simulate"]["run"])
     deadline = optimize["deadline_s"]
@@ -492,11 +558,19 @@ def _task_verify(spec: dict[str, Any], deps: dict[str, Any],
     }
 
 
-_TASK_FNS: dict[str, Callable[..., dict[str, Any]]] = {
-    "profile": _task_profile,
-    "optimize": _task_optimize,
-    "simulate": _task_simulate,
-    "verify": _task_verify,
+#: The one dispatch table: every task kind of every family, mapped to the
+#: module and name of its computation, ``fn(spec, deps, store)``.  A
+#: family's module is imported by its first task, so a single-stream
+#: sweep never loads :mod:`repro.taskgraph`.
+TASK_FNS: dict[str, tuple[str, str]] = {
+    "profile": (__name__, "_task_profile"),
+    "optimize": (__name__, "_task_optimize"),
+    "simulate": (__name__, "_task_simulate"),
+    "verify": (__name__, "_task_verify"),
+    "tg-tables": ("repro.taskgraph.pipeline", "task_tables"),
+    "tg-solve": ("repro.taskgraph.pipeline", "task_solve"),
+    "tg-simulate": ("repro.taskgraph.pipeline", "task_simulate"),
+    "tg-verify": ("repro.taskgraph.pipeline", "task_verify"),
 }
 
 
@@ -524,12 +598,8 @@ def execute_task(kind: str, spec: dict[str, Any],
     holds the side artifacts a task writes or reads itself: the
     profiling run's stream.
     """
-    if kind.startswith("tg-"):
-        from repro.taskgraph.pipeline import execute_tg_task
-
-        return execute_tg_task(kind, spec, deps)
     try:
-        fn = _TASK_FNS[kind]
+        module, name = TASK_FNS[kind]
     except KeyError:
         raise OrchestrationError(f"unknown task kind {kind!r}") from None
-    return fn(spec, deps, store)
+    return getattr(importlib.import_module(module), name)(spec, deps, store)

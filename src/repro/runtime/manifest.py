@@ -23,7 +23,7 @@ import json
 from pathlib import Path
 from typing import Any, Iterator
 
-from repro.runtime.dag import ExperimentSpec, TaskGraph
+from repro.runtime.dag import Experiment, TaskGraph
 from repro.runtime.executor import TaskResult
 
 #: Fields of a task record that vary run to run; scrub these before
@@ -32,6 +32,18 @@ from repro.runtime.executor import TaskResult
 #: (and in the manifest) — never in ``results.jsonl``.
 TIMING_FIELDS = ("wall_time_s", "solver_time_s", "fallback_tier",
                  "optimality_gap", "degraded", "solver_method")
+
+#: Manifest field <- field of a solve task's ``solver`` stats, copied
+#: when the task reports it (each family reports its own subset).
+_SOLVER_FIELDS = {
+    "solver_status": "status",
+    "solver_time_s": "solve_time_s",
+    "solver_method": "method",
+    "num_independent_edges": "num_independent_edges",
+    "fallback_tier": "fallback_tier",
+    "optimality_gap": "optimality_gap",
+    "degraded": "degraded",
+}
 
 
 def _dump(record: dict[str, Any]) -> str:
@@ -56,21 +68,11 @@ def task_record(result: TaskResult) -> dict[str, Any]:
         record["error_type"] = result.error_type
     if result.warnings:
         record["warnings"] = list(result.warnings)
-    if result.kind == "optimize" and result.output is not None:
-        solver = result.output.get("solver", {})
-        record["solver_status"] = solver.get("status")
-        record["solver_time_s"] = solver.get("solve_time_s")
-        record["num_independent_edges"] = solver.get("num_independent_edges")
-        if "fallback_tier" in solver:
-            record["fallback_tier"] = solver.get("fallback_tier")
-            record["optimality_gap"] = solver.get("optimality_gap")
-            record["degraded"] = solver.get("degraded")
-    if result.kind == "tg-solve" and result.output is not None:
-        solver = result.output.get("solver", {})
-        record["solver_status"] = solver.get("status")
-        record["solver_time_s"] = solver.get("solve_time_s")
-        record["solver_method"] = solver.get("method")
-        record["degraded"] = solver.get("degraded")
+    solver = (result.output or {}).get("solver")
+    if solver is not None:
+        record.update({field: solver[name]
+                       for field, name in _SOLVER_FIELDS.items()
+                       if name in solver})
     return record
 
 
@@ -114,47 +116,36 @@ def write_manifest(
 
 
 def experiment_record(
-    spec: ExperimentSpec,
+    spec: Experiment,
     graph: TaskGraph,
     results: dict[str, TaskResult],
 ) -> dict[str, Any]:
-    """Deterministic per-experiment result line.
+    """Deterministic per-experiment result line, of any family.
 
     Every field here must be a pure function of the grid point — never
     of scheduling order, cache temperature or wall-clock time.
     """
-    if getattr(spec, "family", None) == "taskgraph":
-        from repro.taskgraph.pipeline import tg_experiment_record
-
-        return tg_experiment_record(spec, graph, results)
     eid = spec.experiment_id
     by_kind: dict[str, TaskResult] = {}
     missing: list[str] = []
+    cache_keys: dict[str, str] = {}
     for task in graph.tasks_for_experiment(eid):
         result = results.get(task.task_id)
         if result is None:
             missing.append(task.kind)  # interrupted run: task never ran
         else:
             by_kind[task.kind] = result
+        if task.cache_key is not None:
+            cache_keys[task.kind] = task.cache_key
 
     record: dict[str, Any] = {
         "type": "experiment",
         "experiment": eid,
-        "workload": spec.workload,
-        "category": spec.category or "default",
-        "seed": spec.seed,
-        "mode_table": spec.machine.table_tag,
-        "capacitance_uf": spec.machine.capacitance_uf,
-        "deadline_frac": spec.deadline_frac,
+        **spec.identity_fields(),
         "tasks": {
             kind: result.status for kind, result in sorted(by_kind.items())
         },
-        "cache_keys": {
-            task.kind: task.cache_key
-            for task in sorted(graph.tasks_for_experiment(eid),
-                               key=lambda t: t.task_id)
-            if task.cache_key is not None
-        },
+        "cache_keys": cache_keys,
     }
 
     if missing:
@@ -172,27 +163,9 @@ def experiment_record(
         record["failures"] = failures
         return record
 
-    optimize = by_kind["optimize"].output
-    run = by_kind["simulate"].output["run"]
-    verify = by_kind["verify"].output
-    record.update({
-        "status": "ok" if verify["ok"] else "verify_failed",
-        "deadline_s": optimize["deadline_s"],
-        "savings_bound": verify["savings_bound"],
-        "continuous_energy_nj": verify["continuous_energy_nj"],
-        "continuous_savings_bound": verify["continuous_savings_bound"],
-        "predicted_energy_nj": optimize["predicted_energy_nj"],
-        "predicted_time_s": optimize["predicted_time_s"],
-        "measured_energy_nj": run["cpu_energy_nj"],
-        "measured_time_s": run["wall_time_s"],
-        "mode_transitions": run["mode_transitions"],
-        "return_value": run["return_value"],
-        "verified": verify["ok"],
-        "checks": verify["checks"],
-        "baseline_mode": verify["baseline_mode"],
-        "baseline_energy_nj": verify["baseline_energy_nj"],
-        "savings_vs_single_mode": verify["savings_vs_single_mode"],
-    })
+    fields = spec.ok_fields({kind: r.output for kind, r in by_kind.items()})
+    record["status"] = "ok" if fields["verified"] else "verify_failed"
+    record.update(fields)
     return record
 
 
@@ -209,8 +182,7 @@ def degraded_tasks(results: dict[str, TaskResult]) -> list[str]:
     """Solve tasks that fell back below a proven optimum, sorted."""
     return sorted(
         r.task_id for r in results.values()
-        if r.kind in ("optimize", "tg-solve") and r.ok
-        and r.output is not None
+        if r.ok and r.output is not None
         and r.output.get("solver", {}).get("degraded")
     )
 

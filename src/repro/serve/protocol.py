@@ -47,7 +47,8 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.errors import ProtocolError, ReproError
-from repro.runtime.dag import ExperimentSpec, MachineSpec
+from repro.runtime.dag import Experiment
+from repro.runtime.sweep import SweepConfig, build_grid
 from repro.workloads import get_workload
 
 #: Request schema version (bumped with incompatible changes).
@@ -70,7 +71,7 @@ class ParsedRequest:
     request_key: str  # sha256 over the canonical JSON
     tenant: str
     wait: bool
-    experiments: tuple[ExperimentSpec, ...]
+    experiments: tuple[Experiment, ...]
     solver_budget_s: float | None
     solver_backend: str
 
@@ -88,8 +89,7 @@ class ParsedRequest:
         sweeping a 12-task graph over 4 deadlines is billed 48, not 4 —
         big graphs cannot starve small tenants at equal priority.
         """
-        return sum(getattr(spec, "queue_cost", 1)
-                   for spec in self.experiments)
+        return sum(spec.queue_cost for spec in self.experiments)
 
 
 def _fail(message: str) -> None:
@@ -339,24 +339,7 @@ def parse_request(body: bytes | str | dict[str, Any],
         "solver_budget_s": solver_budget_s,
         "solver_backend": solver_backend,
     }
-
-    experiments = build_experiments(canonical)
-    limit = min(max_grid, ABSOLUTE_MAX_GRID)
-    if len(experiments) > limit:
-        _fail(f"request grid has {len(experiments)} experiments; "
-              f"this server accepts at most {limit} per request")
-
-    key = hashlib.sha256(
-        canonical_json(canonical).encode("utf-8")).hexdigest()
-    return ParsedRequest(
-        canonical=canonical,
-        request_key=key,
-        tenant=tenant,
-        wait=wait,
-        experiments=tuple(experiments),
-        solver_budget_s=solver_budget_s,
-        solver_backend=solver_backend,
-    )
+    return _parsed(canonical, tenant, wait, max_grid)
 
 
 def _parse_taskgraph(document: dict[str, Any], max_grid: int) -> ParsedRequest:
@@ -393,7 +376,12 @@ def _parse_taskgraph(document: dict[str, Any], max_grid: int) -> ParsedRequest:
         "solver_budget_s": solver_budget_s,
         "solver_backend": solver_backend,
     }
+    return _parsed(canonical, tenant, wait, max_grid)
 
+
+def _parsed(canonical: dict[str, Any], tenant: str, wait: bool,
+            max_grid: int) -> ParsedRequest:
+    """Expand a canonical document, enforce the grid ceiling and key it."""
     experiments = build_experiments(canonical)
     limit = min(max_grid, ABSOLUTE_MAX_GRID)
     if len(experiments) > limit:
@@ -408,8 +396,8 @@ def _parse_taskgraph(document: dict[str, Any], max_grid: int) -> ParsedRequest:
         tenant=tenant,
         wait=wait,
         experiments=tuple(experiments),
-        solver_budget_s=solver_budget_s,
-        solver_backend=solver_backend,
+        solver_budget_s=canonical["solver_budget_s"],
+        solver_backend=canonical["solver_backend"],
     )
 
 
@@ -439,7 +427,8 @@ def from_canonical(document: dict[str, Any], tenant: str = "anon",
         raise ProtocolError(
             f"stored request has protocol version {version!r}; "
             f"this build speaks {PROTOCOL_VERSION}")
-    endpoint = "taskgraph" if document.get("type") == "taskgraph" else "sweep"
+    # A document's type tag names its endpoint; untagged ones are sweeps.
+    endpoint = document.get("type", "sweep")
     body = {key: value for key, value in document.items()
             if key not in ("version", "type")}
     body["tenant"] = tenant
@@ -447,41 +436,47 @@ def from_canonical(document: dict[str, Any], tenant: str = "anon",
     return parse_request(body, endpoint=endpoint, max_grid=ABSOLUTE_MAX_GRID)
 
 
-def build_experiments(canonical: dict[str, Any]) -> list[ExperimentSpec]:
+def _stream_grid(canonical: dict[str, Any]) -> list[Experiment]:
+    category = canonical["category"]
+    return build_grid(SweepConfig(
+        workloads=tuple(canonical["workloads"]),
+        deadline_fracs=tuple(canonical["deadline_fracs"]),
+        levels=_machine_levels(canonical),
+        categories=({name: (category,) for name in canonical["workloads"]}
+                    if category is not None else {}),
+        seed=canonical["seed"],
+        capacitance_uf=canonical["capacitance_uf"],
+    ))
+
+
+def _taskgraph_grid(canonical: dict[str, Any]) -> list[Experiment]:
+    from repro.taskgraph.pipeline import build_tg_grid
+
+    return build_tg_grid(
+        shapes=tuple(canonical["shapes"]),
+        tasks=canonical["tasks"],
+        cores=tuple(canonical["cores"]),
+        deadline_fracs=tuple(canonical["deadline_fracs"]),
+        seed=canonical["seed"],
+        levels=_machine_levels(canonical),
+        capacitance_uf=canonical["capacitance_uf"],
+    )
+
+
+def _machine_levels(canonical: dict[str, Any]) -> tuple[int | None, ...]:
+    return tuple(None if lv == "xscale-3" else lv for lv in canonical["levels"])
+
+
+#: Grid expansion by the canonical document's type tag (None: a sweep).
+_GRIDS = {None: _stream_grid, "taskgraph": _taskgraph_grid}
+
+
+def build_experiments(canonical: dict[str, Any]) -> list[Experiment]:
     """Expand a canonical request into its experiment grid.
 
-    Mirrors :func:`repro.runtime.sweep.build_grid` (or, for documents
-    tagged ``"type": "taskgraph"``,
-    :func:`repro.taskgraph.pipeline.build_tg_grid`) so a served request
-    and a CLI sweep over the same axes produce the same experiment ids
-    (and therefore identical ``results`` rows).
+    The expansion is the CLI's own (:func:`repro.runtime.sweep.build_grid`
+    or :func:`repro.taskgraph.pipeline.build_tg_grid`), so a served
+    request and a CLI sweep over the same axes produce the same
+    experiment ids (and therefore identical ``results`` rows).
     """
-    if canonical.get("type") == "taskgraph":
-        from repro.taskgraph.pipeline import build_tg_grid
-
-        return build_tg_grid(
-            shapes=tuple(canonical["shapes"]),
-            tasks=canonical["tasks"],
-            cores=tuple(canonical["cores"]),
-            deadline_fracs=tuple(canonical["deadline_fracs"]),
-            seed=canonical["seed"],
-            levels=tuple(None if lv == "xscale-3" else lv
-                         for lv in canonical["levels"]),
-            capacitance_uf=canonical["capacitance_uf"],
-        )
-    experiments: list[ExperimentSpec] = []
-    for workload in canonical["workloads"]:
-        for level in canonical["levels"]:
-            machine = MachineSpec(
-                levels=None if level == "xscale-3" else level,
-                capacitance_uf=canonical["capacitance_uf"],
-            )
-            for frac in canonical["deadline_fracs"]:
-                experiments.append(ExperimentSpec(
-                    workload=workload,
-                    deadline_frac=frac,
-                    category=canonical["category"],
-                    seed=canonical["seed"],
-                    machine=machine,
-                ))
-    return experiments
+    return _GRIDS[canonical.get("type")](canonical)

@@ -15,9 +15,12 @@ keys embed the full :func:`~repro.taskgraph.model.graph_fingerprint`
 (kernel source digests included), so editing a kernel invalidates the
 whole family.
 
-The experiment family is discriminated by ``spec.family ==
-"taskgraph"``; :func:`repro.runtime.dag.build_task_graph` and
-:func:`repro.runtime.manifest.experiment_record` dispatch here on it.
+:class:`TaskGraphExperimentSpec` declares the family the way
+:class:`~repro.runtime.dag.ExperimentSpec` declares the single-stream
+one (:class:`repro.runtime.dag.Experiment`): its stages, its row fields
+and its queue cost.  Its task functions are the ``tg-*`` entries of
+:data:`repro.runtime.dag.TASK_FNS`.  The generic graph builder, task
+dispatcher and record reducer do the rest.
 """
 
 from __future__ import annotations
@@ -27,15 +30,12 @@ from typing import Any
 
 from repro.errors import OrchestrationError
 from repro.runtime import hashing
-from repro.runtime.dag import MachineSpec, Task, TaskGraph
+from repro.runtime.dag import MachineSpec, Stage
 from repro.taskgraph.heuristic import deadline_for, greedy_taskgraph
 from repro.taskgraph.model import GRAPH_SHAPES, TaskGraphSpec, build_graph, graph_fingerprint
 from repro.taskgraph.simulate import replay
 from repro.taskgraph.solve import solve_taskgraph
 from repro.taskgraph.tables import TaskTables, tables_for
-
-#: Taskgraph pipeline stages in dependency order.
-TG_TASK_KINDS = ("tg-tables", "tg-solve", "tg-simulate", "tg-verify")
 
 #: Relative tolerance for objective-vs-replay verification.
 OBJECTIVE_REL_TOL = 1e-6
@@ -51,9 +51,6 @@ class TaskGraphExperimentSpec:
     deadline_frac: float
     seed: int = 0
     machine: MachineSpec = field(default_factory=MachineSpec)
-
-    #: Family discriminator the runtime dispatches on.
-    family = "taskgraph"
 
     def graph(self) -> TaskGraphSpec:
         """The (pure, seeded) graph this point runs."""
@@ -80,7 +77,6 @@ class TaskGraphExperimentSpec:
     def payload(self) -> dict[str, Any]:
         """JSON-compatible worker payload."""
         return {
-            "family": "taskgraph",
             "shape": self.shape,
             "tasks": self.tasks,
             "seed": self.seed,
@@ -89,6 +85,57 @@ class TaskGraphExperimentSpec:
             "levels": self.machine.levels,
             "capacitance_uf": self.machine.capacitance_uf,
             "fastpath": self.machine.fastpath,
+        }
+
+    def stages(self, solver_backend: str = "auto") -> list[Stage]:
+        """``tg-tables`` (shared per graph and machine), then
+        ``tg-solve``, ``tg-simulate`` and ``tg-verify`` for this point."""
+        graph_fp = graph_fingerprint(self.graph())
+        machine = self.machine.build()
+        cores, frac, eid = self.cores, self.deadline_frac, self.experiment_id
+        tables = f"tg-tables:{self.shared_id}"
+        solve, simulate = f"tg-solve:{eid}", f"tg-simulate:{eid}"
+        return [
+            Stage("tg-tables", tables, (),
+                  hashing.taskgraph_tables_key(graph_fp, machine)),
+            Stage("tg-solve", solve, (tables,),
+                  hashing.taskgraph_solve_key(graph_fp, machine, cores, frac),
+                  solve=True),
+            Stage("tg-simulate", simulate, (tables, solve),
+                  hashing.taskgraph_run_key(graph_fp, machine, cores, frac)),
+            Stage("tg-verify", f"tg-verify:{eid}", (tables, solve, simulate)),
+        ]
+
+    def identity_fields(self) -> dict[str, Any]:
+        return {
+            "family": "taskgraph",
+            "graph": self.graph().name,
+            "shape": self.shape,
+            "graph_tasks": self.tasks,
+            "seed": self.seed,
+            "cores": self.cores,
+            "mode_table": self.machine.table_tag,
+            "capacitance_uf": self.machine.capacitance_uf,
+            "deadline_frac": self.deadline_frac,
+        }
+
+    def ok_fields(self, outputs: dict[str, dict[str, Any]]) -> dict[str, Any]:
+        """Grid-point-determined values only: run-varying solver facts
+        (method, solve time, degradation) stay in the manifest."""
+        solve = outputs["tg-solve"]
+        run = outputs["tg-simulate"]["run"]
+        verify = outputs["tg-verify"]
+        return {
+            "deadline_s": solve["deadline_s"],
+            "predicted_energy_nj": solve["predicted_energy_nj"],
+            "measured_energy_nj": run["energy_nj"],
+            "measured_makespan_s": run["makespan_s"],
+            "mode_switches": run["switches"],
+            "utilization": run["utilization"],
+            "greedy_energy_nj": verify["greedy_energy_nj"],
+            "savings_vs_greedy": verify["savings_vs_greedy"],
+            "verified": verify["ok"],
+            "checks": verify["checks"],
         }
 
 
@@ -135,85 +182,23 @@ def build_tg_grid(
     return experiments
 
 
-def build_tg_task_graph(
-    experiments: list[TaskGraphExperimentSpec],
-    solver_budget_s: float | None = None,
-    solver_backend: str = "auto",
-) -> TaskGraph:
-    """Merge taskgraph pipelines into one deduplicated runtime DAG."""
-    seen_ids = set()
-    for exp in experiments:
-        if exp.experiment_id in seen_ids:
-            raise OrchestrationError(
-                f"duplicate grid point {exp.experiment_id!r}")
-        seen_ids.add(exp.experiment_id)
-
-    tasks: dict[str, Task] = {}
-
-    def ensure(task_id: str, kind: str, spec: dict[str, Any],
-               deps: tuple[str, ...], cache_key: str | None,
-               experiment_id: str) -> str:
-        task = tasks.get(task_id)
-        if task is None:
-            tasks[task_id] = Task(task_id=task_id, kind=kind, spec=spec,
-                                  deps=deps, cache_key=cache_key,
-                                  experiments=(experiment_id,))
-        elif experiment_id not in task.experiments:
-            task.experiments += (experiment_id,)
-        return task_id
-
-    for exp in experiments:
-        eid = exp.experiment_id
-        spec = exp.payload()
-        graph_fp = graph_fingerprint(exp.graph())
-        machine = exp.machine.build()
-        tables_id = ensure(
-            f"tg-tables:{exp.shared_id}", "tg-tables", spec, (),
-            hashing.taskgraph_tables_key(graph_fp, machine), eid)
-        solve_spec = dict(spec)
-        if solver_budget_s is not None:
-            solve_spec["solver_budget_s"] = solver_budget_s
-        if solver_backend != "auto":
-            solve_spec["solver_backend"] = solver_backend
-        if solve_spec == spec:
-            solve_spec = spec
-        solve_id = ensure(
-            f"tg-solve:{eid}", "tg-solve", solve_spec, (tables_id,),
-            hashing.taskgraph_solve_key(graph_fp, machine, exp.cores,
-                                        exp.deadline_frac), eid)
-        simulate_id = ensure(
-            f"tg-simulate:{eid}", "tg-simulate", spec,
-            (tables_id, solve_id),
-            hashing.taskgraph_run_key(graph_fp, machine, exp.cores,
-                                      exp.deadline_frac), eid)
-        ensure(
-            f"tg-verify:{eid}", "tg-verify", spec,
-            (tables_id, solve_id, simulate_id), None, eid)
-
-    graph = TaskGraph(tasks=tasks, experiments=list(experiments))
-    graph.validate()
-    return graph
-
-
-# -- task computations (run inside worker processes) -------------------------
+# -- task computations (run inside worker processes; see dag.TASK_FNS) --------
 
 
 def _tg_context(spec: dict[str, Any]):
     graph = build_graph(spec["shape"], spec["tasks"], spec["seed"])
-    machine = MachineSpec(spec["levels"], spec["capacitance_uf"],
-                          spec.get("fastpath", True)).build()
-    return graph, machine
+    return graph, MachineSpec.from_payload(spec).build()
 
 
-def _task_tg_tables(spec: dict[str, Any],
-                    deps: dict[str, Any]) -> dict[str, Any]:
+def task_tables(spec: dict[str, Any], deps: dict[str, Any],
+                store=None) -> dict[str, Any]:
     graph, machine = _tg_context(spec)
     tables = tables_for(graph, machine)
     return {"graph": graph.payload(), "tables": tables.payload()}
 
 
-def _task_tg_solve(spec: dict[str, Any],
-                   deps: dict[str, Any]) -> dict[str, Any]:
+def task_solve(spec: dict[str, Any], deps: dict[str, Any],
+               store=None) -> dict[str, Any]:
     graph, machine = _tg_context(spec)
     tables = TaskTables.from_payload(deps["tg-tables"]["tables"])
     transition = machine.transition_model
@@ -246,8 +231,8 @@ def _task_tg_solve(spec: dict[str, Any],
     }
 
 
-def _task_tg_simulate(spec: dict[str, Any],
-                      deps: dict[str, Any]) -> dict[str, Any]:
+def task_simulate(spec: dict[str, Any], deps: dict[str, Any],
+                  store=None) -> dict[str, Any]:
     graph, machine = _tg_context(spec)
     tables = TaskTables.from_payload(deps["tg-tables"]["tables"])
     run = replay(graph, tables, deps["tg-solve"]["schedule"],
@@ -255,8 +240,8 @@ def _task_tg_simulate(spec: dict[str, Any],
     return {"run": run}
 
 
-def _task_tg_verify(spec: dict[str, Any],
-                    deps: dict[str, Any]) -> dict[str, Any]:
+def task_verify(spec: dict[str, Any], deps: dict[str, Any],
+                store=None) -> dict[str, Any]:
     graph, machine = _tg_context(spec)
     tables = TaskTables.from_payload(deps["tg-tables"]["tables"])
     transition = machine.transition_model
@@ -294,96 +279,3 @@ def _task_tg_verify(spec: dict[str, Any],
         "greedy_energy_nj": greedy_energy,
         "savings_vs_greedy": savings,
     }
-
-
-_TG_TASK_FNS = {
-    "tg-tables": _task_tg_tables,
-    "tg-solve": _task_tg_solve,
-    "tg-simulate": _task_tg_simulate,
-    "tg-verify": _task_tg_verify,
-}
-
-
-def execute_tg_task(kind: str, spec: dict[str, Any],
-                    deps: dict[str, Any]) -> dict[str, Any]:
-    """Worker entry point for the ``tg-*`` task kinds."""
-    try:
-        fn = _TG_TASK_FNS[kind]
-    except KeyError:
-        raise OrchestrationError(
-            f"unknown taskgraph task kind {kind!r}") from None
-    return fn(spec, deps)
-
-
-def tg_experiment_record(spec: TaskGraphExperimentSpec, graph: TaskGraph,
-                         results: dict[str, Any]) -> dict[str, Any]:
-    """Deterministic results.jsonl line for one taskgraph grid point.
-
-    Run-varying solver facts (method, solve time, degradation) stay in
-    the manifest; this record holds only grid-point-determined values.
-    """
-    eid = spec.experiment_id
-    by_kind: dict[str, Any] = {}
-    missing: list[str] = []
-    for task in graph.tasks_for_experiment(eid):
-        result = results.get(task.task_id)
-        if result is None:
-            missing.append(task.kind)
-        else:
-            by_kind[task.kind] = result
-
-    record: dict[str, Any] = {
-        "type": "experiment",
-        "family": "taskgraph",
-        "experiment": eid,
-        "graph": spec.graph().name,
-        "shape": spec.shape,
-        "graph_tasks": spec.tasks,
-        "seed": spec.seed,
-        "cores": spec.cores,
-        "mode_table": spec.machine.table_tag,
-        "capacitance_uf": spec.machine.capacitance_uf,
-        "deadline_frac": spec.deadline_frac,
-        "tasks": {
-            kind: result.status for kind, result in sorted(by_kind.items())
-        },
-        "cache_keys": {
-            task.kind: task.cache_key
-            for task in sorted(graph.tasks_for_experiment(eid),
-                               key=lambda t: t.task_id)
-            if task.cache_key is not None
-        },
-    }
-
-    if missing:
-        record["status"] = "incomplete"
-        record["missing"] = sorted(missing)
-        return record
-
-    failures = {
-        kind: {"error_type": r.error_type, "error": r.error}
-        for kind, r in sorted(by_kind.items())
-        if r.status != "ok"
-    }
-    if failures:
-        record["status"] = "failed"
-        record["failures"] = failures
-        return record
-
-    solve = by_kind["tg-solve"].output
-    run = by_kind["tg-simulate"].output["run"]
-    verify = by_kind["tg-verify"].output
-    record.update({
-        "status": "ok" if verify["ok"] else "verify_failed",
-        "deadline_s": solve["deadline_s"],
-        "predicted_energy_nj": solve["predicted_energy_nj"],
-        "measured_energy_nj": run["energy_nj"],
-        "measured_makespan_s": run["makespan_s"],
-        "mode_switches": run["switches"],
-        "utilization": run["utilization"],
-        "greedy_energy_nj": verify["greedy_energy_nj"],
-        "savings_vs_greedy": verify["savings_vs_greedy"],
-        "verified": verify["ok"],
-        "checks": verify["checks"],
-    })
-    return record

@@ -10,12 +10,9 @@ import pytest
 
 from repro.errors import OrchestrationError
 from repro.runtime import manifest as manifest_mod
+from repro.runtime.dag import build_task_graph
 from repro.runtime.sweep import SweepConfig, run_sweep
-from repro.taskgraph.pipeline import (
-    TaskGraphExperimentSpec,
-    build_tg_grid,
-    build_tg_task_graph,
-)
+from repro.taskgraph.pipeline import TaskGraphExperimentSpec, build_tg_grid
 
 GRID = dict(shapes=("fork-join",), tasks=5, cores=(1, 2),
             deadline_fracs=(0.0, 0.5))
@@ -54,7 +51,7 @@ class TestGrid:
 
     def test_tables_task_is_shared_per_graph(self):
         grid = build_tg_grid(**GRID)
-        graph = build_tg_task_graph(grid)
+        graph = build_task_graph(grid)
         kinds = {}
         for task in graph.tasks.values():
             kinds[task.kind] = kinds.get(task.kind, 0) + 1
