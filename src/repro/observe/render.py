@@ -232,8 +232,14 @@ def render_stats(metrics: dict[str, Any]) -> str:
     if art_hits or art_misses:
         section("artifact cache")
         row("hit rate", _rate(art_hits, art_misses))
+        row("hits served from the LRU", int(take("cache.artifact.lru_hits")))
+        row("LRU evictions", int(take("cache.artifact.lru_evictions")))
         row("writes", int(take("cache.artifact.writes")))
         row("quarantined", int(take("cache.artifact.quarantined")))
+
+    if "verify.bound_memo_hits" in counters:
+        section("verify")
+        row("bound memo hits", int(take("verify.bound_memo_hits")))
 
     tasks_done = take("executor.tasks.ok")
     if tasks_done or "executor.queue_wait_s" in histograms:

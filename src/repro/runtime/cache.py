@@ -19,6 +19,13 @@ Writes are atomic (temp file + ``os.replace`` in the same directory), so
 concurrent workers — the sweep executor runs many — can race on the same
 key and the store still ends up with exactly one intact document.
 
+Each store handle keeps an in-memory LRU of the payloads its ``get`` has
+read and verified, bounded by :data:`LRU_MAX_BYTES`.  An artifact never
+changes under its content address, so a hit cannot be stale; a
+long-lived ``repro serve`` reads each warm artifact from disk once.
+Cached payloads are read-only (mutating one raises ``TypeError``), so no
+consumer can change what a later hit returns.
+
 :func:`verify_store` audits every document (``repro cache verify``).
 """
 
@@ -29,9 +36,11 @@ import json
 import logging
 import os
 import tempfile
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Hashable
 
 from repro import observe
 from repro.errors import CacheError
@@ -46,11 +55,112 @@ STORE_FORMAT = 2
 #: Directory (under the store root) holding quarantined documents.
 QUARANTINE_DIR = "quarantine"
 
+#: Bound on one store handle's LRU of verified payloads, counted in
+#: on-disk document bytes.  The paper suite's whole warm set (42
+#: documents) takes about 0.1 MB of it.
+LRU_MAX_BYTES = 16 << 20
+
 
 def payload_digest(payload: Any) -> str:
     """SHA-256 over the payload's canonical JSON form."""
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+class BoundedLRU:
+    """A thread-safe least-recently-used map bounded by the summed cost
+    of its entries."""
+
+    def __init__(self, max_cost: int) -> None:
+        self.max_cost = max_cost
+        self.cost = 0
+        self._entries: OrderedDict[Hashable, tuple[Any, int]] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __contains__(self, key: Hashable) -> bool:
+        return key in self._entries
+
+    def get(self, key: Hashable) -> Any:
+        """The value under ``key`` (now most recently used), or None."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                return None
+            self._entries.move_to_end(key)
+            return entry[0]
+
+    def put(self, key: Hashable, value: Any, cost: int = 1) -> int:
+        """Insert ``value``; returns how many older entries were evicted.
+
+        A value costlier than the whole bound is not kept.
+        """
+        if cost > self.max_cost:
+            return 0
+        with self._lock:
+            self._discard_locked(key)
+            self._entries[key] = (value, cost)
+            self.cost += cost
+            evicted = 0
+            while self.cost > self.max_cost:
+                _, (_, dropped) = self._entries.popitem(last=False)
+                self.cost -= dropped
+                evicted += 1
+            return evicted
+
+    def discard(self, key: Hashable) -> None:
+        with self._lock:
+            self._discard_locked(key)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self.cost = 0
+
+    def _discard_locked(self, key: Hashable) -> None:
+        entry = self._entries.pop(key, None)
+        if entry is not None:
+            self.cost -= entry[1]
+
+
+def _read_only(self, *args: Any, **kwargs: Any) -> Any:
+    raise TypeError("a cached artifact payload is read-only; copy it first")
+
+
+class _FrozenDict(dict):
+    """A dict whose mutators raise; pickles and copies as a plain dict."""
+
+    __slots__ = ()
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        return dict, (dict(self),)
+
+
+class _FrozenList(list):
+    """A list whose mutators raise; pickles and copies as a plain list."""
+
+    __slots__ = ()
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _read_only
+    append = extend = insert = pop = remove = clear = sort = reverse = _read_only
+
+    def __reduce__(self):
+        return list, (list(self),)
+
+
+def read_only_copy(value: Any) -> Any:
+    """A deep copy of a JSON value whose dicts and lists refuse mutation,
+    for a value that many callers share."""
+    if isinstance(value, dict):
+        return _FrozenDict((key, read_only_copy(item))
+                           for key, item in value.items())
+    if isinstance(value, list):
+        return _FrozenList(read_only_copy(item) for item in value)
+    return value
+
 
 #: Environment variable naming the default store root.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -89,6 +199,7 @@ class ArtifactStore:
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
         self.stats = CacheStats()
+        self.lru = BoundedLRU(LRU_MAX_BYTES)
 
     # -- addressing -------------------------------------------------------------
 
@@ -119,35 +230,38 @@ class ArtifactStore:
         logger.warning("quarantined corrupt artifact %s", path.name)
         return True
 
-    def _inspect(self, path: Path, key: str) -> tuple[dict[str, Any] | None, str | None]:
-        """(payload, problem) for one on-disk document.
+    def _inspect(self, path: Path, key: str) -> tuple[dict[str, Any] | None, str | None, int]:
+        """(payload, problem, document length) for one on-disk document.
 
-        Exactly one side is None: a readable, digest-intact document
-        yields its payload; anything else yields a problem description.
+        Exactly one of payload and problem is None: a readable,
+        digest-intact document yields its payload; anything else yields
+        a problem description.
         """
         try:
             with open(path) as handle:
-                document = json.load(handle)
+                text = handle.read()
+            document = json.loads(text)
         except FileNotFoundError:
             raise
         except (OSError, json.JSONDecodeError, UnicodeDecodeError) as error:
-            return None, f"unreadable document: {type(error).__name__}: {error}"
+            return None, f"unreadable document: {type(error).__name__}: {error}", 0
+        size = len(text)
         if not isinstance(document, dict):
-            return None, "document is not a JSON object"
+            return None, "document is not a JSON object", size
         if document.get("format") != STORE_FORMAT:
-            return None, f"envelope format {document.get('format')!r} != {STORE_FORMAT}"
+            return None, f"envelope format {document.get('format')!r} != {STORE_FORMAT}", size
         if document.get("key") != key:
-            return None, f"embedded key {str(document.get('key'))[:12]}… != file key"
+            return None, f"embedded key {str(document.get('key'))[:12]}… != file key", size
         if "payload" not in document:
-            return None, "document has no payload"
+            return None, "document has no payload", size
         expected = document.get("digest")
         try:
             actual = payload_digest(document["payload"])
         except (TypeError, ValueError) as error:
-            return None, f"payload not hashable: {error}"
+            return None, f"payload not hashable: {error}", size
         if expected != actual:
-            return None, f"payload digest mismatch (stored {str(expected)[:12]}…)"
-        return document["payload"], None
+            return None, f"payload digest mismatch (stored {str(expected)[:12]}…)", size
+        return document["payload"], None, size
 
     def get(self, key: str) -> dict[str, Any] | None:
         """Payload stored under ``key``, or None (counted as a miss).
@@ -158,15 +272,28 @@ class ArtifactStore:
         file must not take down a sweep.  Such documents are moved to
         ``quarantine/`` so the next ``put`` self-heals the entry and a
         postmortem can still inspect the bytes.
+
+        A payload read before comes from the handle's LRU, read-only,
+        unless a fault plan is active: then every read takes the disk
+        path, so ``io.slow`` and ``cache.read.corrupt`` fire and are
+        absorbed exactly as without the LRU.
         """
         path = self.path_for(key)
+        if faultplane.active_plan() is None:
+            payload = self.lru.get(key)
+            if payload is not None:
+                self.stats.hits += 1
+                observe.add("cache.artifact.hits")
+                observe.add("cache.artifact.lru_hits")
+                return payload
+        self.lru.discard(key)  # from here on, the disk decides
         faultplane.stall("io.slow")
         if path.is_file() and faultplane.fire("cache.read.corrupt"):
             # Genuinely damage the on-disk bytes so the real quarantine
             # and self-heal machinery below is what absorbs the fault.
             faultplane.damage_file(path)
         try:
-            payload, problem = self._inspect(path, key)
+            payload, problem, size = self._inspect(path, key)
         except FileNotFoundError:
             self.stats.misses += 1
             observe.add("cache.artifact.misses")
@@ -181,11 +308,16 @@ class ArtifactStore:
             return None
         self.stats.hits += 1
         observe.add("cache.artifact.hits")
+        payload = read_only_copy(payload)
+        evicted = self.lru.put(key, payload, cost=size)
+        if evicted:
+            observe.add("cache.artifact.lru_evictions", evicted)
         return payload
 
     def put(self, key: str, payload: dict[str, Any]) -> Path:
         """Atomically store ``payload`` under ``key``; returns its path."""
         path = self.path_for(key)
+        self.lru.discard(key)
         document = {"format": STORE_FORMAT, "key": key,
                     "digest": payload_digest(payload), "payload": payload}
         try:
@@ -224,6 +356,7 @@ class ArtifactStore:
     def clear(self) -> int:
         """Delete every artifact (incl. quarantine); returns the count."""
         removed = 0
+        self.lru.clear()
         if not self.root.is_dir():
             return 0
         for shard in self.root.iterdir():
@@ -289,7 +422,7 @@ def verify_store(store: ArtifactStore, quarantine: bool = True) -> StoreAudit:
                 audit.quarantined += 1
             continue
         try:
-            _, problem = store._inspect(path, key)
+            _, problem, _ = store._inspect(path, key)
         except FileNotFoundError:  # pragma: no cover - raced with a writer
             continue
         if problem is None:

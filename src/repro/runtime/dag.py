@@ -15,9 +15,11 @@ artifact, which only ``simulate`` reads: the scheduled program is timed
 by a replay of the recording (bit-identical to simulating it), and is
 simulated in full only when no stream is at hand.  ``verify`` checks the
 scheduled run and derives the single-mode baseline and the analytical
-savings bounds from the profile.  Programs compile inside each task
-through the per-process compile cache, so compilation is not a stage of
-its own.
+savings bounds from the profile.  What it derives from a profile is pure,
+so each process memoizes it under the profile's content address (its
+cache key), the deadline and the mode table; the checks themselves run
+on every call.  Programs compile inside each task through the
+per-process compile cache, so compilation is not a stage of its own.
 
 :func:`build_task_graph` merges the pipelines of a whole sweep into one
 DAG, **deduplicating shared stages**: every experiment on ``gsm`` with
@@ -47,6 +49,7 @@ declaration, so one graph may mix families.
 
 from __future__ import annotations
 
+import functools
 import importlib
 import logging
 from dataclasses import dataclass, field
@@ -68,8 +71,9 @@ from repro.profiling.serialize import (
     stream_to_dict,
 )
 from repro.runtime import hashing
+from repro.runtime.cache import BoundedLRU, read_only_copy
 from repro.simulator import Machine, SCALE_CONFIG, TransitionCostModel, XSCALE_3
-from repro.simulator.dvs import make_mode_table
+from repro.simulator.dvs import ModeTable, make_mode_table
 from repro.simulator.machine import ExecutionStream
 from repro.verify import tolerances
 from repro.workloads import compile_workload, get_workload
@@ -95,13 +99,23 @@ class MachineSpec:
     fastpath: bool = True
 
     def build(self) -> Machine:
-        table = XSCALE_3 if self.levels is None else make_mode_table(self.levels)
         return Machine(
             SCALE_CONFIG,
-            table,
+            self.mode_table(),
             TransitionCostModel(capacitance_f=self.capacitance_uf * 1e-6),
             fastpath=self.fastpath,
         )
+
+    def mode_table(self) -> ModeTable:
+        """The machine's DVS mode table, without building the machine."""
+        return XSCALE_3 if self.levels is None else make_mode_table(self.levels)
+
+    @functools.lru_cache(maxsize=64)
+    def fingerprint(self) -> dict[str, Any]:
+        """:func:`~repro.runtime.hashing.machine_fingerprint` of the
+        built machine, computed once per machine and shared read-only:
+        a sweep's graph needs it for three keys per grid point."""
+        return read_only_copy(hashing.machine_fingerprint(self.build()))
 
     @property
     def table_tag(self) -> str:
@@ -199,11 +213,17 @@ class ExperimentSpec:
                    payload["category"], payload["seed"],
                    MachineSpec.from_payload(payload))
 
+    def profile_key(self) -> str:
+        """Content address of the grid point's ``profile`` artifact."""
+        return hashing.profile_key(get_workload(self.workload).source,
+                                   self.resolved_category(), self.seed,
+                                   self.machine.fingerprint())
+
     def stages(self, solver_backend: str = "auto") -> list[Stage]:
         """``profile`` (shared across deadlines), then ``optimize``,
         ``simulate`` and ``verify`` for this deadline."""
         source = get_workload(self.workload).source
-        machine = self.machine.build()
+        machine = self.machine.fingerprint()
         category, seed, frac = self.resolved_category(), self.seed, self.deadline_frac
         # The continuous backend's round-up is another schedule than the
         # MILP optimum, so its artifacts are keyed apart.
@@ -212,8 +232,7 @@ class ExperimentSpec:
         profile = f"profile:{self.shared_id}"
         optimize, simulate = f"optimize:{eid}", f"simulate:{eid}"
         return [
-            Stage("profile", profile, (),
-                  hashing.profile_key(source, category, seed, machine)),
+            Stage("profile", profile, (), self.profile_key()),
             Stage("optimize", optimize, (profile,),
                   hashing.schedule_key(source, category, seed, machine, frac,
                                        method=method), solve=True),
@@ -496,10 +515,48 @@ def _task_simulate(spec: dict[str, Any], deps: dict[str, Any],
     return {"run": run_summary_to_dict(run)}
 
 
+#: Per-process memos of what ``verify`` derives from a profile: the
+#: decoded profile, by its content address, and its two savings bounds,
+#: by (content address, deadline, mode-table values).  Entry-bounded: a
+#: decoded suite profile is tens of kB, a bound pair two floats.
+PROFILE_MEMO_ENTRIES = 32
+BOUND_MEMO_ENTRIES = 1024
+_profiles = BoundedLRU(PROFILE_MEMO_ENTRIES)
+_bounds = BoundedLRU(BOUND_MEMO_ENTRIES)
+
+
+def _profile_bounds(profile_key: str, profile, deadline: float,
+                    table: ModeTable) -> tuple[float, float | None]:
+    """(Section 3 discrete savings bound, continuous optimum energy).
+
+    The bound is nan when the discrete model is infeasible; the energy
+    is None when the deadline or profile is outside the continuous
+    engine's regime.  Both are pure in the memo key.
+    """
+    key = (profile_key, deadline,
+           tuple((p.frequency_hz, p.voltage) for p in table))
+    memo = _bounds.get(key)
+    if memo is not None:
+        observe.add("verify.bound_memo_hits")
+        return memo
+    # The paper's Section 3 discrete-mode bound, from the parameters the
+    # profile read off its fastest-mode run.
+    bound = savings_ratio_discrete(profile.params, deadline, table)
+    # The achievable-optimum counterpart: energy of the exact continuous
+    # schedule (Li-Yao-Yuan), the paper's Section 3 "opportunity"
+    # restated on profiled numbers.
+    try:
+        continuous = float(continuous_bound(profile, table, deadline).energy_nj)
+    except ScheduleError:
+        continuous = None
+    _bounds.put(key, (bound, continuous))
+    return bound, continuous
+
+
 def _task_verify(spec: dict[str, Any], deps: dict[str, Any],
                  store=None) -> dict[str, Any]:
-    profile = profile_from_dict(deps["profile"]["profile"])
-    machine = MachineSpec.from_payload(spec).build()
+    document = deps["profile"]["profile"]
+    table = MachineSpec.from_payload(spec).mode_table()
     optimize = deps["optimize"]
     run = run_summary_from_dict(deps["simulate"]["run"])
     deadline = optimize["deadline_s"]
@@ -515,34 +572,31 @@ def _task_verify(spec: dict[str, Any], deps: dict[str, Any],
     checks["energy_predicted"] = (
         energy_err <= tolerances.ENERGY_PREDICTION_REL_TOL
     )
-    checks["result_preserved"] = run["return_value"] == profile.return_value
+    checks["result_preserved"] = run["return_value"] == document.get("return_value")
+
+    profile_key = ExperimentSpec.from_payload(spec).profile_key()
+    profile = _profiles.get(profile_key)
+    if profile is None:
+        profile = profile_from_dict(document)
+        _profiles.put(profile_key, profile)
 
     baseline_mode = baseline_energy = savings = None
     try:
-        baseline_mode, baseline_energy = DVSOptimizer(machine).best_single_mode(
-            profile, deadline
-        )
+        baseline_mode, baseline_energy = profile.best_single_mode(deadline,
+                                                                  len(table))
         if baseline_energy > 0:
             savings = 1.0 - run["cpu_energy_nj"] / baseline_energy
     except ScheduleError:
         pass  # deadline below the fastest single mode: no baseline exists
 
-    # The paper's Section 3 discrete-mode bound, from the parameters the
-    # profile read off its fastest-mode run.
-    bound = savings_ratio_discrete(profile.params, deadline, machine.mode_table)
-    # The achievable-optimum counterpart: energy of the exact continuous
-    # schedule (Li-Yao-Yuan) and its savings against the best single
-    # mode, the paper's Section 3 "opportunity" restated on profiled
-    # numbers.  Absent (None) when the deadline or profile is outside
-    # the engine's regime — an absence, never a crash.
-    continuous_energy = continuous_savings = None
-    try:
-        cont = continuous_bound(profile, machine.mode_table, deadline)
-        continuous_energy = float(cont.energy_nj)
-        if baseline_energy is not None and baseline_energy > 0:
-            continuous_savings = float(1.0 - cont.energy_nj / baseline_energy)
-    except ScheduleError:
-        pass
+    bound, continuous_energy = _profile_bounds(profile_key, profile, deadline,
+                                               table)
+    # Savings against the best single mode; absent (None) with either
+    # side absent — an absence, never a crash.
+    continuous_savings = None
+    if (continuous_energy is not None and baseline_energy is not None
+            and baseline_energy > 0):
+        continuous_savings = float(1.0 - continuous_energy / baseline_energy)
 
     return {
         "ok": all(checks.values()),

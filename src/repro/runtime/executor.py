@@ -3,15 +3,21 @@
 The scheduler keeps a frontier of ready tasks (all dependencies
 finished) and feeds a ``ProcessPoolExecutor`` up to ``jobs`` tasks deep.
 Experiments are CPU-bound pure-Python simulation, so processes — not
-threads — are what buys wall-clock time.
+threads — are what buys wall-clock time.  Light tasks
+(:data:`~repro.runtime.dag.LIGHT_KINDS`: ``verify``, which only reads
+its dependencies' outputs) run inline in the calling process once their
+deps are in hand, pool or no pool: shipping them to a worker costs more
+than running them.  They hold no ``jobs`` slot and run without a
+deadline.
 
 Failure semantics, in order of application:
 
 * **cache hit** — a task whose key is in the artifact store never runs;
   the stored payload becomes its output.
-* **timeout** — each task may carry a wall-clock budget, enforced
-  *inside* the worker with a SIGALRM interval timer (workers run tasks
-  on their main thread), raising :class:`~repro.errors.TaskTimeout`.
+* **timeout** — each task but a light one may carry a wall-clock
+  budget, enforced *inside* the worker with a SIGALRM interval timer
+  (workers run tasks on their main thread), raising
+  :class:`~repro.errors.TaskTimeout`.
 * **retry** — a failed task is resubmitted up to ``retries`` times with
   exponential backoff; attempts are counted in the parent so a retried
   task lands on a fresh worker.
@@ -350,14 +356,11 @@ class WorkerPool:
         self.close()
 
 
-class _InlineFuture:
-    """A completed-immediately future for jobs=1 inline execution."""
-
-    def __init__(self, value: dict[str, Any]) -> None:
-        self._value = value
-
-    def result(self) -> dict[str, Any]:
-        return self._value
+def _run_inline(payload: dict[str, Any]) -> Future:
+    """Run a task in this process; its already finished future."""
+    future: Future = Future()
+    future.set_result(_run_task_entry(payload))
+    return future
 
 
 def run_graph(
@@ -389,7 +392,7 @@ def run_graph(
             in.  The caller keeps it alive across calls (warm workers);
             this function never shuts it down.  Without one, ``jobs > 1``
             creates a pool for just this graph and ``jobs == 1`` runs
-            tasks inline.
+            tasks inline.  Light tasks run inline either way.
 
     Returns:
         results for every task — or, after a ``should_stop`` drain, for
@@ -473,7 +476,13 @@ def run_graph(
                 )
         return None
 
+    def slots_taken() -> int:
+        return sum(graph.tasks[tid].kind not in LIGHT_KINDS
+                   for tid in inflight.values())
+
     def submit(task: Task) -> None:
+        light = task.kind in LIGHT_KINDS
+        inline = pool is None or light
         attempts[task.task_id] += 1
         attempt = attempts[task.task_id]
         # One executor.task span per attempt, ended in absorb().  It is
@@ -490,22 +499,22 @@ def run_graph(
                 graph.tasks[dep].kind: results[dep].output for dep in task.deps
             },
             "attempt": attempt,
-            "timeout_s": config.task_timeout_s,
+            "timeout_s": None if light else config.task_timeout_s,
             "cache_key": cache_key(task),
             "store_root": str(store.root) if store is not None else None,
             "inject_fault": faultplane.crash_due(task.task_id, attempt),
             "trace": observe.enabled(),
             "trace_parent": tspan.span_id or None,
-            "trace_fresh": pool is not None,
+            "trace_fresh": not inline,
         }
-        if pool is not None:
-            if task.kind not in LIGHT_KINDS and not pool.forked:
-                # Import once here, so the workers forked by this submit
-                # inherit the numeric stack rather than each loading it.
-                load_task_stack()
-            inflight[pool.submit(_run_task_entry, payload)] = task.task_id
-        else:
-            inflight[_InlineFuture(_run_task_entry(payload))] = task.task_id
+        if inline:
+            inflight[_run_inline(payload)] = task.task_id
+            return
+        if not pool.forked:
+            # Import once here, so the workers forked by this submit
+            # inherit the numeric stack rather than each loading it.
+            load_task_stack()
+        inflight[pool.submit(_run_task_entry, payload)] = task.task_id
 
     def absorb(task_id: str, transport: dict[str, Any]) -> None:
         task = graph.tasks[task_id]
@@ -567,15 +576,15 @@ def run_graph(
                     if resolved is not None:
                         finish(resolved)
                         progressed = True
-                    elif len(inflight) < config.jobs:
+                    elif (task.kind in LIGHT_KINDS
+                          or slots_taken() < config.jobs):
                         submit(task)
                         progressed = True
             if inflight:
-                if pool is not None:
-                    done, _ = wait(list(inflight), return_when=FIRST_COMPLETED)
-                else:
-                    done = list(inflight)
-                for future in done:
+                done, _ = wait(list(inflight), return_when=FIRST_COMPLETED)
+                # In submission order, so inline runs finish in the
+                # order they ran.
+                for future in [f for f in inflight if f in done]:
                     task_id = inflight.pop(future)
                     absorb(task_id, _transport_of(future, pool))
                 progressed = True
@@ -596,8 +605,7 @@ def run_graph(
     return results
 
 
-def _transport_of(future: "Future | _InlineFuture",
-                  pool: WorkerPool | None) -> dict[str, Any]:
+def _transport_of(future: Future, pool: WorkerPool | None) -> dict[str, Any]:
     """A finished future's transport dict, with worker death absorbed.
 
     A worker killed mid-task (OOM, SIGKILL chaos) breaks the whole

@@ -93,6 +93,12 @@ def machine_fingerprint(machine: Machine) -> dict[str, Any]:
     }
 
 
+def _machine_part(machine: Machine | dict[str, Any]) -> dict[str, Any]:
+    """A machine's fingerprint; a dict is taken as one already computed
+    (:meth:`repro.runtime.dag.MachineSpec.fingerprint` memoizes it)."""
+    return machine if isinstance(machine, dict) else machine_fingerprint(machine)
+
+
 def workload_fingerprint(source: str, category: str | None, seed: int) -> dict[str, Any]:
     """The (program, input) half of an artifact key."""
     return {
@@ -124,13 +130,17 @@ def artifact_key(kind: str, **parts: Any) -> str:
 
 
 def profile_key(source: str, category: str | None, seed: int,
-                machine: Machine) -> str:
+                machine: Machine | dict[str, Any]) -> str:
     """Key for a per-mode :class:`~repro.profiling.profile_data.ProfileData`
-    (which carries the program's Section 3.2 parameters)."""
+    (which carries the program's Section 3.2 parameters).
+
+    Here and in the other keys below ``machine`` is a :class:`Machine`
+    or its :func:`machine_fingerprint`.
+    """
     return artifact_key(
         "profile",
         workload=workload_fingerprint(source, category, seed),
-        machine=machine_fingerprint(machine),
+        machine=_machine_part(machine),
     )
 
 
@@ -163,33 +173,33 @@ def _method_part(method: str) -> dict[str, Any]:
 
 
 def schedule_key(source: str, category: str | None, seed: int,
-                 machine: Machine, deadline_frac: float,
+                 machine: Machine | dict[str, Any], deadline_frac: float,
                  method: str = "milp") -> str:
     """Key for an optimized schedule (plus solver stats) at one deadline."""
     return artifact_key(
         "schedule",
         workload=workload_fingerprint(source, category, seed),
-        machine=machine_fingerprint(machine),
+        machine=_machine_part(machine),
         deadline_frac=deadline_frac,
         **_method_part(method),
     )
 
 
 def run_summary_key(source: str, category: str | None, seed: int,
-                    machine: Machine, deadline_frac: float,
+                    machine: Machine | dict[str, Any], deadline_frac: float,
                     method: str = "milp") -> str:
     """Key for the simulated execution of a schedule."""
     return artifact_key(
         "run-summary",
         workload=workload_fingerprint(source, category, seed),
-        machine=machine_fingerprint(machine),
+        machine=_machine_part(machine),
         deadline_frac=deadline_frac,
         **_method_part(method),
     )
 
 
 def taskgraph_tables_key(graph_fingerprint: dict[str, Any],
-                         machine: Machine) -> str:
+                         machine: Machine | dict[str, Any]) -> str:
     """Key for a task graph's per-task per-mode tables.
 
     ``graph_fingerprint`` is :func:`repro.taskgraph.model.graph_fingerprint`
@@ -200,11 +210,12 @@ def taskgraph_tables_key(graph_fingerprint: dict[str, Any],
     return artifact_key(
         "tg-tables",
         graph=graph_fingerprint,
-        machine=machine_fingerprint(machine),
+        machine=_machine_part(machine),
     )
 
 
-def taskgraph_solve_key(graph_fingerprint: dict[str, Any], machine: Machine,
+def taskgraph_solve_key(graph_fingerprint: dict[str, Any],
+                        machine: Machine | dict[str, Any],
                         cores: int, deadline_frac: float) -> str:
     """Key for a solved taskgraph schedule at one (cores, deadline).
 
@@ -215,19 +226,20 @@ def taskgraph_solve_key(graph_fingerprint: dict[str, Any], machine: Machine,
     return artifact_key(
         "tg-solve",
         graph=graph_fingerprint,
-        machine=machine_fingerprint(machine),
+        machine=_machine_part(machine),
         cores=cores,
         deadline_frac=deadline_frac,
     )
 
 
-def taskgraph_run_key(graph_fingerprint: dict[str, Any], machine: Machine,
+def taskgraph_run_key(graph_fingerprint: dict[str, Any],
+                      machine: Machine | dict[str, Any],
                       cores: int, deadline_frac: float) -> str:
     """Key for the replayed execution of a taskgraph schedule."""
     return artifact_key(
         "tg-run",
         graph=graph_fingerprint,
-        machine=machine_fingerprint(machine),
+        machine=_machine_part(machine),
         cores=cores,
         deadline_frac=deadline_frac,
     )

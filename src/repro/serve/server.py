@@ -468,6 +468,14 @@ class ReproServer:
             await self._serve_connection(reader, writer)
         except (ConnectionError, asyncio.IncompleteReadError):
             pass  # client went away mid-conversation
+        except asyncio.CancelledError:
+            # Shutdown cancels the handlers still idle on a keep-alive
+            # connection.  Ending cancelled would make the stream's
+            # done-callback log a traceback (before Python 3.12), so a
+            # shutdown's cancellation ends here, after the connection
+            # is closed.
+            if not (self._draining or self._aborted):
+                raise
         finally:
             try:
                 writer.close()

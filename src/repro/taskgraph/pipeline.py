@@ -91,7 +91,7 @@ class TaskGraphExperimentSpec:
         """``tg-tables`` (shared per graph and machine), then
         ``tg-solve``, ``tg-simulate`` and ``tg-verify`` for this point."""
         graph_fp = graph_fingerprint(self.graph())
-        machine = self.machine.build()
+        machine = self.machine.fingerprint()
         cores, frac, eid = self.cores, self.deadline_frac, self.experiment_id
         tables = f"tg-tables:{self.shared_id}"
         solve, simulate = f"tg-solve:{eid}", f"tg-simulate:{eid}"

@@ -60,3 +60,26 @@ class TestSolverSection:
         assert rows["anytime tier used: continuous"] == "2"
         for tier in ("milp-scipy", "milp-native", "greedy"):
             assert rows[f"anytime tier used: {tier}"] == "1"
+
+
+def _section(counters: dict, title: str) -> dict[str, str]:
+    text = render_stats({"counters": counters})
+    section = text.split(f"{title}\n{'-' * len(title)}\n", 1)[1]
+    rows = {}
+    for line in section.split("\n\n", 1)[0].splitlines():
+        label, _, value = line.strip().rpartition("  ")
+        rows[label.strip()] = value.strip()
+    return rows
+
+
+class TestServedCounters:
+    def test_lru_and_bound_memo_counters_render(self):
+        counters = {"cache.artifact.hits": 30, "cache.artifact.misses": 10,
+                    "cache.artifact.lru_hits": 25,
+                    "cache.artifact.lru_evictions": 2,
+                    "verify.bound_memo_hits": 11}
+        cache = _section(counters, "artifact cache")
+        assert cache["hits served from the LRU"] == "25"
+        assert cache["LRU evictions"] == "2"
+        assert _section(counters, "verify")["bound memo hits"] == "11"
+        assert "other metrics" not in render_stats({"counters": counters})

@@ -4,15 +4,21 @@ These drive the *real* pipeline over the cheapest workload (adpcm) so
 the executor is exercised against genuine task payloads, not mocks.
 """
 
+import json
+import threading
+
 import pytest
 
 from repro import observe
+from repro.core.analytical import savings_ratio_discrete
+from repro.core.continuous import continuous_bound
 from repro.errors import OrchestrationError
 from repro.resilience import faultplane
 from repro.resilience.faultplane import FaultPlan
 from repro.runtime.cache import ArtifactStore
 from repro.runtime import dag
-from repro.runtime.dag import ExperimentSpec, build_task_graph
+from repro.profiling.serialize import profile_from_dict
+from repro.runtime.dag import ExperimentSpec, MachineSpec, build_task_graph
 from repro.runtime.executor import ExecutorConfig, WorkerPool, run_graph
 
 
@@ -96,6 +102,110 @@ class TestHappyPath:
         pooled = run_graph(graph, config=ExecutorConfig(jobs=2))
         assert by_kind(pooled)["verify"].output == by_kind(inline)["verify"].output
         assert by_kind(pooled)["simulate"].output == by_kind(inline)["simulate"].output
+
+
+class RecordingPool(WorkerPool):
+    """A worker pool that records the kind of every task sent to it."""
+
+    def __init__(self, jobs: int) -> None:
+        super().__init__(jobs)
+        self.kinds: list[str] = []
+
+    def submit(self, fn, *args):
+        if args and isinstance(args[0], dict) and "kind" in args[0]:
+            self.kinds.append(args[0]["kind"])
+        return super().submit(fn, *args)
+
+
+class TestInlineLightTasks:
+    """``verify`` runs in the calling process, pool or no pool."""
+
+    def test_verify_never_reaches_the_pool(self, graph, tmp_path):
+        store = ArtifactStore(tmp_path / "store")
+        with RecordingPool(2) as pool:
+            cold = run_graph(graph, store=store, pool=pool,
+                             config=ExecutorConfig(jobs=2))
+            cold_kinds = list(pool.kinds)
+            pool.kinds.clear()
+            warm = run_graph(graph, store=ArtifactStore(tmp_path / "store"),
+                             pool=pool, config=ExecutorConfig(jobs=2))
+        assert sorted(cold_kinds) == ["optimize", "profile", "simulate"]
+        assert pool.kinds == []  # a warm graph leaves the pool idle
+        assert by_kind(warm)["verify"].output == by_kind(cold)["verify"].output
+        assert by_kind(warm)["verify"].output["ok"] is True
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_inline_verify_off_the_main_thread_has_no_timeout_warning(
+            self, graph, tmp_path, jobs):
+        """A serve run thread cannot arm SIGALRM; a light task never
+        asks it to, so it reports no unenforced timeout."""
+        outcome = {}
+
+        def run():
+            outcome["results"] = run_graph(
+                graph, store=ArtifactStore(tmp_path / "store"),
+                config=ExecutorConfig(jobs=jobs, task_timeout_s=600.0))
+
+        thread = threading.Thread(target=run)
+        thread.start()
+        thread.join(600)
+        verify = by_kind(outcome["results"])["verify"]
+        assert verify.ok and verify.warnings == ()
+
+
+class TestVerifyMemo:
+    """What ``verify`` derives from a profile is memoized, bit-exactly."""
+
+    @pytest.fixture(scope="class")
+    def deps(self, graph):
+        results = run_graph(graph, config=ExecutorConfig(jobs=1))
+        outputs = {r.kind: r.output for r in results.values()}
+        task = next(t for t in graph.tasks.values() if t.kind == "verify")
+        return task.spec, {kind: outputs[kind]
+                           for kind in ("profile", "optimize", "simulate")}
+
+    def test_memo_hit_is_bit_identical_to_a_fresh_computation(self, deps):
+        spec, inputs = deps
+        dag._profiles.clear()
+        dag._bounds.clear()
+        observe.enable(reset=True)
+        try:
+            fresh = dag.execute_task("verify", spec, inputs)
+            memo = dag.execute_task("verify", spec, inputs)
+            hits = observe.counter_value("verify.bound_memo_hits")
+        finally:
+            observe.disable()
+        assert hits == 1
+        assert json.dumps(memo, sort_keys=True) == json.dumps(fresh,
+                                                              sort_keys=True)
+        profile = profile_from_dict(inputs["profile"]["profile"])
+        table = MachineSpec.from_payload(spec).build().mode_table
+        deadline = inputs["optimize"]["deadline_s"]
+        assert memo["savings_bound"] == savings_ratio_discrete(
+            profile.params, deadline, table)
+        assert memo["continuous_energy_nj"] == float(
+            continuous_bound(profile, table, deadline).energy_nj)
+        assert memo["checks"] == {"deadline_met": True,
+                                  "energy_predicted": True,
+                                  "result_preserved": True}
+
+    def test_memo_is_keyed_by_deadline(self, deps):
+        spec, inputs = deps
+        tighter = {**inputs, "optimize": {
+            **inputs["optimize"],
+            "deadline_s": inputs["optimize"]["deadline_s"] * 0.9}}
+        base = dag.execute_task("verify", spec, inputs)
+        other = dag.execute_task("verify", spec, tighter)
+        assert other["continuous_energy_nj"] != base["continuous_energy_nj"]
+
+    def test_checks_still_run_on_a_memo_hit(self, deps):
+        spec, inputs = deps
+        dag.execute_task("verify", spec, inputs)  # memo warm
+        wrong = {**inputs, "simulate": {"run": {
+            **inputs["simulate"]["run"], "return_value": "tampered"}}}
+        out = dag.execute_task("verify", spec, wrong)
+        assert out["ok"] is False
+        assert out["checks"]["result_preserved"] is False
 
 
 @pytest.fixture

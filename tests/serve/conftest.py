@@ -26,16 +26,6 @@ _CONNECT_RETRIES = 20
 _CONNECT_BACKOFF_S = 0.05
 
 
-def _quiet_cancelled(loop, context) -> None:
-    """Drop the report of a client task that ``abort()`` cancelled.
-
-    Before Python 3.12 the stream's done-callback calls
-    ``task.exception()``, which raises on a cancelled task.
-    """
-    if not isinstance(context.get("exception"), asyncio.CancelledError):
-        loop.default_exception_handler(context)
-
-
 class LiveServer:
     """A running :class:`ReproServer` plus a tiny synchronous client."""
 
@@ -52,7 +42,6 @@ class LiveServer:
 
     def _run(self) -> None:
         asyncio.set_event_loop(self.loop)
-        self.loop.set_exception_handler(_quiet_cancelled)
         self.loop.run_forever()
 
     def _wait_ready(self) -> None:
