@@ -763,13 +763,26 @@ def cmd_bench(args) -> int:
     return run_kind(args.kind, args)
 
 
+class _VersionAction(argparse.Action):
+    """``--version``: looks the installed version up (``importlib.metadata``,
+    tens of milliseconds) only when the option is given."""
+
+    def __init__(self, option_strings, dest=argparse.SUPPRESS, **kwargs):
+        super().__init__(option_strings, dest, nargs=0,
+                         default=argparse.SUPPRESS, **kwargs)
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        print(f"repro {observe.repro_version()}")
+        parser.exit()
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Compile-time DVS reproduction (Xie/Martonosi/Malik, PLDI'03)",
     )
-    parser.add_argument("--version", action="version",
-                        version=f"repro {observe.repro_version()}")
+    parser.add_argument("--version", action=_VersionAction,
+                        help="show program's version number and exit")
     parser.add_argument("--log-level", default=None,
                         choices=("debug", "info", "warning", "error", "critical"),
                         help="diagnostic log level (default: $REPRO_LOG or warning)")

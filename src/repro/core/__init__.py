@@ -10,6 +10,20 @@
   formulation, solving and schedule verification together.
 """
 
-from repro.core.scheduler import DVSOptimizer, OptimizationOutcome
+import importlib
+
+#: Public names and their modules, imported on first use: the scheduler
+#: loads the profiler, the simulator and the MILP stack.
+_LAZY = {
+    "DVSOptimizer": "scheduler",
+    "OptimizationOutcome": "scheduler",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+
 
 __all__ = ["DVSOptimizer", "OptimizationOutcome"]

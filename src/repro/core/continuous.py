@@ -456,10 +456,17 @@ def continuous_bound(
     f_ceiling = law.frequency(v_high)
 
     energy = 0.0
+    # Every job of a critical phase runs at the phase's speed, so a
+    # profile's hundreds of jobs share a handful of speeds: invert each
+    # distinct one once.
+    voltages: dict[float, float] = {}
     for job in jobs:
         speed = result.speeds[job.label]
-        # Below the floor the voltage (hence energy/cycle) stops falling.
-        voltage = v_low if speed <= f_floor else law.voltage(speed)
+        voltage = voltages.get(speed)
+        if voltage is None:
+            # Below the floor the voltage (hence energy/cycle) stops falling.
+            voltage = v_low if speed <= f_floor else law.voltage(speed)
+            voltages[speed] = voltage
         energy += epsilon * job.work_cycles * voltage * voltage
 
     peak = result.peak_speed_hz

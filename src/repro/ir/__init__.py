@@ -16,25 +16,40 @@ against a flat byte-addressed data memory, and class-tagged operations so
 the energy model can charge per-class activation energies (Wattch-style).
 """
 
-from repro.ir.instructions import (
-    BinOp,
-    Branch,
-    Const,
-    Instruction,
-    Jump,
-    Load,
-    Move,
-    OpClass,
-    Ret,
-    Store,
-    UnOp,
-)
-from repro.ir.basic_block import BasicBlock
-from repro.ir.cfg import CFG, Edge
-from repro.ir.builder import FunctionBuilder
-from repro.ir.loops import LoopInfo, compute_dominators, find_natural_loops
-from repro.ir.interp import InterpResult, interpret
-from repro.ir.validate import validate_cfg
+import importlib
+
+#: Public names and their modules, imported on first use: the CFG types
+#: load without the interpreter, the builder or the loop analyses.
+_LAZY = {
+    "BinOp": "instructions",
+    "Branch": "instructions",
+    "Const": "instructions",
+    "Instruction": "instructions",
+    "Jump": "instructions",
+    "Load": "instructions",
+    "Move": "instructions",
+    "OpClass": "instructions",
+    "Ret": "instructions",
+    "Store": "instructions",
+    "UnOp": "instructions",
+    "BasicBlock": "basic_block",
+    "CFG": "cfg",
+    "Edge": "cfg",
+    "FunctionBuilder": "builder",
+    "LoopInfo": "loops",
+    "compute_dominators": "loops",
+    "find_natural_loops": "loops",
+    "InterpResult": "interp",
+    "interpret": "interp",
+    "validate_cfg": "validate",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+
 
 __all__ = [
     "BasicBlock",

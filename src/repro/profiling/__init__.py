@@ -11,8 +11,22 @@ package reproduces that flow on the :mod:`repro.simulator` substrate:
   the four analytical-model parameters of Section 3.2.
 """
 
-from repro.profiling.profile_data import BlockModeData, ProfileData
-from repro.profiling.profiler import profile_program
-from repro.profiling.params_extract import extract_params
+import importlib
+
+#: Public names and their modules, imported on first use: reading a
+#: profile does not load the profiler or the simulator.
+_LAZY = {
+    "BlockModeData": "profile_data",
+    "ProfileData": "profile_data",
+    "profile_program": "profiler",
+    "extract_params": "params_extract",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+
 
 __all__ = ["BlockModeData", "ProfileData", "extract_params", "profile_program"]

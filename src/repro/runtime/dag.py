@@ -53,10 +53,9 @@ import functools
 import importlib
 import logging
 from dataclasses import dataclass, field
-from typing import Any, Protocol
+from typing import TYPE_CHECKING, Any, Protocol
 
 from repro import observe
-from repro.core import DVSOptimizer
 from repro.core.analytical import savings_ratio_discrete
 from repro.core.continuous import continuous_bound
 from repro.errors import CacheError, OrchestrationError, ProfileError, ScheduleError
@@ -72,11 +71,13 @@ from repro.profiling.serialize import (
 )
 from repro.runtime import hashing
 from repro.runtime.cache import BoundedLRU, read_only_copy
-from repro.simulator import Machine, SCALE_CONFIG, TransitionCostModel, XSCALE_3
-from repro.simulator.dvs import ModeTable, make_mode_table
-from repro.simulator.machine import ExecutionStream
+from repro.simulator.config import SCALE_CONFIG
+from repro.simulator.dvs import ModeTable, TransitionCostModel, XSCALE_3, make_mode_table
 from repro.verify import tolerances
 from repro.workloads import compile_workload, get_workload
+
+if TYPE_CHECKING:
+    from repro.simulator.machine import ExecutionStream, Machine
 
 logger = logging.getLogger("repro.dag")
 
@@ -99,23 +100,27 @@ class MachineSpec:
     fastpath: bool = True
 
     def build(self) -> Machine:
-        return Machine(
-            SCALE_CONFIG,
-            self.mode_table(),
-            TransitionCostModel(capacitance_f=self.capacitance_uf * 1e-6),
-            fastpath=self.fastpath,
-        )
+        from repro.simulator.machine import Machine
+
+        return Machine(SCALE_CONFIG, self.mode_table(), self.transition_model(),
+                       fastpath=self.fastpath)
 
     def mode_table(self) -> ModeTable:
         """The machine's DVS mode table, without building the machine."""
         return XSCALE_3 if self.levels is None else make_mode_table(self.levels)
 
+    def transition_model(self) -> TransitionCostModel:
+        return TransitionCostModel(capacitance_f=self.capacitance_uf * 1e-6)
+
     @functools.lru_cache(maxsize=64)
     def fingerprint(self) -> dict[str, Any]:
         """:func:`~repro.runtime.hashing.machine_fingerprint` of the
-        built machine, computed once per machine and shared read-only:
-        a sweep's graph needs it for three keys per grid point."""
-        return read_only_copy(hashing.machine_fingerprint(self.build()))
+        machine :meth:`build` would return, computed from its parts
+        (building one loads the simulator) once per machine and shared
+        read-only: a sweep's graph needs it for three keys per grid
+        point."""
+        return read_only_copy(hashing.fingerprint_parts(
+            SCALE_CONFIG, self.mode_table(), self.transition_model()))
 
     @property
     def table_tag(self) -> str:
@@ -413,6 +418,9 @@ def _stream_key(spec: dict[str, Any], machine: Machine) -> str:
 
 def _task_profile(spec: dict[str, Any], deps: dict[str, Any],
                   store=None) -> dict[str, Any]:
+    from repro.core.scheduler import DVSOptimizer
+    from repro.simulator.machine import ExecutionStream
+
     _, cfg, machine, inputs, registers = _context(spec)
     stream = ExecutionStream() if store is not None else None
     profile = DVSOptimizer(machine).profile(cfg, inputs=inputs, registers=registers,
@@ -455,6 +463,8 @@ def _load_stream(spec: dict[str, Any], cfg, machine: Machine,
 
 def _task_optimize(spec: dict[str, Any], deps: dict[str, Any],
                    store=None) -> dict[str, Any]:
+    from repro.core.scheduler import DVSOptimizer
+
     _, cfg, machine, _, _ = _context(spec)
     profile = profile_from_dict(deps["profile"]["profile"])
     deadline = profile.deadline_at(spec["deadline_frac"])
@@ -507,6 +517,8 @@ def _task_optimize(spec: dict[str, Any], deps: dict[str, Any],
 
 def _task_simulate(spec: dict[str, Any], deps: dict[str, Any],
                    store=None) -> dict[str, Any]:
+    from repro.core.scheduler import DVSOptimizer
+
     _, cfg, machine, inputs, registers = _context(spec)
     schedule = schedule_from_dict(deps["optimize"]["schedule"])
     stream = _load_stream(spec, cfg, machine, store)
@@ -629,14 +641,21 @@ TASK_FNS: dict[str, tuple[str, str]] = {
 
 
 def load_task_stack() -> None:
-    """Import the numeric stack that simulating and solving tasks use:
-    numpy (input generators, model building) and scipy (the backends).
+    """Import what simulating and solving tasks use: the compiler, the
+    simulator and the scheduler, numpy (input generators, model
+    building) and scipy (the backends).
 
     The executor calls this in the parent before it forks a worker pool
     for such tasks, so the workers inherit the modules instead of each
     importing them.  A sweep whose tasks are all light never calls it.
     """
     import repro.core.milp.formulation  # noqa: F401
+    import repro.core.scheduler  # noqa: F401
+    import repro.ir.loops  # noqa: F401
+    import repro.ir.validate  # noqa: F401
+    import repro.lang  # noqa: F401
+    import repro.profiling.params_extract  # noqa: F401
+    import repro.simulator.machine  # noqa: F401
     import repro.verify.certificate  # noqa: F401
     import repro.workloads.inputs  # noqa: F401
     from repro.solver import load_backends

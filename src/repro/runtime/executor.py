@@ -37,16 +37,14 @@ tested, not assumed.
 from __future__ import annotations
 
 import logging
-import multiprocessing
 import os
 import signal
 import sys
 import time
 import threading
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import FIRST_COMPLETED, Future, wait
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro import observe
 from repro.errors import InjectedFault, OrchestrationError, TaskTimeout
@@ -59,6 +57,9 @@ from repro.runtime.dag import (
     execute_task,
     load_task_stack,
 )
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 logger = logging.getLogger("repro.executor")
 
@@ -235,6 +236,8 @@ def _run_task_entry(payload: dict[str, Any]) -> dict[str, Any]:
 
 def _pool_context():
     """Prefer fork (cheap, inherits sys.path); fall back to the default."""
+    import multiprocessing
+
     try:
         return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX platforms
@@ -282,6 +285,10 @@ class WorkerPool:
         self._closed = False
 
     def _spawn_locked(self) -> ProcessPoolExecutor:
+        # Imported on the first spawn: a sweep run inline (``--jobs 1``,
+        # or every task light) never loads multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         self._executor = ProcessPoolExecutor(
             max_workers=self.jobs,
             mp_context=_pool_context(),
@@ -292,6 +299,8 @@ class WorkerPool:
 
     def submit(self, fn: Callable, *args: Any) -> Future:
         """Submit work, respawning the executor if a worker died."""
+        from concurrent.futures.process import BrokenProcessPool
+
         with self._lock:
             if self._closed:
                 raise OrchestrationError("worker pool is closed")
@@ -327,11 +336,18 @@ class WorkerPool:
                    for _ in range(self.jobs)]
         return sorted({future.result() for future in futures})
 
-    @property
-    def forked(self) -> bool:
-        """True once workers exist (forked on the first submit)."""
+    def load_before_fork(self, load: Callable[[], None]) -> None:
+        """Run ``load`` (imports for the workers to inherit) unless the
+        workers exist already.
+
+        It runs under the pool's lock, so no worker is forked while it
+        imports: a worker forked from another thread mid-import would
+        inherit that module's import lock held, and hang on its first
+        import of the module.
+        """
         with self._lock:
-            return self._executor is not None
+            if self._executor is None:
+                load()
 
     def worker_pids(self) -> list[int]:
         """Pids of the live worker processes (may be empty before use)."""
@@ -510,10 +526,9 @@ def run_graph(
         if inline:
             inflight[_run_inline(payload)] = task.task_id
             return
-        if not pool.forked:
-            # Import once here, so the workers forked by this submit
-            # inherit the numeric stack rather than each loading it.
-            load_task_stack()
+        # Import once here, so the workers forked by this submit
+        # inherit the task stack rather than each loading it.
+        pool.load_before_fork(load_task_stack)
         inflight[pool.submit(_run_task_entry, payload)] = task.task_id
 
     def absorb(task_id: str, transport: dict[str, Any]) -> None:
@@ -616,6 +631,8 @@ def _transport_of(future: Future, pool: WorkerPool | None) -> dict[str, Any]:
     try:
         return future.result()
     except BaseException as error:  # noqa: BLE001 - converted to a failure
+        from concurrent.futures.process import BrokenProcessPool
+
         if pool is not None and isinstance(error, BrokenProcessPool):
             observe.add("executor.worker_crashes")
             pool.reset()

@@ -30,11 +30,15 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.errors import CacheError
 from repro.profiling.serialize import FORMAT_VERSION
-from repro.simulator.machine import Machine
+
+if TYPE_CHECKING:
+    from repro.simulator.config import MachineConfig
+    from repro.simulator.dvs import ModeTable, TransitionCostModel
+    from repro.simulator.machine import Machine
 
 #: Bumped whenever key semantics change *or* the simulator's numeric
 #: outputs change for identical inputs.  v2: compensated (Neumaier)
@@ -86,10 +90,18 @@ def machine_fingerprint(machine: Machine) -> dict[str, Any]:
     points, not its display name, so ``make_mode_table(3)`` and a
     hand-built identical table share artifacts.
     """
+    return fingerprint_parts(machine.config, machine.mode_table,
+                             machine.transition_model)
+
+
+def fingerprint_parts(config: MachineConfig, mode_table: ModeTable,
+                      transition_model: TransitionCostModel) -> dict[str, Any]:
+    """:func:`machine_fingerprint` of the machine these parts would
+    build, without building it."""
     return {
-        "config": asdict(machine.config),
-        "modes": [[p.frequency_hz, p.voltage] for p in machine.mode_table],
-        "transition": asdict(machine.transition_model),
+        "config": asdict(config),
+        "modes": [[p.frequency_hz, p.voltage] for p in mode_table],
+        "transition": asdict(transition_model),
     }
 
 

@@ -153,6 +153,13 @@ class ReproServer:
         self._idle = asyncio.Event()
         self._idle.set()
         self._clients: set[asyncio.Task] = set()
+        # Handlers idle on a keep-alive connection, awaiting the next
+        # request head: the only ones a drain may cancel.
+        self._reading: set[asyncio.Task] = set()
+        self._closing = False
+        # The observe collector is process-wide: a server that turned it
+        # on turns it off again when it stops.
+        self._enabled_observe = False
         # Stream wake-ups in flight: the loop holds tasks only weakly, so
         # these references keep each one alive until it has run.
         self._notifiers: set[asyncio.Task] = set()
@@ -170,6 +177,7 @@ class ReproServer:
         self._loop = asyncio.get_running_loop()
         if not observe.enabled():
             observe.enable()
+            self._enabled_observe = True
         recovered: dict[str, StoredJob] = {}
         if self.jobstore is not None:
             if self.config.resume:
@@ -266,6 +274,12 @@ class ReproServer:
             await self._server.wait_closed()
         if self._scheduler_task is not None:
             self._scheduler_task.cancel()
+        # Every job has answered, so a handler still awaiting a request
+        # head only holds an idle connection open; one writing a
+        # response finishes within the bounded wait below.
+        self._closing = True
+        for task in list(self._reading):
+            task.cancel()
         if self._clients:
             await asyncio.wait(self._clients, timeout=5.0)
         if self._notifiers:
@@ -274,6 +288,7 @@ class ReproServer:
         self.pool.close()
         if self.jobstore is not None:
             self.jobstore.close()
+        self._release_observe()
         return self._exit_code
 
     def abort(self) -> None:
@@ -301,6 +316,12 @@ class ReproServer:
         self.pool.close()
         if self.jobstore is not None:
             self.jobstore.close()
+        self._release_observe()
+
+    def _release_observe(self) -> None:
+        if self._enabled_observe:
+            observe.disable()
+            self._enabled_observe = False
 
     def _cancel_job(self, job: Job) -> None:
         job.state = "cancelled"
@@ -486,6 +507,8 @@ class ReproServer:
     async def _serve_connection(self, reader: asyncio.StreamReader,
                                 writer: asyncio.StreamWriter) -> None:
         while True:
+            if self._closing:
+                return
             request = await self._read_request(reader, writer)
             if request is None:
                 return
@@ -521,6 +544,9 @@ class ReproServer:
 
     async def _read_request(self, reader: asyncio.StreamReader,
                             writer: asyncio.StreamWriter) -> _HttpRequest | None:
+        task = asyncio.current_task()
+        if task is not None:
+            self._reading.add(task)
         try:
             head = await reader.readuntil(b"\r\n\r\n")
         except asyncio.IncompleteReadError:
@@ -528,6 +554,8 @@ class ReproServer:
         except asyncio.LimitOverrunError:
             self._write_error(writer, 413, "request head too large")
             return None
+        finally:
+            self._reading.discard(task)
         if len(head) > MAX_HEAD_BYTES:
             self._write_error(writer, 413, "request head too large")
             return None

@@ -25,24 +25,37 @@ Key entry points:
   schedule, returning wall time, CPU energy, per-block/edge/path counts.
 """
 
-from repro.simulator.config import MachineConfig, PAPER_CONFIG, SCALE_CONFIG
-from repro.simulator.cache import Cache, CacheHierarchy
-from repro.simulator.dvs import (
-    OperatingPoint,
-    ModeTable,
-    TransitionCostModel,
-    XSCALE_3,
-    make_mode_table,
-)
-from repro.simulator.energy import EnergyModel
-from repro.simulator.machine import Machine, RunResult
-from repro.simulator.trace import (
-    Phase,
-    hottest_blocks,
-    mode_residency,
-    phases,
-    render_timeline,
-)
+import importlib
+
+#: Public names and their modules, imported on first use: a caller that
+#: needs only the mode tables does not load the machine.
+_LAZY = {
+    "MachineConfig": "config",
+    "PAPER_CONFIG": "config",
+    "SCALE_CONFIG": "config",
+    "Cache": "cache",
+    "CacheHierarchy": "cache",
+    "OperatingPoint": "dvs",
+    "ModeTable": "dvs",
+    "TransitionCostModel": "dvs",
+    "XSCALE_3": "dvs",
+    "make_mode_table": "dvs",
+    "EnergyModel": "energy",
+    "Machine": "machine",
+    "RunResult": "machine",
+    "Phase": "trace",
+    "hottest_blocks": "trace",
+    "mode_residency": "trace",
+    "phases": "trace",
+    "render_timeline": "trace",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+
 
 __all__ = [
     "Cache",

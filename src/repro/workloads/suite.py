@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.errors import ReproError
-from repro.ir.cfg import CFG
-from repro.lang import compile_program
 from repro.workloads import adpcm, dijkstra, epic, ghostscript_wl, gsm, jpeg, mpeg, mpg123
+
+if TYPE_CHECKING:
+    from repro.ir.cfg import CFG
 
 
 @dataclass(frozen=True)
@@ -145,7 +146,13 @@ def all_workloads() -> list[WorkloadSpec]:
 
 @functools.lru_cache(maxsize=None)
 def compile_workload(name: str) -> CFG:
-    """Compile a workload's source to IR (cached per process)."""
+    """Compile a workload's source to IR (cached per process).
+
+    The compiler is imported here, not at module level: reading the
+    registry (sources, inputs, cache keys) must not load it.
+    """
+    from repro.lang import compile_program
+
     spec = get_workload(name)
     return compile_program(spec.source, name=spec.name)
 

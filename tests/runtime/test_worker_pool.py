@@ -2,6 +2,8 @@
 
 import os
 import signal
+import threading
+import time
 
 from repro import observe
 from repro.runtime.executor import ExecutorConfig, WorkerPool, run_graph
@@ -41,6 +43,37 @@ class TestWarmPool:
             assert all(r.ok for r in results.values())
             # The pool survived the run with the same warm workers.
             assert pool.warm_up() == pids
+
+
+class TestLoadBeforeFork:
+    def test_no_worker_forks_while_the_load_runs(self):
+        """A server forks its workers from one thread while a run thread
+        loads the task stack: the fork must wait for the imports, or a
+        worker inherits an import lock held and hangs on that module."""
+        loading, spans = threading.Event(), {}
+
+        def load() -> None:
+            loading.set()
+            time.sleep(0.3)
+            spans["load_end"] = time.monotonic()
+
+        with WorkerPool(1) as pool:
+            loader = threading.Thread(target=pool.load_before_fork,
+                                      args=(load,))
+            loader.start()
+            assert loading.wait(10)
+            pool.warm_up(delay_s=0.0)
+            spans["forked_by"] = time.monotonic()
+            loader.join(10)
+            assert not loader.is_alive()
+        assert spans["forked_by"] >= spans["load_end"]
+
+    def test_skipped_once_workers_exist(self):
+        calls = []
+        with WorkerPool(1) as pool:
+            pool.warm_up(delay_s=0.0)
+            pool.load_before_fork(lambda: calls.append(1))
+        assert calls == []
 
 
 class TestCrashRecovery:

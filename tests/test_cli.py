@@ -1,10 +1,15 @@
 """CLI tests: every subcommand drives the real pipeline."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
+from repro.observe import repro_version
 
 
 class TestList:
@@ -334,3 +339,22 @@ class TestCacheCommand:
         ArtifactStore(root).put("b" * 64, {"v": 2})
         assert main(["cache", "clear", "--cache-dir", str(root)]) == 0
         assert "removed 1 artifacts" in capsys.readouterr().out
+
+
+class TestVersionOption:
+    def test_module_prints_version_on_stdout_and_exits_0(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ,
+                   PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run([sys.executable, "-m", "repro", "--version"],
+                              env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"repro {repro_version()}\n"
+        assert proc.stderr == ""
+
+    def test_help_still_lists_the_option(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--help"])
+        assert excinfo.value.code == 0
+        assert "--version" in capsys.readouterr().out

@@ -1,9 +1,11 @@
-"""Import discipline: a warm request loads neither numpy nor scipy.
+"""Import discipline: a warm request loads only what it reads.
 
 Importing numpy and ``scipy.optimize`` costs a fresh process far more
-than answering a fully cached ``repro sweep`` does.  Only tasks that
-simulate or solve import them (see ``docs/performance.md``); these tests
-run real ``python -m repro`` processes and look at ``sys.modules``.
+than answering a fully cached ``repro sweep`` does, and the package's
+own compiler, simulator and scheduler cost it about half again.  Only
+tasks that simulate or solve import them (see ``docs/performance.md``);
+these tests run real ``python -m repro`` processes and look at
+``sys.modules``.
 """
 
 from __future__ import annotations
@@ -19,11 +21,16 @@ import pytest
 
 REPO_SRC = Path(__file__).resolve().parents[1] / "src"
 HEAVY = ("numpy", "scipy")
+#: What a warm sweep reads nothing of: the compiler, the scheduler, the
+#: simulator and profiler, and the package metadata behind ``--version``.
+WARM_UNUSED = ("repro.lang", "repro.core.scheduler", "repro.simulator.machine",
+               "repro.profiling.profiler", "importlib.metadata")
 
 #: Runs ``python -m repro ARGV`` in-process, then reports its exit code
-#: and which of the heavy packages got loaded.
+#: and which of the watched modules (JSON argument 2) got loaded.
 _PROBE = """
 import json, runpy, sys
+watched = json.loads(sys.argv[2])
 sys.argv = ["repro"] + json.loads(sys.argv[1])
 code = 0
 try:
@@ -31,8 +38,8 @@ try:
 except SystemExit as exc:
     code = exc.code
 print(json.dumps({"code": code,
-                  "loaded": [m for m in %r if m in sys.modules]}))
-""" % (HEAVY,)
+                  "loaded": [m for m in watched if m in sys.modules]}))
+"""
 
 
 def _env() -> dict[str, str]:
@@ -48,14 +55,14 @@ def _python(*args: str) -> str:
     return proc.stdout
 
 
-def _repro(argv: list[str]) -> dict:
-    out = _python("-c", _PROBE, json.dumps(argv))
+def _repro(argv: list[str], watched: tuple[str, ...] = HEAVY) -> dict:
+    out = _python("-c", _PROBE, json.dumps(argv), json.dumps(watched))
     return json.loads(out.strip().splitlines()[-1])
 
 
-def _sweep(cache: Path, out: Path) -> list[str]:
+def _sweep(cache: Path, out: Path, jobs: int = 1) -> list[str]:
     return ["sweep", "--workloads", "dijkstra", "--deadline-fracs", "0.5",
-            "--jobs", "1", "--quiet", "--cache-dir", str(cache),
+            "--jobs", str(jobs), "--quiet", "--cache-dir", str(cache),
             "--output-dir", str(out)]
 
 
@@ -89,6 +96,19 @@ def test_warm_sweep_loads_neither_and_writes_the_cold_bytes(filled):
     warm = _repro(_sweep(filled / "cache", filled / "warm"))
     assert warm == {"code": 0, "loaded": []}
     assert ((filled / "warm" / "results.jsonl").read_bytes()
+            == (filled / "cold" / "results.jsonl").read_bytes())
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_warm_sweep_loads_no_compiler_simulator_or_scheduler(filled, jobs):
+    """Every task but ``verify`` is a cache hit and ``verify`` reads its
+    inputs, so nothing that compiles, simulates or solves is imported;
+    inline (``--jobs 1``) the pool machinery is not either."""
+    watched = WARM_UNUSED + (("multiprocessing",) if jobs == 1 else ())
+    out = filled / f"warm-jobs{jobs}"
+    warm = _repro(_sweep(filled / "cache", out, jobs), watched)
+    assert warm == {"code": 0, "loaded": []}
+    assert ((out / "results.jsonl").read_bytes()
             == (filled / "cold" / "results.jsonl").read_bytes())
 
 
