@@ -351,65 +351,55 @@ def cmd_verify(args) -> int:
         check_backends=not args.no_backends,
         check_metamorphic=not args.no_metamorphic,
     )
+    return _print_results(args.workload, results)
+
+
+def _print_results(title: str, results) -> int:
+    """One ``ok/FAIL`` line per oracle result, then a count; exit 1 on
+    any failure."""
     failures = [r for r in results if not r.ok]
     for result in results:
         print(f"  {result}")
-    print(f"{args.workload}: {len(results)} checks, {len(failures)} failures")
-    return 1 if failures else 0
+    print(f"{title}: {len(results)} checks, {len(failures)} failures")
+    return EXIT_FAILURE if failures else EXIT_OK
 
 
-def _fuzz_progress(every: int, things: str, failures: str):
+def _fuzz_progress(every: int, things: str):
     """A fuzz progress callback: a line every ``every`` cases, at the
     end, and whenever something has failed."""
     def progress(done: int, total: int, failed: int) -> None:
         if done % every == 0 or done == total or failed:
-            print(f"  {done}/{total} {things}, {failed} {failures}", flush=True)
+            print(f"  {done}/{total} {things}, {failed} failures", flush=True)
     return progress
 
 
 def cmd_fuzz(args) -> int:
+    from repro.runtime.dag import MachineSpec
+    from repro.taskgraph.oracles import fuzz_taskgraph
     from repro.verify.fuzz import fuzz, fuzz_continuous, fuzz_lps
 
-    exit_code = 0
-    for runs, fuzzer, progress in (
-            (args.lp_runs, fuzz_lps,
-             _fuzz_progress(50, "LP instances", "disagreements")),
-            (args.continuous_runs, fuzz_continuous,
-             _fuzz_progress(10, "continuous programs", "violations"))):
-        if not runs:
+    def programs(**kwargs):
+        return fuzz(machine=MachineSpec(args.levels, args.capacitance_uf).build(),
+                    check_backends=not args.no_backends,
+                    check_metamorphic=not args.no_metamorphic,
+                    stop_on_failure=not args.keep_going, **kwargs)
+
+    exit_code = EXIT_OK
+    for runs, campaign, every, things in (
+            (args.lp_runs, fuzz_lps, 50, "LP instances"),
+            (args.continuous_runs, fuzz_continuous, 10, "continuous programs"),
+            (args.taskgraph_runs, fuzz_taskgraph, 10, "taskgraph instances"),
+            (args.runs, programs, 10, "programs")):
+        if runs <= 0:
             continue
-        report = fuzzer(runs=runs, seed=args.seed, on_progress=progress)
+        report = campaign(runs=runs, seed=args.seed,
+                          on_progress=_fuzz_progress(every, things))
         print(report.summary)
         for failure in report.failures:
             print(f"\n{failure}", file=sys.stderr)
         if not report.ok:
-            exit_code = 1
-
-    if args.taskgraph_runs:
-        from repro.taskgraph.oracles import fuzz_taskgraph
-
-        tg_report = fuzz_taskgraph(args.taskgraph_runs, seed=args.seed)
-        print(f"taskgraph fuzz: {tg_report['runs']} seeded instances, "
-              f"0 oracle violations")
-
-    if args.runs <= 0:
-        return exit_code
-
-    from repro.runtime.dag import MachineSpec
-
-    report = fuzz(
-        runs=args.runs,
-        seed=args.seed,
-        machine=MachineSpec(args.levels, args.capacitance_uf).build(),
-        check_backends=not args.no_backends,
-        check_metamorphic=not args.no_metamorphic,
-        stop_on_failure=not args.keep_going,
-        on_progress=_fuzz_progress(10, "programs", "failures"),
-    )
-    print(report.summary)
-    for failure in report.failures:
-        print(f"\n{failure}", file=sys.stderr)
-    return exit_code or (0 if report.ok else 1)
+            exit_code = EXIT_FAILURE
+    return exit_code
 
 
 def _parse_levels(text: str) -> tuple[int | None, ...]:
@@ -571,17 +561,8 @@ def cmd_taskgraph(args) -> int:
 def _cmd_taskgraph_verify(args) -> int:
     from repro.taskgraph.oracles import run_oracle_suite
 
-    suite = run_oracle_suite(budget_s=args.solver_budget,
-                             backend=args.solver_backend)
-    for check in suite["checks"]:
-        if check["check"] == "instance":
-            print(f"  ok {check['instance']:<28s} {check['method']:<6s} "
-                  f"{check['energy_nj']:>14.1f} nJ "
-                  f"(greedy {check['greedy_energy_nj']:.1f})")
-        else:
-            print(f"  ok {check['instance']:<28s} {check['check']}")
-    print(f"taskgraph verify: {len(suite['checks'])} checks passed")
-    return EXIT_OK
+    return _print_results("taskgraph verify", run_oracle_suite(
+        budget_s=args.solver_budget, backend=args.solver_backend))
 
 
 def _cmd_taskgraph_sweep(args) -> int:

@@ -331,16 +331,18 @@ class DVSOptimizer:
 
         Returns:
             [(deadline_s, optimal_energy_nj), ...] sorted by deadline.
-            Energy is non-increasing along the curve (asserted cheap here;
-            tested properly in the suite).
+            Energy is non-increasing along the curve: a looser deadline
+            only grows the feasible set (the ``deadline-monotonicity``
+            oracle checks it).
+
+        Raises:
+            ProfileError: the profile has a single mode, so there is no
+                fast->slow deadline range to sweep.
         """
         fractions = fractions if fractions is not None else [i / 10 for i in range(11)]
-        modes = sorted(profile.wall_time_s)
-        t_fast = profile.wall_time_s[modes[-1]]
-        t_slow = profile.wall_time_s[modes[0]]
         curve: list[tuple[float, float]] = []
         for frac in sorted(fractions):
-            deadline = t_fast + frac * (t_slow - t_fast)
+            deadline = profile.deadline_at(frac)
             outcome = self.optimize(cfg, deadline, profile=profile)
             curve.append((deadline, outcome.predicted_energy_nj))
         return curve

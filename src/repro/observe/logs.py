@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 import os
+import sys
 
 #: Environment variable consulted when no --log-level flag is given.
 LOG_ENV = "REPRO_LOG"
@@ -33,6 +34,13 @@ def resolve_level(flag: str | None = None) -> int:
     return getattr(logging, name.upper())
 
 
+class _StderrHandler(logging.StreamHandler):
+    """Writes to the ``sys.stderr`` of the moment a record is emitted, not
+    the one it was built under (a caller may swap and close that one)."""
+
+    stream = property(lambda self: sys.stderr, lambda self, value: None)
+
+
 def configure_logging(level: str | None = None) -> logging.Logger:
     """Install the package handler on the ``repro`` logger (idempotent).
 
@@ -42,7 +50,7 @@ def configure_logging(level: str | None = None) -> logging.Logger:
     logger = logging.getLogger("repro")
     logger.setLevel(resolve_level(level))
     if not any(getattr(h, "_repro_handler", False) for h in logger.handlers):
-        handler = logging.StreamHandler()
+        handler = _StderrHandler()
         handler.setFormatter(logging.Formatter(LOG_FORMAT, datefmt="%H:%M:%S"))
         handler._repro_handler = True
         logger.addHandler(handler)

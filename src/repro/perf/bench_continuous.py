@@ -24,15 +24,14 @@ Returns the ``BENCH_continuous.json`` document; its registry entry
 
 from __future__ import annotations
 
-import json
 from typing import Any
 
 from repro.core import DVSOptimizer
 from repro.core.continuous import continuous_bound, round_up_schedule
 from repro.errors import ScheduleError
 from repro.perf.harness import header, measured_solve, profiled_workload
-from repro.profiling.serialize import schedule_to_dict
 from repro.solver import warmstart
+from repro.verify import tolerances
 
 #: Schema tag for BENCH_continuous.json consumers.
 BENCH_FORMAT = 1
@@ -46,7 +45,7 @@ def _solve_counters(optimizer: DVSOptimizer, cfg, deadline,
     """One native solve with counter capture (prunes, enqueued nodes)."""
     outcome, _, counters = measured_solve(optimizer, cfg, deadline, profile)
     return {
-        "schedule": schedule_to_dict(outcome.schedule),
+        "assignment": outcome.schedule.assignment,
         "energy_nj": float(outcome.predicted_energy_nj),
         "nodes_enqueued": int(counters.get("solver.bnb.nodes_enqueued", 0)),
         "continuous_prunes": int(
@@ -60,9 +59,6 @@ def bench_workload(name: str,
     """One workload's opportunity-gap and pruner-A/B rows."""
     cfg, machine, profile = profiled_workload(name)
     optimizer = DVSOptimizer(machine)
-    modes = sorted(profile.wall_time_s)
-    t_fast = profile.wall_time_s[modes[-1]]
-    t_slow = profile.wall_time_s[modes[0]]
 
     cold = DVSOptimizer(machine, backend="native")
     warm = DVSOptimizer(machine, backend="native",
@@ -70,7 +66,7 @@ def bench_workload(name: str,
 
     rows: list[dict[str, Any]] = []
     for frac in deadline_fracs:
-        deadline = t_fast + frac * (t_slow - t_fast)
+        deadline = profile.deadline_at(frac)
         try:
             bound = continuous_bound(profile, machine.mode_table, deadline)
             _, baseline = optimizer.best_single_mode(profile, deadline)
@@ -103,11 +99,9 @@ def bench_workload(name: str,
                 "continuous_prunes": on["continuous_prunes"],
                 "nodes_enqueued_off": off["nodes_enqueued"],
                 "nodes_enqueued_on": on["nodes_enqueued"],
-                "identical": (
-                    off["energy_nj"] == on["energy_nj"]
-                    and json.dumps(off["schedule"], sort_keys=True)
-                    == json.dumps(on["schedule"], sort_keys=True)
-                ),
+                "identical": tolerances.schedules_identical(
+                    off["assignment"], off["energy_nj"],
+                    on["assignment"], on["energy_nj"]),
             },
         })
     return {"name": name, "rows": rows}

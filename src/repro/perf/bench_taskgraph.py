@@ -22,12 +22,10 @@ from repro.taskgraph.milp import build_taskgraph_milp
 from repro.taskgraph.model import fork_join
 from repro.taskgraph.simulate import replay
 from repro.taskgraph.tables import synthetic_tables
+from repro.verify import tolerances
 
 #: Schema tag for BENCH_taskgraph.json consumers.
 BENCH_FORMAT = 1
-
-#: Relative tolerance for the objective-vs-replay cross-check.
-REL_TOL = 1e-6
 
 
 def bench_taskgraph_case(spec, tables, cores: int, deadline_frac: float,
@@ -50,12 +48,9 @@ def bench_taskgraph_case(spec, tables, cores: int, deadline_frac: float,
     greedy_energy = greedy["replayed"]["energy_nj"]
     milp_energy = replayed["energy_nj"]
     gap = (greedy_energy - milp_energy) / greedy_energy if greedy_energy else 0.0
-    verified = (
-        abs(solution.objective - milp_energy)
-        <= REL_TOL * max(1.0, abs(milp_energy))
-        and milp_energy <= greedy_energy + REL_TOL * max(1.0, greedy_energy)
-        and replayed["makespan_s"] <= deadline_s * (1.0 + 1e-9)
-    )
+    checks = tolerances.taskgraph_checks(
+        replayed["makespan_s"], deadline_s, milp_energy, [solution.objective],
+        greedy_energy, "milp")
     return {
         "name": f"p{cores}",
         "cores": cores,
@@ -66,7 +61,7 @@ def bench_taskgraph_case(spec, tables, cores: int, deadline_frac: float,
         "energy_gap": gap,
         "switches": replayed["switches"],
         "optimal": solution.ok,
-        "verified": verified,
+        "verified": all(checks.values()),
     }
 
 

@@ -573,18 +573,14 @@ def _task_verify(spec: dict[str, Any], deps: dict[str, Any],
     run = run_summary_from_dict(deps["simulate"]["run"])
     deadline = optimize["deadline_s"]
 
-    checks: dict[str, bool] = {}
-    checks["deadline_met"] = (
-        run["wall_time_s"] <= deadline * (1 + tolerances.DEADLINE_REL_SLACK)
-    )
-    energy_err = float(
-        abs(run["cpu_energy_nj"] - optimize["predicted_energy_nj"])
-        / max(1.0, optimize["predicted_energy_nj"])
-    )
-    checks["energy_predicted"] = (
-        energy_err <= tolerances.ENERGY_PREDICTION_REL_TOL
-    )
-    checks["result_preserved"] = run["return_value"] == document.get("return_value")
+    predicted = optimize["predicted_energy_nj"]
+    checks = {
+        "deadline_met": tolerances.deadline_met(run["wall_time_s"], deadline),
+        "energy_predicted": tolerances.energy_matches(run["cpu_energy_nj"],
+                                                      predicted),
+        "result_preserved": run["return_value"] == document.get("return_value"),
+    }
+    energy_err = float(tolerances.rel_err(run["cpu_energy_nj"], predicted))
 
     profile_key = ExperimentSpec.from_payload(spec).profile_key()
     profile = _profiles.get(profile_key)

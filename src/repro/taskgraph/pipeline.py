@@ -36,9 +36,7 @@ from repro.taskgraph.model import GRAPH_SHAPES, TaskGraphSpec, build_graph, grap
 from repro.taskgraph.simulate import replay
 from repro.taskgraph.solve import solve_taskgraph
 from repro.taskgraph.tables import TaskTables, tables_for
-
-#: Relative tolerance for objective-vs-replay verification.
-OBJECTIVE_REL_TOL = 1e-6
+from repro.verify import tolerances
 
 
 @dataclass(frozen=True)
@@ -249,28 +247,18 @@ def task_verify(spec: dict[str, Any], deps: dict[str, Any],
     run = deps["tg-simulate"]["run"]
     deadline_s = solve["deadline_s"]
 
-    checks: dict[str, bool] = {}
-    checks["deadline_met"] = run["makespan_s"] <= deadline_s * (1.0 + 1e-9)
+    greedy = greedy_taskgraph(graph, tables, spec["cores"], deadline_s,
+                              transition)
+    greedy_energy = greedy["replayed"]["energy_nj"]
+    objective = solve.get("objective_nj")
+    checks = tolerances.taskgraph_checks(
+        run["makespan_s"], deadline_s, run["energy_nj"],
+        [] if objective is None else [objective], greedy_energy,
+        solve["solver"]["method"])
     # tg-solve and tg-simulate both price the schedule through the same
     # replay oracle, so prediction must match *exactly*.
     checks["energy_predicted"] = (
         run["energy_nj"] == solve["predicted_energy_nj"])
-    objective = solve.get("objective_nj")
-    if objective is None:
-        checks["objective_matches"] = True  # greedy tier: no MILP objective
-    else:
-        checks["objective_matches"] = (
-            abs(objective - run["energy_nj"])
-            <= OBJECTIVE_REL_TOL * max(1.0, abs(run["energy_nj"])))
-    greedy = greedy_taskgraph(graph, tables, spec["cores"], deadline_s,
-                              transition)
-    greedy_energy = greedy["replayed"]["energy_nj"]
-    if solve["solver"]["method"] == "greedy":
-        checks["beats_greedy"] = True  # it *is* the greedy schedule
-    else:
-        checks["beats_greedy"] = (
-            run["energy_nj"]
-            <= greedy_energy + OBJECTIVE_REL_TOL * max(1.0, greedy_energy))
     savings = (1.0 - run["energy_nj"] / greedy_energy
                if greedy_energy > 0 else None)
     return {

@@ -25,6 +25,7 @@ from repro.taskgraph.milp import build_taskgraph_milp
 from repro.taskgraph.model import TaskGraphSpec
 from repro.taskgraph.simulate import replay
 from repro.taskgraph.tables import TaskTables
+from repro.verify import tolerances
 
 
 def solve_taskgraph(
@@ -59,7 +60,7 @@ def solve_taskgraph(
         schedule = formulation.extract_schedule(
             solution, allow_incumbent=True)
         replayed = replay(spec, tables, schedule, transition)
-        if replayed["makespan_s"] <= deadline_s * (1.0 + 1e-9):
+        if tolerances.replay_deadline_met(replayed["makespan_s"], deadline_s):
             return {
                 "schedule": schedule,
                 "replayed": replayed,

@@ -5,7 +5,7 @@ code; this package cross-checks their outputs without trusting any of
 them:
 
 * :mod:`repro.verify.tolerances` — the single source of truth for every
-  float comparison the pipeline makes;
+  float comparison the pipeline makes, and the one check per property;
 * :mod:`repro.verify.certificate` — re-check a solver
   :class:`~repro.solver.solution.Solution` against the raw model
   (constraint residuals, bounds, integrality, objective recomputation)

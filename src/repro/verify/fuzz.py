@@ -14,7 +14,7 @@ The CLI front ends are ``repro fuzz`` (random programs) and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from repro.core.scheduler import DVSOptimizer
 from repro import observe
@@ -33,19 +33,8 @@ from repro.verify.generators import (
     generate_lp,
     generate_program,
 )
+from repro.verify.oracles import FuzzReport, OracleResult
 from repro.verify.schedule_check import check_schedule
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    """One oracle evaluation inside a verification battery."""
-
-    name: str
-    ok: bool
-    detail: str
-
-    def __str__(self) -> str:
-        return f"{'ok  ' if self.ok else 'FAIL'} {self.name}: {self.detail}"
 
 
 @dataclass
@@ -67,28 +56,6 @@ class FuzzFailure:
         )
 
 
-@dataclass
-class FuzzReport:
-    """Outcome of a fuzzing campaign."""
-
-    runs: int
-    checks: int
-    failures: list[FuzzFailure] = field(default_factory=list)
-    elapsed_s: float = 0.0
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    @property
-    def summary(self) -> str:
-        verdict = "all oracles passed" if self.ok else f"{len(self.failures)} FAILURES"
-        return (
-            f"fuzz: {self.runs} programs, {self.checks} oracle checks, "
-            f"{verdict} in {self.elapsed_s:.1f}s"
-        )
-
-
 def _default_machine() -> Machine:
     return Machine(SCALE_CONFIG, XSCALE_3, TransitionCostModel())
 
@@ -102,7 +69,7 @@ def verify_program(
     check_backends: bool = True,
     check_metamorphic: bool = True,
     only_oracle: str | None = None,
-) -> list[CheckResult]:
+) -> list[OracleResult]:
     """Run the full oracle battery over one program.
 
     Args:
@@ -118,16 +85,16 @@ def verify_program(
             minimizer's fast path); structural prerequisites still run.
 
     Returns:
-        one :class:`CheckResult` per evaluated oracle, failures included.
+        one :class:`OracleResult` per evaluated oracle, failures included.
         A crash anywhere in the pipeline is itself reported as a failed
         ``pipeline-crash`` check, never raised.
     """
     machine = machine or _default_machine()
-    results: list[CheckResult] = []
+    results: list[OracleResult] = []
 
     def record(name: str, ok: bool, detail: str) -> bool:
         if only_oracle is None or name == only_oracle or not ok:
-            results.append(CheckResult(name, ok, detail))
+            results.append(OracleResult(name, ok, detail))
         return ok
 
     # -- 1. frontend + reference semantics -----------------------------------
@@ -197,12 +164,7 @@ def verify_program(
             return results
 
         # -- 3. optimize + certify + cross-check at each deadline ------------
-        modes = sorted(profile.wall_time_s)
-        t_fast = profile.wall_time_s[modes[-1]]
-        t_slow = profile.wall_time_s[modes[0]]
-        deadlines = [
-            t_fast + frac * (t_slow - t_fast) for frac in sorted(deadline_fracs)
-        ]
+        deadlines = [profile.deadline_at(frac) for frac in sorted(deadline_fracs)]
         for index, deadline in enumerate(deadlines):
             try:
                 outcome = optimizer.optimize(cfg, deadline, profile=profile)
@@ -297,13 +259,6 @@ def _savings(optimizer: DVSOptimizer, outcome, deadline: float) -> float:
     return max(0.0, 1.0 - outcome.predicted_energy_nj / baseline)
 
 
-def _first_failure(results: list[CheckResult]) -> CheckResult | None:
-    for result in results:
-        if not result.ok:
-            return result
-    return None
-
-
 def minimize_reproducer(
     program: GeneratedProgram,
     oracle: str,
@@ -330,7 +285,7 @@ def minimize_reproducer(
             )
         except Exception:  # a crash during shrinking is not a reproduction
             return False
-        failure = _first_failure(results)
+        failure = next((r for r in results if not r.ok), None)
         return failure is not None and failure.name == oracle
 
     statements = program.statements
@@ -350,28 +305,7 @@ def minimize_reproducer(
     return build_source(statements)
 
 
-@dataclass
-class LpFuzzReport:
-    """Outcome of an LP-differential fuzzing campaign."""
-
-    runs: int
-    checks: int
-    failures: list[str] = field(default_factory=list)
-    elapsed_s: float = 0.0
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    @property
-    def summary(self) -> str:
-        verdict = ("all solvers agreed" if self.ok
-                   else f"{len(self.failures)} DISAGREEMENTS")
-        return (f"lp-fuzz: {self.runs} instances, {self.checks} checks, "
-                f"{verdict} in {self.elapsed_s:.1f}s")
-
-
-def verify_lp_case(case) -> list[str]:
+def verify_lp_case(case) -> list[OracleResult]:
     """Differential-test one generated LP/MILP: native against HiGHS.
 
     Runs the revised simplex (under branch and bound for MILP instances)
@@ -381,8 +315,8 @@ def verify_lp_case(case) -> list[str]:
     analogue of the DVS canonical price) and must reproduce the
     objective that backend reported, within the certificate tolerance.
 
-    Returns a list of human-readable disagreement descriptions (empty
-    when all solvers agree).
+    Returns every check made, passing ones included, each naming the
+    instance.
     """
     import math
 
@@ -393,15 +327,22 @@ def verify_lp_case(case) -> list[str]:
     from repro.solver.solution import SolveStatus
 
     tag = f"{case.profile}/s{case.seed}"
-    problems: list[str] = []
+    results: list[OracleResult] = []
     kwargs = case.lp_kwargs()
+
+    def check(name: str, ok: bool, detail: str) -> None:
+        results.append(OracleResult(name, bool(ok), f"{tag}: {detail}"))
 
     def check_price(who: str, x, objective: float) -> None:
         price = math.fsum(float(ci) * float(xi)
                           for ci, xi in zip(kwargs["c"], x))
-        if tolerances.rel_err(price, objective) > tolerances.OBJECTIVE_REL_TOL:
-            problems.append(f"{tag}: {who} reported objective {objective!r} "
-                            f"but its point prices at {price!r}")
+        check("canonical-price-matches-solver",
+              tolerances.objective_matches(price, objective),
+              f"{who} reported objective {objective!r}, its point prices "
+              f"at {price!r}")
+
+    def objectives_agree(native: float, highs: float) -> bool:
+        return abs(native - highs) <= 1e-6 * (1 + abs(highs))
 
     if case.integrality.any():
         rev = solve_milp(integrality=case.integrality, **kwargs)
@@ -420,17 +361,16 @@ def verify_lp_case(case) -> list[str]:
             ref = scipy_milp(kwargs["c"], constraints=constraints,
                              bounds=Bounds(case.bounds[:, 0], case.bounds[:, 1]),
                              integrality=case.integrality.astype(int))
-            if rev.ok != (ref.status == 0):
-                problems.append(f"{tag}: MILP status native="
-                                f"{rev.status.name} highs={ref.status}")
-            elif rev.ok:
-                if abs(rev.objective - ref.fun) > 1e-6 * (1 + abs(ref.fun)):
-                    problems.append(f"{tag}: MILP objective native="
-                                    f"{rev.objective!r} highs={ref.fun!r}")
+            check("backends-agree",
+                  rev.ok == (ref.status == 0)
+                  and (not rev.ok or objectives_agree(rev.objective, ref.fun)),
+                  f"MILP native {rev.status.name} objective {rev.objective!r}, "
+                  f"highs status {ref.status} objective {ref.fun!r}")
+            if rev.ok and ref.status == 0:
                 check_price("HiGHS MILP", ref.x, ref.fun)
         except ImportError:  # pragma: no cover - scipy is a hard dep here
             pass
-        return problems
+        return results
 
     rev, _basis = solve_lp_revised(**kwargs)
     if rev.status is SolveStatus.OPTIMAL:
@@ -438,17 +378,21 @@ def verify_lp_case(case) -> list[str]:
         # The revised point must be primal feasible in its own right.
         scale = max(1.0, float(np.max(np.abs(kwargs["b_ub"])))
                     if kwargs["b_ub"] is not None else 1.0)
+        violated = []
         if kwargs["a_ub"] is not None and np.any(
                 kwargs["a_ub"] @ rev.x > kwargs["b_ub"] + 1e-6 * scale):
-            problems.append(f"{tag}: revised point violates a_ub")
+            violated.append("a_ub")
         if kwargs["a_eq"] is not None and np.any(
                 np.abs(kwargs["a_eq"] @ rev.x - kwargs["b_eq"]) > 1e-6 * scale):
-            problems.append(f"{tag}: revised point violates a_eq")
+            violated.append("a_eq")
         span = case.bounds[:, 1] - case.bounds[:, 0]
         btol = 1e-8 * (1.0 + np.where(np.isfinite(span), np.abs(span), 0.0))
         if np.any(rev.x < case.bounds[:, 0] - btol) or np.any(
                 rev.x > case.bounds[:, 1] + btol):
-            problems.append(f"{tag}: revised point violates bounds")
+            violated.append("bounds")
+        check("primal-feasible", not violated,
+              f"revised point violates {', '.join(violated)}" if violated
+              else "revised point satisfies every row and bound")
     try:
         from scipy.optimize import linprog
 
@@ -457,18 +401,17 @@ def verify_lp_case(case) -> list[str]:
                       bounds=case.bounds, method="highs")
         ref_status = {0: SolveStatus.OPTIMAL, 2: SolveStatus.INFEASIBLE,
                       3: SolveStatus.UNBOUNDED}.get(ref.status)
-        if ref_status is not None and ref_status != rev.status:
-            problems.append(f"{tag}: status revised={rev.status.name} "
-                            f"highs={ref_status.name}")
-        elif ref.status == 0 and rev.ok and abs(rev.objective - ref.fun) > (
-                1e-6 * (1 + abs(ref.fun))):
-            problems.append(f"{tag}: objective revised={rev.objective!r} "
-                            f"highs={ref.fun!r}")
+        if ref_status is not None:
+            check("backends-agree",
+                  ref_status == rev.status
+                  and (not rev.ok or objectives_agree(rev.objective, ref.fun)),
+                  f"revised {rev.status.name} objective {rev.objective!r}, "
+                  f"highs {ref_status.name} objective {ref.fun!r}")
         if ref.status == 0:
             check_price("HiGHS LP", ref.x, ref.fun)
     except ImportError:  # pragma: no cover - scipy is a hard dep here
         pass
-    return problems
+    return results
 
 
 def fuzz_lps(
@@ -476,7 +419,7 @@ def fuzz_lps(
     seed: int = 0,
     profiles: tuple[str, ...] = LP_PROFILES,
     on_progress=None,
-) -> LpFuzzReport:
+) -> FuzzReport:
     """Differential-fuzz the native LP core against HiGHS.
 
     Cycles ``runs`` instances through the torture profiles (degenerate
@@ -485,39 +428,53 @@ def fuzz_lps(
     seed ``seed + i``, so any failure reproduces from its index alone.
     """
     start = observe.clock()
-    report = LpFuzzReport(runs=0, checks=0)
+    report = FuzzReport(campaign="lp-fuzz", cases="LP instances")
     for index in range(runs):
         profile = profiles[index % len(profiles)]
         case = generate_lp(seed + index, profile)
-        problems = verify_lp_case(case)
         report.runs += 1
-        report.checks += 1
-        report.failures.extend(problems)
+        for result in verify_lp_case(case):
+            report.record(result)
         if on_progress is not None:
             on_progress(index + 1, runs, len(report.failures))
     report.elapsed_s = observe.clock() - start
     return report
 
 
-@dataclass
-class ContinuousFuzzReport:
-    """Outcome of a continuous-engine fuzzing campaign."""
+def _continuous_checks(machine: Machine, cfg, profile, deadline: float):
+    """The continuous engine's checks at one deadline, one at a time (a
+    ScheduleError partway keeps the checks already yielded)."""
+    from repro.core.continuous import (
+        is_feasible_speed_assignment,
+        jobs_from_profile,
+        optimal_speeds,
+    )
 
-    runs: int
-    checks: int
-    failures: list[str] = field(default_factory=list)
-    elapsed_s: float = 0.0
+    # -- YDS structural invariants --------------------------------------------
+    jobs, _, _ = jobs_from_profile(profile, machine.mode_table, deadline)
+    sol = optimal_speeds(jobs)
+    speeds = [phase.speed_hz for phase in sol.phases]
+    yield OracleResult("phase-speeds-nonincreasing",
+                       tolerances.first_increase(speeds) is None,
+                       f"phase speeds {speeds}")
+    hall = not sol.speeds or is_feasible_speed_assignment(jobs, sol.speeds)
+    yield OracleResult("hall-feasible", hall,
+                       f"optimal speeds {'pass' if hall else 'fail'} the Hall test")
 
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    @property
-    def summary(self) -> str:
-        verdict = ("all continuous checks passed" if self.ok
-                   else f"{len(self.failures)} VIOLATIONS")
-        return (f"continuous-fuzz: {self.runs} programs, {self.checks} "
-                f"checks, {verdict} in {self.elapsed_s:.1f}s")
+    # -- dominance + injection invariance -------------------------------------
+    cold = DVSOptimizer(machine, backend="native")
+    outcome = cold.optimize(cfg, deadline, profile=profile)
+    yield oracles.continuous_dominance(cold, outcome)
+    warm = DVSOptimizer(machine, backend="native",
+                        solver_options={"continuous_prune": True})
+    pruned = warm.optimize(cfg, deadline, profile=profile)
+    yield OracleResult(
+        "pruner-identity",
+        tolerances.schedules_identical(
+            outcome.schedule.assignment, outcome.predicted_energy_nj,
+            pruned.schedule.assignment, pruned.predicted_energy_nj),
+        f"energy without the pruner {outcome.predicted_energy_nj!r}, "
+        f"with it {pruned.predicted_energy_nj!r}")
 
 
 def fuzz_continuous(
@@ -526,7 +483,7 @@ def fuzz_continuous(
     machine: Machine | None = None,
     deadline_fracs: tuple[float, ...] = (0.2, 0.6),
     on_progress=None,
-) -> ContinuousFuzzReport:
+) -> FuzzReport:
     """Fuzz the continuous engine against the MILP on random programs.
 
     For each seeded program and deadline the campaign checks:
@@ -544,83 +501,39 @@ def fuzz_continuous(
     Program ``i`` uses seed ``seed + i``, so any failure reproduces from
     its own seed alone.
     """
-    import numpy as np
-
-    from repro.core.continuous import (
-        continuous_bound,
-        is_feasible_speed_assignment,
-        jobs_from_profile,
-        optimal_speeds,
-    )
     from repro.errors import ScheduleError
 
     machine = machine or _default_machine()
     start = observe.clock()
-    report = ContinuousFuzzReport(runs=0, checks=0)
+    report = FuzzReport(campaign="continuous-fuzz")
     for index in range(runs):
         program_seed = seed + index
         tag = f"run {index} (seed {program_seed})"
         program = generate_program(program_seed)
+        report.runs += 1
         try:
             cfg = compile_program(program.source, "continuous-fuzz")
-            optimizer = DVSOptimizer(machine, backend="native")
-            profile = optimizer.profile(cfg, inputs=program.inputs)
+            profile = DVSOptimizer(machine, backend="native").profile(
+                cfg, inputs=program.inputs)
+            deadlines = [profile.deadline_at(frac) for frac in deadline_fracs]
         except ReproError as error:
-            report.failures.append(f"{tag}: pipeline crash: {error}")
-            report.runs += 1
-            continue
-        modes = sorted(profile.wall_time_s)
-        t_fast = profile.wall_time_s[modes[-1]]
-        t_slow = profile.wall_time_s[modes[0]]
-        for frac in deadline_fracs:
-            deadline = t_fast + frac * (t_slow - t_fast)
+            report.record(OracleResult("pipeline-crash", False,
+                                       f"{tag}: {error}"))
+            deadlines = []
+        for frac, deadline in zip(deadline_fracs, deadlines):
+            where = f"{tag} frac={frac}"
             try:
-                # -- YDS structural invariants --------------------------------
-                jobs, _, _ = jobs_from_profile(
-                    profile, machine.mode_table, deadline
-                )
-                sol = optimal_speeds(jobs)
-                report.checks += 1
-                speeds = [phase.speed_hz for phase in sol.phases]
-                if any(a < b - 1e-6 * max(1.0, abs(b))
-                       for a, b in zip(speeds, speeds[1:])):
-                    report.failures.append(
-                        f"{tag} frac={frac}: phase speeds increase: {speeds}")
-                report.checks += 1
-                if sol.speeds and not is_feasible_speed_assignment(jobs, sol.speeds):
-                    report.failures.append(
-                        f"{tag} frac={frac}: optimal speeds fail Hall test")
-
-                # -- dominance + injection invariance -------------------------
-                cold = DVSOptimizer(machine, backend="native")
-                outcome = cold.optimize(cfg, deadline, profile=profile)
-                oracle = oracles.continuous_dominance(cold, outcome)
-                report.checks += 1
-                if not oracle.ok:
-                    report.failures.append(f"{tag} frac={frac}: {oracle.detail}")
-                warm = DVSOptimizer(
-                    machine, backend="native",
-                    solver_options={"continuous_prune": True},
-                )
-                pruned = warm.optimize(cfg, deadline, profile=profile)
-                report.checks += 1
-                same = (pruned.schedule.assignment == outcome.schedule.assignment
-                        and np.isclose(pruned.predicted_energy_nj,
-                                       outcome.predicted_energy_nj,
-                                       rtol=0, atol=0))
-                if not same:
-                    report.failures.append(
-                        f"{tag} frac={frac}: pruner changed the answer: "
-                        f"{outcome.predicted_energy_nj!r} -> "
-                        f"{pruned.predicted_energy_nj!r}")
+                for result in _continuous_checks(machine, cfg, profile,
+                                                 deadline):
+                    report.record(replace(result,
+                                          detail=f"{where}: {result.detail}"))
             except ScheduleError:
                 # Infeasible or degenerate deadline for this program; the
                 # engine refusing is correct behaviour, not a violation.
                 report.checks += 1
             except ReproError as error:
-                report.failures.append(
-                    f"{tag} frac={frac}: pipeline crash: {error}")
-        report.runs += 1
+                report.record(OracleResult("pipeline-crash", False,
+                                           f"{where}: {error}"))
         if on_progress is not None:
             on_progress(index + 1, runs, len(report.failures))
     report.elapsed_s = observe.clock() - start
@@ -652,7 +565,7 @@ def fuzz(
             each program.
     """
     start = observe.clock()
-    report = FuzzReport(runs=0, checks=0)
+    report = FuzzReport()
     for index in range(runs):
         program_seed = seed + index
         program = generate_program(program_seed)
@@ -666,7 +579,7 @@ def fuzz(
         )
         report.runs += 1
         report.checks += len(results)
-        failure = _first_failure(results)
+        failure = next((r for r in results if not r.ok), None)
         if failure is not None:
             minimized = minimize_reproducer(
                 program, failure.name, machine=machine, deadline_fracs=deadline_fracs

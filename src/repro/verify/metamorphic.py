@@ -17,13 +17,12 @@ the optimum is provable, then asserts the pipeline respects it:
   already-optimized ("clean") CFG is a no-op, so the profile counts and
   the MILP schedule must come out identical.
 
-All functions return :class:`MetamorphicResult` rather than raising, so
-the fuzz driver can report them uniformly with the differential oracles.
+All functions return :class:`~repro.verify.oracles.OracleResult` rather
+than raising, so the fuzz driver reports them uniformly with the
+differential oracles.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from repro.core.scheduler import DVSOptimizer
 from repro.errors import ReproError, ScheduleError
@@ -34,18 +33,7 @@ from repro.profiling.profile_data import ProfileData
 from repro.simulator.dvs import ModeTable, OperatingPoint
 from repro.simulator.machine import Machine
 from repro.verify import tolerances
-
-
-@dataclass(frozen=True)
-class MetamorphicResult:
-    """Outcome of one metamorphic check."""
-
-    name: str
-    ok: bool
-    detail: str
-
-    def __str__(self) -> str:
-        return f"{'ok  ' if self.ok else 'FAIL'} {self.name}: {self.detail}"
+from repro.verify.oracles import OracleResult
 
 
 def deadline_monotonicity(
@@ -54,7 +42,7 @@ def deadline_monotonicity(
     profile: ProfileData,
     deadlines: list[float],
     rel_tol: float = tolerances.OBJECTIVE_REL_TOL,
-) -> MetamorphicResult:
+) -> OracleResult:
     """Optimal energy is non-increasing as the deadline loosens."""
     name = "deadline-monotonicity"
     points: list[tuple[float, float]] = []
@@ -64,15 +52,16 @@ def deadline_monotonicity(
         except ScheduleError:
             continue  # infeasible deadline: nothing to compare
         points.append((deadline, outcome.predicted_energy_nj))
-    for (d_tight, e_tight), (d_loose, e_loose) in zip(points, points[1:]):
-        if e_loose > e_tight * (1 + rel_tol):
-            return MetamorphicResult(
-                name,
-                False,
-                f"loosening {d_tight:.6g}s -> {d_loose:.6g}s RAISED energy "
-                f"{e_tight:.6g} -> {e_loose:.6g} nJ",
-            )
-    return MetamorphicResult(
+    rise = tolerances.first_increase([e for _, e in points], rel_tol)
+    if rise is not None:
+        (d_tight, e_tight), (d_loose, e_loose) = points[rise:rise + 2]
+        return OracleResult(
+            name,
+            False,
+            f"loosening {d_tight:.6g}s -> {d_loose:.6g}s RAISED energy "
+            f"{e_tight:.6g} -> {e_loose:.6g} nJ",
+        )
+    return OracleResult(
         name, True, f"energy non-increasing over {len(points)} feasible deadlines"
     )
 
@@ -103,7 +92,7 @@ def mode_addition_monotonicity(
     inputs: dict[str, list] | None = None,
     registers: dict[str, float] | None = None,
     rel_tol: float = tolerances.OBJECTIVE_REL_TOL,
-) -> MetamorphicResult:
+) -> OracleResult:
     """Adding a voltage mode never increases the optimal energy."""
     name = "mode-addition-monotonicity"
     base_optimizer = DVSOptimizer(machine)
@@ -119,15 +108,16 @@ def mode_addition_monotonicity(
             cfg, deadline_s, inputs=inputs, registers=registers
         )
     except ScheduleError as error:
-        return MetamorphicResult(name, True, f"deadline infeasible; skipped ({error})")
-    if wide.predicted_energy_nj > base.predicted_energy_nj * (1 + rel_tol):
-        return MetamorphicResult(
+        return OracleResult(name, True, f"deadline infeasible; skipped ({error})")
+    if not tolerances.at_most(wide.predicted_energy_nj,
+                              base.predicted_energy_nj, rel_tol):
+        return OracleResult(
             name,
             False,
             f"adding a mode RAISED optimal energy "
             f"{base.predicted_energy_nj:.6g} -> {wide.predicted_energy_nj:.6g} nJ",
         )
-    return MetamorphicResult(
+    return OracleResult(
         name,
         True,
         f"{len(wide_machine.mode_table)}-mode optimum "
@@ -142,7 +132,7 @@ def filtering_within_threshold(
     profile: ProfileData,
     deadline_s: float,
     rel_tol: float = tolerances.OBJECTIVE_REL_TOL,
-) -> MetamorphicResult:
+) -> OracleResult:
     """Edge filtering costs at most its energy threshold, and never gains.
 
     Filtering only ties variables together — a pure restriction of the
@@ -160,24 +150,24 @@ def filtering_within_threshold(
             cfg, deadline_s, profile=profile, use_filtering=True
         )
     except ScheduleError as error:
-        return MetamorphicResult(name, True, f"deadline infeasible; skipped ({error})")
+        return OracleResult(name, True, f"deadline infeasible; skipped ({error})")
     e_free, e_tied = unfiltered.predicted_energy_nj, filtered.predicted_energy_nj
-    if e_tied < e_free * (1 - rel_tol):
-        return MetamorphicResult(
+    if not tolerances.at_most(e_free, e_tied, rel_tol):
+        return OracleResult(
             name,
             False,
             f"filtering LOWERED the optimum {e_free:.6g} -> {e_tied:.6g} nJ "
             f"(a restriction cannot improve)",
         )
-    allowed = e_free * (1 + threshold + tolerances.FILTERING_REL_MARGIN)
-    if e_tied > allowed:
-        return MetamorphicResult(
+    if not tolerances.at_most(
+            e_tied, e_free, threshold + tolerances.FILTERING_REL_MARGIN):
+        return OracleResult(
             name,
             False,
             f"filtering cost {(e_tied / e_free - 1):.2%} > threshold "
             f"{threshold:.0%} ({e_free:.6g} -> {e_tied:.6g} nJ)",
         )
-    return MetamorphicResult(
+    return OracleResult(
         name,
         True,
         f"filtering cost {(e_tied / e_free - 1):.3%} within the "
@@ -191,7 +181,7 @@ def noop_passes_preserve(
     deadline_frac: float = 0.5,
     inputs: dict[str, list] | None = None,
     registers: dict[str, float] | None = None,
-) -> MetamorphicResult:
+) -> OracleResult:
     """Copyprop/DCE on already-clean code preserve profile and schedule.
 
     The program is compiled and fully optimized (the "clean" form); a
@@ -218,25 +208,20 @@ def noop_passes_preserve(
         )
 
     if counts(profile_clean) != counts(profile_rerun):
-        return MetamorphicResult(
+        return OracleResult(
             name, False, "re-running copyprop/dce on clean code changed the profile"
         )
 
-    modes = sorted(profile_clean.wall_time_s)
-    t_fast = profile_clean.wall_time_s[modes[-1]]
-    t_slow = profile_clean.wall_time_s[modes[0]]
-    deadline = t_fast + deadline_frac * (t_slow - t_fast)
+    deadline = profile_clean.deadline_at(deadline_frac)
     try:
         outcome_clean = optimizer.optimize(clean, deadline, profile=profile_clean)
         outcome_rerun = optimizer.optimize(rerun, deadline, profile=profile_rerun)
     except ScheduleError as error:
-        return MetamorphicResult(name, True, f"deadline infeasible; skipped ({error})")
-    if not tolerances.close(
-        outcome_rerun.predicted_energy_nj,
-        outcome_clean.predicted_energy_nj,
-        tolerances.OBJECTIVE_REL_TOL,
+        return OracleResult(name, True, f"deadline infeasible; skipped ({error})")
+    if not tolerances.objective_matches(
+        outcome_rerun.predicted_energy_nj, outcome_clean.predicted_energy_nj
     ):
-        return MetamorphicResult(
+        return OracleResult(
             name,
             False,
             f"no-op passes changed the optimal energy "
@@ -244,7 +229,7 @@ def noop_passes_preserve(
             f"{outcome_rerun.predicted_energy_nj:.6g} nJ",
         )
     if outcome_clean.schedule.assignment != outcome_rerun.schedule.assignment:
-        return MetamorphicResult(
+        return OracleResult(
             name, False, "no-op passes changed the extracted schedule"
         )
-    return MetamorphicResult(name, True, "profile, energy and schedule preserved")
+    return OracleResult(name, True, "profile, energy and schedule preserved")

@@ -1,7 +1,11 @@
 """Differential oracles: independent implementations must agree.
 
-Each oracle returns an :class:`OracleResult` instead of raising, so the
-fuzz driver can collect and report the first failure with full context.
+Every oracle here, in :mod:`repro.verify.metamorphic` and in
+:mod:`repro.taskgraph.oracles` returns an :class:`OracleResult` instead
+of raising, and every fuzz campaign collects them into one
+:class:`FuzzReport`, so a failure is reported with full context and
+never stops the checks after it.  The comparisons themselves are the
+plain checks of :mod:`repro.verify.tolerances`.
 
 * :func:`backends_agree` — the native simplex/branch-and-bound stack and
   scipy's HiGHS must produce the same optimal objective, on both the LP
@@ -39,7 +43,7 @@ fuzz driver can collect and report the first failure with full context.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.core.analytical import savings_ratio_discrete
 from repro.core.analytical.params import ProgramParams
@@ -61,6 +65,41 @@ class OracleResult:
 
     def __str__(self) -> str:
         return f"{'ok  ' if self.ok else 'FAIL'} {self.name}: {self.detail}"
+
+
+@dataclass
+class FuzzReport:
+    """Outcome of one fuzz campaign (programs, LPs, continuous, taskgraph).
+
+    ``failures`` holds each failed :class:`OracleResult`, or for the
+    program campaign a :class:`~repro.verify.fuzz.FuzzFailure` carrying
+    its minimized reproducer; both render with ``str``.
+    """
+
+    runs: int = 0
+    checks: int = 0
+    failures: list = field(default_factory=list)
+    elapsed_s: float = 0.0
+    campaign: str = "fuzz"
+    cases: str = "programs"
+
+    def record(self, result: OracleResult) -> None:
+        """Count one check and keep it if it failed."""
+        self.checks += 1
+        if not result.ok:
+            self.failures.append(result)
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
+    @property
+    def summary(self) -> str:
+        verdict = "all oracles passed" if self.ok else f"{len(self.failures)} FAILURES"
+        return (
+            f"{self.campaign}: {self.runs} {self.cases}, {self.checks} oracle "
+            f"checks, {verdict} in {self.elapsed_s:.1f}s"
+        )
 
 
 def _passed(name: str, detail: str) -> OracleResult:
@@ -156,14 +195,14 @@ def simulation_matches_prediction(
     name = "simulation-matches-prediction"
     run = optimizer.verify(cfg, outcome.schedule, inputs=inputs, registers=registers)
     deadline = outcome.formulation.deadline_s
-    if run.wall_time_s > deadline * (1 + deadline_rel_slack):
+    if not tolerances.deadline_met(run.wall_time_s, deadline, deadline_rel_slack):
         return _failed(
             name,
             f"simulated time {run.wall_time_s:.6g}s misses deadline {deadline:.6g}s",
         )
     predicted = outcome.predicted_energy_nj
-    error = abs(run.cpu_energy_nj - predicted) / max(1.0, abs(predicted))
-    if error > energy_rel_tol:
+    error = tolerances.rel_err(run.cpu_energy_nj, predicted)
+    if not tolerances.energy_matches(run.cpu_energy_nj, predicted, energy_rel_tol):
         return _failed(
             name,
             f"simulated energy {run.cpu_energy_nj:.6g} nJ vs predicted "
@@ -209,14 +248,15 @@ def schedule_replay_matches_objective(
     if not report.ok:
         return _failed(name, f"schedule check failed first: {report.issues[0]}")
     energy, duration = report.replayed_energy_nj, report.replayed_time_s
-    if not tolerances.close(energy, outcome.predicted_energy_nj, rel_tol):
+    if not tolerances.objective_matches(energy, outcome.predicted_energy_nj,
+                                        rel_tol):
         return _failed(
             name,
             f"replayed energy {energy:.9g} nJ != objective "
             f"{outcome.predicted_energy_nj:.9g} nJ",
         )
     deadline = outcome.formulation.deadline_s
-    if duration > deadline * (1 + tolerances.DEADLINE_REL_SLACK):
+    if not tolerances.deadline_met(duration, deadline):
         return _failed(
             name,
             f"replayed time {duration:.6g}s exceeds deadline {deadline:.6g}s",
@@ -241,7 +281,8 @@ def canonical_price_matches_solver(
     if solution.x.size == 0:
         return _passed(name, f"no solver point ({solution.backend}); skipped")
     error = tolerances.rel_err(outcome.predicted_energy_nj, solution.objective)
-    if error > rel_tol:
+    if not tolerances.objective_matches(outcome.predicted_energy_nj,
+                                        solution.objective, rel_tol):
         return _failed(
             name,
             f"canonical price {outcome.predicted_energy_nj!r} nJ vs solver "
@@ -276,7 +317,8 @@ def canonical_price_matches_replay(
     energy, duration = schedule.predict(
         outcome.profile, machine.mode_table,
         TransitionCosts.from_model(machine.transition_model))
-    if not tolerances.close(outcome.predicted_energy_nj, energy, rel_tol):
+    if not tolerances.objective_matches(outcome.predicted_energy_nj, energy,
+                                        rel_tol):
         return _failed(
             name,
             f"canonical price {outcome.predicted_energy_nj!r} nJ vs replay "
@@ -339,8 +381,7 @@ def continuous_dominance(
     except ScheduleError as error:
         return _passed(name, f"continuous bound unavailable ({error}); skipped")
     milp_energy = outcome.predicted_energy_nj
-    slack = rel_tol * max(1.0, abs(milp_energy))
-    if bound.energy_nj > milp_energy + slack:
+    if not tolerances.at_most(bound.energy_nj, milp_energy, rel_tol):
         return _failed(
             name,
             f"continuous lower bound {bound.energy_nj:.9g} nJ exceeds the "
@@ -363,7 +404,7 @@ def continuous_dominance(
             name,
             "round-up found no feasible schedule although the MILP did",
         )
-    if rounded.energy_nj + slack < milp_energy:
+    if not tolerances.at_most(milp_energy, rounded.energy_nj, rel_tol):
         return _failed(
             name,
             f"round-up energy {rounded.energy_nj:.9g} nJ undercuts the "
@@ -388,7 +429,7 @@ def never_worse_than_single_mode(
         mode, baseline = optimizer.best_single_mode(outcome.profile, deadline)
     except ScheduleError:
         return _passed(name, "no feasible single mode; oracle vacuous")
-    if outcome.predicted_energy_nj > baseline * (1 + rel_tol):
+    if not tolerances.at_most(outcome.predicted_energy_nj, baseline, rel_tol):
         return _failed(
             name,
             f"MILP energy {outcome.predicted_energy_nj:.6g} nJ exceeds single-mode "

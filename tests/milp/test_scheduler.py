@@ -3,7 +3,7 @@ realized exactly by the simulator (closed-loop verification)."""
 
 import pytest
 
-from repro.errors import ScheduleError
+from repro.errors import ProfileError, ScheduleError
 from repro.core import DVSOptimizer
 
 
@@ -100,3 +100,15 @@ class TestParetoCurve:
     def test_default_fraction_grid(self, optimizer, small_cfg, small_profile):
         curve = optimizer.energy_deadline_curve(small_cfg, small_profile)
         assert len(curve) == 11
+
+    def test_single_mode_profile_has_no_curve(self, optimizer, small_cfg,
+                                              small_profile):
+        """One mode has no fast->slow range: the curve refuses instead of
+        solving eleven copies of the zero-slack deadline."""
+        import dataclasses
+
+        one_mode = dataclasses.replace(
+            small_profile, num_modes=1,
+            wall_time_s={0: small_profile.wall_time_s[0]})
+        with pytest.raises(ProfileError, match="1 mode"):
+            optimizer.energy_deadline_curve(small_cfg, one_mode)

@@ -53,3 +53,17 @@ class TestConfigureLogging:
         finally:
             logger.removeHandler(capture)
         assert any("resuming" in r.getMessage() for r in records)
+
+    def test_handler_follows_a_swapped_stderr(self, monkeypatch):
+        """The handler writes to the stderr current at emit time, not the
+        one current at configure time (which may be closed by then)."""
+        import io
+        import sys
+
+        observe.configure_logging("warning")
+        swapped = io.StringIO()
+        monkeypatch.setattr(sys, "stderr", swapped)
+        logging.getLogger("repro.sweep").warning("journal fingerprint moved")
+        written = swapped.getvalue()
+        assert written.endswith("repro.sweep: journal fingerprint moved\n")
+        assert "Logging error" not in written

@@ -184,7 +184,7 @@ class TestTortureFuzz:
         # seeds 0..299 — the exact campaign `repro fuzz --lp-runs 300`
         # runs, so any failure here reproduces from the CLI by index.
         report = fuzz_lps(300, seed=0)
-        assert report.ok, "\n".join(report.failures)
+        assert report.ok, "\n".join(map(str, report.failures))
         assert report.runs == 300
 
 

@@ -10,13 +10,13 @@ from __future__ import annotations
 import pytest
 
 from repro.verify.fuzz import (
-    CheckResult,
     FuzzFailure,
     FuzzReport,
     fuzz,
     verify_program,
 )
 from repro.verify.generators import generate_program
+from repro.verify.oracles import OracleResult
 
 EXPECTED_CHECKS = {
     "compiles",
@@ -81,8 +81,8 @@ class TestFuzzCampaign:
 
 class TestReporting:
     def test_check_result_renders_verdict(self):
-        assert str(CheckResult("certificate", True, "fine")).startswith("ok")
-        assert str(CheckResult("certificate", False, "bad")).startswith("FAIL")
+        assert str(OracleResult("certificate", True, "fine")).startswith("ok")
+        assert str(OracleResult("certificate", False, "bad")).startswith("FAIL")
 
     def test_failure_report_carries_reproducer(self):
         failure = FuzzFailure(
@@ -94,3 +94,30 @@ class TestReporting:
         assert "1 FAILURES" in report.summary
         rendered = str(failure)
         assert "seed 12" in rendered and "min" in rendered
+
+    def test_one_report_counts_every_campaign_alike(self):
+        report = FuzzReport(campaign="taskgraph-fuzz", cases="instances")
+        report.record(OracleResult("deadline-met", True, "fine"))
+        report.record(OracleResult("milp-beats-greedy", False, "lost"))
+        report.runs = 1
+        assert report.checks == 2 and not report.ok
+        assert [str(f) for f in report.failures] == [
+            "FAIL milp-beats-greedy: lost"]
+        assert report.summary.startswith(
+            "taskgraph-fuzz: 1 instances, 2 oracle checks, 1 FAILURES")
+
+    def test_lp_campaign_counts_each_check_it_makes(self, monkeypatch):
+        from repro.verify import tolerances
+        from repro.verify.fuzz import fuzz_lps
+
+        clean = fuzz_lps(6, seed=0)
+        assert clean.ok and clean.runs == 6 and clean.checks > 6
+        # Every canonical-price check fails: each is counted once, as a
+        # check and as a failure, so failures never outnumber checks.
+        monkeypatch.setattr(tolerances, "objective_matches",
+                            lambda *args, **kwargs: False)
+        broken = fuzz_lps(6, seed=0)
+        assert broken.checks == clean.checks
+        assert 6 <= len(broken.failures) < broken.checks
+        assert {f.name for f in broken.failures} == {
+            "canonical-price-matches-solver"}
