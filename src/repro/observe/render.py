@@ -175,6 +175,12 @@ def render_stats(metrics: dict[str, Any]) -> str:
             row("native simplex pivots", int(pivots))
             row("native warm-started pivots", int(warm_pivots))
             row("native refactorizations", int(refactors))
+            row("native dual bound flips",
+                int(take("solver.revised.bound_flips")))
+            why = "solver.revised.warm_abandoned."
+            abandoned = [f"{name[len(why):]} {int(take(name))}"
+                         for name in sorted(counters) if name.startswith(why)]
+            row("warm starts abandoned (why)", ", ".join(abandoned) or "none")
             for part in ("factor", "ftran", "btran", "pricing"):
                 seconds = take(f"solver.revised.{part}_s")
                 if seconds:

@@ -14,6 +14,9 @@ same serialized schedule and the same canonical ``predicted_energy_nj``
 bits.  Pivot counts are deterministic, so the CI gate is on them
 (``warm_pivots <= 0.9 * cold_pivots``) rather than on wall time.  Warm
 starting does not win at every deadline; the per-deadline rows say where.
+Both native runs warm-start every branch-and-bound node from its
+parent's basis; ``warm_abandoned`` counts the warm starts either run
+gave up for a cold re-solve, and must be 0.
 Returns the ``BENCH_solver.json`` document.
 """
 
@@ -34,12 +37,16 @@ BENCH_FORMAT = 2
 
 
 def _solve_one(optimizer: DVSOptimizer, cfg, deadline, profile) -> dict[str, Any]:
-    """One optimize call: seconds, native pivots and the emitted row."""
+    """One optimize call: seconds, native pivots, abandoned warm starts
+    and the emitted row."""
     outcome, seconds, counters = measured_solve(optimizer, cfg, deadline,
                                                 profile)
     return {
         "seconds": seconds,
         "pivots": int(counters.get("solver.revised.pivots", 0)),
+        "abandoned": int(sum(
+            value for key, value in counters.items()
+            if key.startswith("solver.revised.warm_abandoned."))),
         "row": json.dumps({
             "schedule": schedule_to_dict(outcome.schedule),
             "predicted_energy_nj": outcome.predicted_energy_nj,
@@ -81,6 +88,7 @@ def bench_workload(name: str) -> dict[str, Any]:
         "highs_s": h["seconds"],
         "warm_pivots": w["pivots"],
         "cold_pivots": c["pivots"],
+        "warm_abandoned": w["abandoned"] + c["abandoned"],
         "identical": w["row"] == c["row"] == h["row"],
     } for index, (w, c, h) in enumerate(zip(warm, cold, highs))]
     warm_s = sum(r["warm_s"] for r in rows)
@@ -94,6 +102,7 @@ def bench_workload(name: str) -> dict[str, Any]:
         "speedup": cold_s / warm_s if warm_s > 0 else float("inf"),
         "warm_pivots": sum(r["warm_pivots"] for r in rows),
         "cold_pivots": sum(r["cold_pivots"] for r in rows),
+        "warm_abandoned": sum(r["warm_abandoned"] for r in rows),
         "identical": all(r["identical"] for r in rows),
     }
 
@@ -112,6 +121,7 @@ def run_solver_bench(workloads: tuple[str, ...] = ("adpcm", "gsm")
         "warm_pivots": warm_pivots,
         "cold_pivots": cold_pivots,
         "pivot_ratio": warm_pivots / cold_pivots if cold_pivots else 1.0,
+        "warm_abandoned": sum(c["warm_abandoned"] for c in cases),
         "warm_s": warm_s,
         "cold_s": cold_s,
         "speedup": cold_s / warm_s if warm_s > 0 else float("inf"),

@@ -263,14 +263,19 @@ BENCHES: dict[str, Bench] = {
         gates=(_ALL_IDENTICAL,)),
     "solver": Bench(
         "BENCH_solver.json",
-        ("pivot_ratio", "warm_pivots", "cold_pivots", "all_identical"),
+        ("pivot_ratio", "warm_pivots", "cold_pivots", "warm_abandoned",
+         "all_identical"),
         run=_run_solver, rows=_nested("deadlines"),
         columns=(("case", ""), ("deadline", "d"), ("warm_s", ".2f"),
                  ("cold_s", ".2f"), ("highs_s", ".2f"), ("warm_pivots", "d"),
-                 ("cold_pivots", "d"), ("identical", "")),
+                 ("cold_pivots", "d"), ("warm_abandoned", "d"),
+                 ("identical", "")),
         gates=(_ALL_IDENTICAL,
                Gate("warm_pivots_le_0.9_cold", lambda d, b:
-                    d["warm_pivots"] <= 0.9 * d["cold_pivots"]))),
+                    d["warm_pivots"] <= 0.9 * d["cold_pivots"]),
+               # A node that gives up its parent's basis re-solves cold.
+               Gate("no_warm_abandoned", lambda d, b:
+                    d["warm_abandoned"] == 0))),
     "serve": Bench(
         "BENCH_serve.json",
         ("throughput_rps", "coalescing_ratio", "latency_s.p50")),

@@ -18,7 +18,7 @@ Key pieces:
 
 * :class:`SparseColumns` — CSC-style column storage in plain NumPy
   (``indptr``/``indices``/``data``); pricing is a vectorized
-  ``A^T y`` over all columns at once.
+  ``A^T y`` over all columns at once, each column summed on its own.
 * the basis is factored as a sparse LU (``scipy.sparse.linalg.splu`` on
   a CSC slice of the column store) at refactorization points and
   advanced between them with product-form eta updates; FTRAN solves with
@@ -35,8 +35,13 @@ Key pieces:
 * a dual simplex entry point: a warm basis that is primal-infeasible
   after a bounds/rhs change (the deadline moved, a branch pinned a
   binary) is repaired with a handful of dual pivots instead of a cold
-  two-phase solve.  A warm start that goes numerically bad is abandoned
-  and the solve falls back to the cold path — warm starting is an
+  two-phase solve.  Its ratio test flips boxed columns (bound-flipping
+  ratio test): every boxed breakpoint that leaves the row infeasible is
+  flipped and the next one pivots, in one iteration, and a row that
+  stays infeasible with every eligible column flipped proves the LP
+  infeasible.  A warm start that goes numerically bad is abandoned —
+  counted per reason in ``solver.revised.warm_abandoned.<why>`` — and
+  the solve falls back to the cold path: warm starting is an
   optimization, never a correctness dependency.
 
 Feasibility is found with per-row artificials whose bounds are locked to
@@ -86,7 +91,7 @@ class SimplexResult:
 class SparseColumns:
     """CSC-style column storage over the stacked (ub; eq) rows."""
 
-    __slots__ = ("indptr", "indices", "data", "nrows")
+    __slots__ = ("indptr", "indices", "data", "nrows", "_transposed")
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray,
                  data: np.ndarray, nrows: int) -> None:
@@ -94,6 +99,7 @@ class SparseColumns:
         self.indices = indices
         self.data = data
         self.nrows = nrows
+        self._transposed = None  # CSR of A^T, built on first t_dot
 
     @classmethod
     def from_dense(cls, dense: np.ndarray,
@@ -126,10 +132,20 @@ class SparseColumns:
         return len(self.indptr) - 1
 
     def t_dot(self, y: np.ndarray) -> np.ndarray:
-        """``A^T y`` for every column at once (vectorized pricing)."""
-        vals = self.data * y[self.indices]
-        csum = np.concatenate(([0.0], np.cumsum(vals)))
-        return csum[self.indptr[1:]] - csum[self.indptr[:-1]]
+        """``A^T y`` for every column at once (vectorized pricing).
+
+        One CSR product over ``A^T``, which shares this store's arrays:
+        each column is summed on its own, so its rounding error scales
+        with that column's terms.  (A difference of global prefix sums
+        carries the running prefix's error into every later column.)
+        """
+        if self._transposed is None:
+            from scipy.sparse import csr_matrix
+
+            self._transposed = csr_matrix(
+                (self.data, self.indices, self.indptr),
+                shape=(self.ncols, self.nrows))
+        return self._transposed @ y
 
     def dense_column(self, j: int) -> np.ndarray:
         out = np.zeros(self.nrows)
@@ -211,6 +227,9 @@ class _State:
         self.ftran_count = 0
         self.btran_count = 0
         self.refactor_count = 0
+        self.bound_flips = 0
+        # Why a warm start was given up for a cold solve (None: it was not).
+        self.abandoned: str | None = None
         # Section timings, read only when tracing (flushed once per solve).
         self.timed = observe.enabled()
         self.factor_s = self.ftran_s = self.btran_s = self.pricing_s = 0.0
@@ -509,7 +528,14 @@ class RevisedProblem:
               deadline: float | None) -> tuple[SolveStatus | None, int]:
         """Dual simplex: repair primal feasibility while keeping the
         basis (approximately) dual feasible.  Returns ``None`` status to
-        signal the warm start should be abandoned for a cold solve."""
+        signal the warm start should be abandoned for a cold solve, with
+        the reason in ``state.abandoned``.
+
+        Each iteration runs a bound-flipping ratio test: the boxed
+        columns whose breakpoints come before the entering one are
+        flipped to their other bound in the same iteration, so a row is
+        repaired by one pivot, never by a run of lone flips.
+        """
         columns = self.columns
         iters = 0
         while iters < max_iter:
@@ -541,29 +567,33 @@ class RevisedProblem:
                        | ((status == AT_UB) & (arow < -_PIVOT_TOL))
                        | ((status == FREE_NB) & (np.abs(arow) > _PIVOT_TOL)))
             eligible = np.nonzero(can)[0]
-            if eligible.size == 0:
-                # No nonbasic movement can push x_b[row] toward its
-                # bound: the row proves primal infeasibility (valid even
-                # from a dual-infeasible start — it is a box argument).
+            choice = _bound_flipping_ratio_test(
+                viol[row], np.abs(d[eligible]), np.abs(arow[eligible]),
+                state.upper[eligible] - state.lower[eligible], self.feas_tol)
+            if choice is None:
+                # No nonbasic movement, not even every eligible column
+                # at its far bound, brings x_b[row] to its bound: the
+                # row proves primal infeasibility (valid even from a
+                # dual-infeasible start — it is a box argument).
                 return SolveStatus.INFEASIBLE, iters
-            ratios = np.abs(d[eligible]) / np.abs(arow[eligible])
-            best = float(np.min(ratios))
-            window = best + _TOL * (1.0 + abs(best))
-            ties = eligible[ratios <= window]
-            q = int(ties[np.argmax(np.abs(arow[ties]))])
+            flip_at, enter_at = choice
+            if flip_at.size:
+                # Every passed column to its far bound, in one FTRAN.
+                flipped = eligible[flip_at]
+                rising = status[flipped] == AT_LB
+                span = state.upper[flipped] - state.lower[flipped]
+                shift = np.zeros(self.ncols)
+                shift[flipped] = np.where(rising, span, -span)
+                state.x_b -= state.ftran(columns.dot(shift))
+                status[flipped] = np.where(rising, AT_UB, AT_LB)
+                state.bound_flips += flipped.size
+            q = int(eligible[enter_at])
             alpha = state.ftran(columns.dense_column(q))
             if abs(alpha[row]) <= _PIVOT_TOL:
-                return None, iters  # FTRAN disagrees with BTRAN: abandon
+                # FTRAN disagrees with BTRAN on the pivot element.
+                state.abandoned = "ftran_mismatch"
+                return None, iters
             step = (state.x_b[row] - target) / alpha[row]
-            span = state.upper[q] - state.lower[q]
-            if np.isfinite(span) and abs(step) > span:
-                # Entering variable hits its own far bound first: flip it
-                # and keep hunting an entering column for this row.
-                flip = span if step > 0 else -span
-                state.x_b -= flip * alpha
-                state.status[q] = AT_UB if status[q] == AT_LB else AT_LB
-                iters += 1
-                continue
             xq_start = (state.lower[q] if status[q] == AT_LB
                         else state.upper[q] if status[q] == AT_UB else 0.0)
             state.x_b -= step * alpha
@@ -577,7 +607,8 @@ class RevisedProblem:
             state.x_b[row] = xq_start + step
             state.push_eta(row, alpha)
             iters += 1
-        return None, iters  # budget exhausted: abandon to the cold path
+        state.abandoned = "dual_cap"  # budget exhausted: go cold
+        return None, iters
 
     # -- solve entry points ------------------------------------------------
 
@@ -613,7 +644,9 @@ class RevisedProblem:
                            lower, upper)
             states.append(state)
             self._normalize_statuses(state.status, lower, upper)
-            if state.refactor(check=True):
+            if not state.refactor(check=True):
+                state.abandoned = "refactor_rejected"
+            else:
                 state.compute_xb()
                 dual_cap = min(max_iter, 200 + 2 * self.m)
                 dstatus, diters = self._dual(
@@ -761,6 +794,9 @@ class RevisedProblem:
             observe.add("solver.revised.ftran", state.ftran_count)
             observe.add("solver.revised.btran", state.btran_count)
             observe.add("solver.revised.refactor", state.refactor_count)
+            observe.add("solver.revised.bound_flips", state.bound_flips)
+            if state.abandoned is not None:
+                observe.add(f"solver.revised.warm_abandoned.{state.abandoned}")
             if state.timed:
                 observe.add("solver.revised.factor_s", state.factor_s)
                 observe.add("solver.revised.ftran_s", state.ftran_s)
@@ -780,6 +816,36 @@ class _IdentityFactor:
     @staticmethod
     def solve(rhs: np.ndarray, trans: str = "N") -> np.ndarray:
         return rhs.copy()
+
+
+def _bound_flipping_ratio_test(
+        slope: float, reduced: np.ndarray, pivots: np.ndarray,
+        spans: np.ndarray, feas_tol: float
+) -> tuple[np.ndarray, int] | None:
+    """The dual ratio test with bound flips, over one row's eligible
+    columns.
+
+    ``slope`` is the row's infeasibility; passing column j's breakpoint
+    (``reduced[j] / pivots[j]``) at its far bound takes
+    ``spans[j] * pivots[j]`` off it.  In ratio order, every column whose
+    flip leaves the row still infeasible is flipped; the entering column
+    is the largest pivot of the first tie group that does not.  With no
+    flip this is the plain min-ratio test.  Returns (positions to flip,
+    entering position) into the arguments, or None when no column can
+    repair the row: there is none, or all are boxed and flipping every
+    one leaves the row infeasible.
+    """
+    ratios = reduced / pivots
+    by_ratio = np.argsort(ratios, kind="stable")
+    remaining = slope - np.cumsum(spans[by_ratio] * pivots[by_ratio])
+    repaired = remaining <= feas_tol  # an unboxed column always repairs
+    if not repaired.size or not repaired[-1]:
+        return None
+    first = int(np.argmax(repaired))
+    best = ratios[by_ratio[first]]
+    rest = by_ratio[first:]
+    ties = np.sort(rest[ratios[rest] <= best + _TOL * (1.0 + abs(best))])
+    return by_ratio[:first], int(ties[np.argmax(pivots[ties])])
 
 
 def _unit(m: int, row: int) -> np.ndarray:

@@ -30,6 +30,21 @@ class TestSolverSection:
         assert rows["native warm-started pivots"] == "2,100"
         assert rows["native refactorizations"] == "512"
 
+    def test_bound_flips_and_abandon_reasons_render(self):
+        rows = _solver_lines({
+            "solver.solves": 1,
+            "solver.revised.pivots": 900,
+            "solver.revised.bound_flips": 57,
+            "solver.revised.warm_abandoned.dual_cap": 2,
+            "solver.revised.warm_abandoned.refactor_rejected": 1,
+        })
+        assert rows["native dual bound flips"] == "57"
+        assert (rows["warm starts abandoned (why)"]
+                == "dual_cap 2, refactor_rejected 1")
+        clean = _solver_lines({"solver.solves": 1,
+                               "solver.revised.pivots": 10})
+        assert clean["warm starts abandoned (why)"] == "none"
+
     def test_lp_section_timings_render_per_pivot(self):
         rows = _solver_lines({
             "solver.solves": 1,

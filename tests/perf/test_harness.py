@@ -23,6 +23,7 @@ FLIPS = [
     ("solver", "all_identical", "all_identical", lambda d: False),
     ("solver", "warm_pivots_le_0.9_cold", "warm_pivots",
      lambda d: d["cold_pivots"]),
+    ("solver", "no_warm_abandoned", "warm_abandoned", lambda d: 1),
     ("taskgraph", "all_optimal", "all_optimal", lambda d: False),
     ("taskgraph", "all_verified", "all_verified", lambda d: False),
     ("taskgraph", "headline_gap_gt_0.05", "headline_gap", lambda d: 0.05),

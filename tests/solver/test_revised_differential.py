@@ -154,6 +154,26 @@ class TestWarmChainDifferential:
         assert warm_pivots > 0, "the chain never dual-warm-started"
 
 
+class TestBranchAndBoundWarmStarts:
+    """Every node of a real branch and bound warm-starts from its
+    parent's basis and keeps it: no node falls back to a cold solve."""
+
+    def test_adpcm_tight_deadline_abandons_no_warm_start(self):
+        from repro.perf.harness import measured_solve, profiled_workload
+
+        cfg, machine, profile = profiled_workload("adpcm")
+        optimizer = DVSOptimizer(machine, backend="native")
+        _, _, counters = measured_solve(optimizer, cfg,
+                                        profile.deadline_at(0.2), profile)
+        abandoned = {k: v for k, v in counters.items()
+                     if k.startswith("solver.revised.warm_abandoned.")}
+        assert abandoned == {}
+        # Only the root relaxation solves cold.
+        assert counters["solver.lp_solves"] > 1
+        assert (counters["solver.revised.warm_solves"]
+                == counters["solver.lp_solves"] - 1)
+
+
 class TestGeneratedProgramDifferential:
     """Native and HiGHS must agree on programs neither was tuned against."""
 

@@ -9,13 +9,17 @@ fallbacks, and the fixed-column pricing invariant.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from repro import observe
 from repro.solver import revised
 from repro.solver.revised import (
     AT_LB,
+    AT_UB,
     BASIC,
     FIXED,
     Basis,
@@ -52,6 +56,24 @@ class TestSparseColumns:
         sub = cols.submatrix(np.array([2, 0, 7]))
         assert sub.format == "csc"
         assert np.array_equal(sub.toarray(), dense[:, [2, 0, 7]])
+
+    def test_t_dot_sums_each_column_on_its_own(self):
+        # A small column stored after large ones: summed as a difference
+        # of prefix sums, it would inherit the large prefix's rounding
+        # error (~1e-7 here, on a column whose terms are ~1e-3).
+        rng = np.random.default_rng(5)
+        dense = np.zeros((6, 5))
+        dense[:, :4] = rng.uniform(1e7, 1e8, size=(6, 4))
+        dense[:, 4] = rng.uniform(1e-4, 1e-3, size=6)
+        cols = SparseColumns.from_dense(dense)
+        y = rng.normal(size=6)
+        priced = cols.t_dot(y)
+        eps = np.finfo(float).eps
+        for j in range(5):
+            terms = dense[:, j] * y
+            exact = math.fsum(terms)
+            bound = 2 * len(terms) * eps * math.fsum(np.abs(terms))
+            assert abs(priced[j] - exact) <= bound, j
 
     def test_extra_unit_columns(self):
         dense = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -282,6 +304,142 @@ class TestWarmStart:
         assert child.result.status is SolveStatus.OPTIMAL
         assert child.result.objective == pytest.approx(ref.fun, abs=1e-8)
         assert child.result.x[1] == pytest.approx(1.0, abs=1e-12)
+
+
+def _slack_basis_state(problem: RevisedProblem) -> _State:
+    """All structurals at their lower bounds, every (<=) row's slack
+    basic: dual feasible whenever the costs are nonnegative."""
+    lower, upper = problem._working_bounds(None)
+    status = np.full(problem.ncols, AT_LB, dtype=np.int8)
+    order = np.arange(problem.n, problem.n + problem.m_ub, dtype=np.int64)
+    status[order] = BASIC
+    problem._normalize_statuses(status, lower, upper)
+    state = _State(problem, status, order, lower, upper)
+    assert state.refactor(check=True)
+    state.compute_xb()
+    return state
+
+
+def _cover(need: float) -> RevisedProblem:
+    """minimize x1 + 2 x2 + 3 x3 + 4 x4  s.t.  x1 + x2 + x3 + x4 >= need,
+    0 <= x <= 1."""
+    return RevisedProblem([1.0, 2.0, 3.0, 4.0], a_ub=[[-1.0] * 4],
+                          b_ub=[-need], bounds=[[0.0, 1.0]] * 4)
+
+
+class TestDualBoundFlipping:
+    """The dual's bound-flipping ratio test: a row is repaired by one
+    pivot that flips every boxed column passed on the way."""
+
+    def test_one_pivot_repairs_the_row_through_bound_flips(self):
+        problem = _cover(2.5)
+        state = _slack_basis_state(problem)
+        status, pivots = problem._dual(state, problem.cost, 2, None)
+        assert status is SolveStatus.OPTIMAL and pivots == 1
+        assert state.bound_flips == 2
+        assert list(state.status[:4]) == [AT_UB, AT_UB, BASIC, AT_LB]
+        assert np.allclose(state.full_x()[:4], [1.0, 1.0, 0.5, 0.0])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_flipped_columns_are_dual_feasible_at_their_new_bound(self, seed):
+        # Random boxed rows with nonnegative costs, every row violated
+        # at the start; after each dual iteration, each column flipped
+        # in it must price out dual feasible at the bound it moved to.
+        rng = np.random.default_rng(seed)
+        n, m = 12, 4
+        c = rng.uniform(0.1, 5.0, size=n)
+        a_ub = -rng.uniform(0.0, 2.0, size=(m, n))
+        a_ub[rng.random((m, n)) < 0.3] = 0.0
+        b_ub = -rng.uniform(1.0, 3.0, size=m)
+        bounds = np.column_stack([np.zeros(n), rng.uniform(0.2, 1.0, n)])
+        problem = RevisedProblem(c, a_ub=a_ub, b_ub=b_ub, bounds=bounds)
+        state = _slack_basis_state(problem)
+        flips = 0
+        for _ in range(50):
+            before = state.status.copy()
+            status, _ = problem._dual(state, problem.cost, 1, None)
+            if status is not None:
+                break
+            assert state.abandoned == "dual_cap"  # the one-pivot budget
+            state.abandoned = None
+            flipped = np.nonzero((before != BASIC) & (state.status != BASIC)
+                                 & (before != state.status))[0]
+            flips += flipped.size
+            d = problem.cost - state.price(
+                state.btran(problem.cost[state.order]))
+            tol = 1e-9 * (1.0 + np.abs(problem.cost))
+            for j in flipped:
+                if state.status[j] == AT_UB:
+                    assert d[j] <= tol[j], (j, d[j])
+                else:
+                    assert d[j] >= -tol[j], (j, d[j])
+        ref = _highs(c, a_ub, b_ub, bounds=bounds)
+        if status is SolveStatus.OPTIMAL:
+            assert ref.status == 0
+            assert float(problem.cost @ state.full_x()) == pytest.approx(
+                ref.fun, abs=1e-8)
+        else:
+            assert status is SolveStatus.INFEASIBLE and ref.status == 2
+        assert state.bound_flips == flips
+
+    def test_boxed_infeasible_row_is_proved_without_a_pivot(self):
+        # Binaries relaxed to [0, 1] with x1 + x2 >= 3, warm-started from
+        # both at 0 with the slack basic: flipping both to 1 still leaves
+        # the row short, which proves infeasibility before any pivot.
+        problem = RevisedProblem([1.0, 2.0], a_ub=[[-1.0, -1.0]],
+                                 b_ub=[-3.0], bounds=[[0.0, 1.0]] * 2)
+        warm = Basis(np.array([AT_LB, AT_LB, BASIC, FIXED], dtype=np.int8),
+                     np.array([2], dtype=np.int64), (problem.ncols, 1))
+        observe.enable(reset=True)
+        try:
+            outcome = problem.solve(warm=warm)
+            counters = observe.snapshot(reset=True)["counters"]
+        finally:
+            observe.disable()
+        assert outcome.warm_used
+        assert outcome.result.status is SolveStatus.INFEASIBLE
+        assert outcome.result.iterations == 0
+        assert not any(k.startswith("solver.revised.warm_abandoned")
+                       for k in counters)
+
+
+class TestWarmAbandonReasons:
+    """Each warm start given up for a cold solve names its reason."""
+
+    def _abandoned(self, solve) -> dict[str, int]:
+        observe.enable(reset=True)
+        try:
+            solve()
+            counters = observe.snapshot(reset=True)["counters"]
+        finally:
+            observe.disable()
+        prefix = "solver.revised.warm_abandoned."
+        return {k[len(prefix):]: v for k, v in counters.items()
+                if k.startswith(prefix)}
+
+    def test_rejected_refactor(self):
+        problem = RevisedProblem(TestWarmStart.C, a_ub=TestWarmStart.A_UB,
+                                 b_ub=[10.0, 8.0, 12.0])
+        corrupt = problem.solve().basis.copy()
+        corrupt.order[:] = corrupt.order[0]  # duplicated basic column
+        reasons = self._abandoned(lambda: problem.solve(warm=corrupt))
+        assert reasons == {"refactor_rejected": 1}
+
+    def test_dual_cap(self):
+        problem = _cover(2.5)
+        basis = _cover(0.0).solve().basis
+        # One pivot repairs the row; the cap stops the dual before it
+        # can confirm that.
+        reasons = self._abandoned(
+            lambda: problem.solve(warm=basis, max_iter=1))
+        assert reasons == {"dual_cap": 1}
+
+    def test_ftran_mismatch(self):
+        problem = _cover(0.5)
+        state = _slack_basis_state(problem)
+        state.ftran = lambda column: np.zeros(problem.m)
+        assert problem._dual(state, problem.cost, 10, None) == (None, 0)
+        assert state.abandoned == "ftran_mismatch"
 
 
 class TestFixedColumnInvariant:
