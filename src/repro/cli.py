@@ -76,6 +76,7 @@ runs.  ``optimize --profile FILE`` caches nothing.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -123,8 +124,7 @@ def _experiment(args, deadline_frac: float = 0.5):
     return ExperimentSpec(
         workload=args.workload, deadline_frac=deadline_frac,
         category=args.category, seed=args.seed,
-        machine=MachineSpec(args.levels, args.capacitance_uf,
-                            not args.no_fastpath))
+        machine=MachineSpec(args.levels, args.capacitance_uf))
 
 
 def _pipeline(experiment, store: ArtifactStore | None,
@@ -378,8 +378,11 @@ def cmd_fuzz(args) -> int:
     from repro.taskgraph.oracles import fuzz_taskgraph
     from repro.verify.fuzz import fuzz, fuzz_continuous, fuzz_lps
 
+    # The machine rules refuse a bad table before any campaign generates.
+    machine = MachineSpec(args.levels, args.capacitance_uf)
+
     def programs(**kwargs):
-        return fuzz(machine=MachineSpec(args.levels, args.capacitance_uf).build(),
+        return fuzz(machine=machine.build(),
                     check_backends=not args.no_backends,
                     check_metamorphic=not args.no_metamorphic,
                     stop_on_failure=not args.keep_going, **kwargs)
@@ -400,24 +403,6 @@ def cmd_fuzz(args) -> int:
         if not report.ok:
             exit_code = EXIT_FAILURE
     return exit_code
-
-
-def _parse_levels(text: str) -> tuple[int | None, ...]:
-    """``"xscale"`` or comma-joined level counts (``"xscale,7,13"``)."""
-    out: list[int | None] = []
-    for part in _csv(text):
-        if part in ("xscale", "xscale-3"):
-            out.append(None)
-        else:
-            try:
-                out.append(int(part))
-            except ValueError:
-                raise ReproError(
-                    f"bad --levels entry {part!r} (want 'xscale' or an integer)"
-                ) from None
-    if not out:
-        raise ReproError("--levels selected no mode tables")
-    return tuple(out)
 
 
 def _fault_alias(args):
@@ -443,6 +428,39 @@ def _fracs(text: str) -> tuple[float, ...]:
     return tuple(float(part) for part in _csv(text))
 
 
+def _values(text: str) -> list:
+    """A comma list as the JSON values a request body would carry
+    (integers, numbers, else strings), for a grid to check."""
+    values = []
+    for part in _csv(text):
+        for parse in (int, float):
+            try:
+                part = parse(part)
+                break
+            except ValueError:
+                pass
+        values.append(part)
+    return values
+
+
+@contextlib.contextmanager
+def _no_fastpath(args):
+    """``--no-fastpath``: ``$REPRO_NO_FASTPATH=1`` while the command runs
+    (pool workers inherit it), the caller's value restored afterwards."""
+    if not getattr(args, "no_fastpath", False):
+        yield
+        return
+    previous = os.environ.get("REPRO_NO_FASTPATH")
+    os.environ["REPRO_NO_FASTPATH"] = "1"
+    try:
+        yield
+    finally:
+        if previous is None:
+            del os.environ["REPRO_NO_FASTPATH"]
+        else:
+            os.environ["REPRO_NO_FASTPATH"] = previous
+
+
 def _cache_root(args) -> str | None:
     """``--cache-dir``, else ``$REPRO_CACHE_DIR``, else the default
     store; None under ``--no-cache``."""
@@ -451,18 +469,21 @@ def _cache_root(args) -> str | None:
     return args.cache_dir or os.environ.get(CACHE_DIR_ENV) or DEFAULT_CACHE_DIR
 
 
-def _run_sweep(args, label: str, experiments=None, run_info_extra=None,
-               **fields):
+def _grid_axes(args) -> dict:
+    """The grid axes ``sweep`` and ``taskgraph sweep`` share."""
+    return {"deadline_fracs": _values(args.deadline_fracs),
+            "levels": _values(args.levels), "seed": args.seed,
+            "capacitance_uf": args.capacitance_uf}
+
+
+def _run_sweep(args, label: str, grid, **fields):
     """``sweep``/``taskgraph sweep``: run the grid under the
     ``--inject-fault`` plan with per-task progress lines, print the
     summary lines, and return the report and its ok records."""
     from repro.runtime.sweep import SweepConfig, run_sweep
 
     config = SweepConfig(
-        deadline_fracs=_fracs(args.deadline_fracs),
-        levels=_parse_levels(args.levels),
-        seed=args.seed,
-        capacitance_uf=args.capacitance_uf,
+        grid=grid,
         jobs=args.jobs,
         task_timeout_s=args.timeout if args.timeout > 0 else None,
         retries=args.retries,
@@ -486,8 +507,7 @@ def _run_sweep(args, label: str, experiments=None, run_info_extra=None,
               flush=True)
 
     with _fault_alias(args):
-        report = run_sweep(config, on_task=progress, experiments=experiments,
-                           run_info_extra=run_info_extra)
+        report = run_sweep(config, on_task=progress)
     records = report.experiment_records
     ok = [r for r in records if r["status"] == "ok"]
     print(f"\n{label}: {len(ok)}/{len(records)} experiments ok, "
@@ -540,9 +560,11 @@ def _sweep_exit(report) -> int:
 
 
 def cmd_sweep(args) -> int:
-    report, ok = _run_sweep(args, "sweep", workloads=_csv(args.workloads),
-                            continuous_prune=args.continuous_prune,
-                            fastpath=not args.no_fastpath)
+    from repro.runtime.dag import StreamGrid
+
+    grid = StreamGrid(workloads=_csv(args.workloads), **_grid_axes(args))
+    report, ok = _run_sweep(args, "sweep", grid,
+                            continuous_prune=args.continuous_prune)
     for record in ok:
         savings = record["savings_vs_single_mode"]
         bound = record["savings_bound"]
@@ -566,21 +588,11 @@ def _cmd_taskgraph_verify(args) -> int:
 
 
 def _cmd_taskgraph_sweep(args) -> int:
-    from repro.taskgraph.pipeline import build_tg_grid
+    from repro.taskgraph.pipeline import TaskGraphGrid
 
-    shapes = _csv(args.shapes)
-    cores = tuple(int(c) for c in _csv(args.cores))
-    grid = build_tg_grid(shapes=shapes, tasks=args.tasks, cores=cores,
-                         deadline_fracs=_fracs(args.deadline_fracs),
-                         seed=args.seed, levels=_parse_levels(args.levels),
-                         capacitance_uf=args.capacitance_uf)
-    report, ok = _run_sweep(args, "taskgraph sweep", workloads=(),
-                            experiments=grid, run_info_extra={
-                                "family": "taskgraph",
-                                "shapes": list(shapes),
-                                "graph_tasks": args.tasks,
-                                "cores": list(cores),
-                            })
+    grid = TaskGraphGrid(shapes=_csv(args.shapes), tasks=args.tasks,
+                         cores=_values(args.cores), **_grid_axes(args))
+    report, ok = _run_sweep(args, "taskgraph sweep", grid)
     for record in ok:
         savings = record["savings_vs_greedy"]
         savings_text = f"{savings:+.1%}" if savings is not None else "n/a"
@@ -776,8 +788,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--levels", type=int, default=None,
                        help="use an n-level alpha-power table instead of XScale-3")
         p.add_argument("--no-fastpath", action="store_true",
-                       help="force the reference interpreter (the accelerated "
-                            "path is bit-exact; this exists for A/B checks)")
+                       help="force the reference interpreter: sets "
+                            "$REPRO_NO_FASTPATH=1 for this command (the "
+                            "accelerated path is bit-exact; for A/B checks)")
         p.add_argument("--capacitance-uf", type=float, default=10.0,
                        help="regulator capacitance in uF (default 10)")
 
@@ -917,7 +930,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "counts, e.g. 'xscale,7,13' (default xscale)")
     p_sweep.add_argument("--seed", type=int, default=0, help="input seed")
     p_sweep.add_argument("--no-fastpath", action="store_true",
-                         help="simulate on the reference interpreter only "
+                         help="simulate on the reference interpreter only: "
+                              "sets $REPRO_NO_FASTPATH=1 for this command "
                               "(results.jsonl is byte-identical either way)")
     add_grid_run(p_sweep, "sweep-results")
     p_sweep.add_argument("--solver-budget", type=float, default=None,
@@ -1212,7 +1226,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     observe.configure_logging(args.log_level)
     try:
-        return args.fn(args)
+        with _no_fastpath(args):
+            return args.fn(args)
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return EXIT_FAILURE

@@ -26,9 +26,10 @@ the structurally repetitive executions profiled DVS workloads are made of:
 
 The fast path produces bit-identical ``RunResult``s to the reference
 interpreter (see ``docs/performance.md`` for the exactness argument); it
-can be disabled per machine (``Machine(fastpath=False)``), per run
-(``run(..., fastpath=False)``), per CLI invocation (``--no-fastpath``) or
-globally (``$REPRO_NO_FASTPATH=1``).
+can be disabled per machine (``Machine(fastpath=False)``, what the
+differential oracles compare against) or per process
+(``$REPRO_NO_FASTPATH=1``; a command's ``--no-fastpath`` sets it while the
+command runs).
 """
 
 from repro.perf.accum import NeumaierSum, neumaier_sum

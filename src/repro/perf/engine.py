@@ -30,19 +30,19 @@ from __future__ import annotations
 
 import os
 import types
-from collections import OrderedDict
 
 from repro import observe
 from repro.ir.loops import find_natural_loops
 from repro.perf.blockc import compile_block
 from repro.perf.loopc import compile_loop
+from repro.runtime.cache import BoundedLRU
 from repro.simulator.timing import TimingTables, fold_block
 
 #: Most :class:`ProgramFast` instances kept per process (least recently
 #: used evicted first).
 CACHE_SIZE = 64
 
-_CACHE: OrderedDict = OrderedDict()
+_CACHE = BoundedLRU(CACHE_SIZE)
 
 
 def fastpath_disabled_env() -> bool:
@@ -203,11 +203,7 @@ def program_fast(machine, cfg) -> ProgramFast:
     """
     key = (program_key(cfg), machine.config, tuple(machine.mode_table.points))
     pf = _CACHE.get(key)
-    if pf is not None:
-        _CACHE.move_to_end(key)
-        return pf
-    pf = ProgramFast(machine, cfg)
-    _CACHE[key] = pf
-    if len(_CACHE) > CACHE_SIZE:
-        _CACHE.popitem(last=False)
+    if pf is None:
+        pf = ProgramFast(machine, cfg)
+        _CACHE.put(key, pf)
     return pf

@@ -119,9 +119,12 @@ class ProfileData:
         profiled count.  Raises :class:`~repro.errors.ScheduleError`
         when even the fastest mode misses the deadline.
         """
+        from repro.verify import tolerances
+
         num_modes = self.num_modes if num_modes is None else num_modes
         for mode in range(num_modes):
-            if self.wall_time_s[mode] <= deadline_s * (1 + 1e-9):
+            if tolerances.deadline_met(self.wall_time_s[mode], deadline_s,
+                                       tolerances.REPLAY_DEADLINE_REL_SLACK):
                 return mode, self.cpu_energy_nj[mode]
         raise ScheduleError(
             f"deadline {deadline_s:.6g}s infeasible for {self.name!r}: "

@@ -48,7 +48,7 @@ from repro.resilience import EXIT_DEGRADED, EXIT_FAILURE, EXIT_OK, faultplane
 from repro.resilience.faultplane import CATALOG, FaultPlan
 from repro.runtime import manifest as manifest_mod
 from repro.runtime.cache import ArtifactStore, verify_store
-from repro.runtime.dag import build_task_graph
+from repro.runtime.dag import StreamGrid, build_task_graph
 from repro.runtime.executor import ExecutorConfig, TaskResult, run_graph
 from repro.runtime.sweep import SweepConfig, run_sweep
 from repro.serve import protocol
@@ -306,8 +306,9 @@ def run_sweep_scenario(
     corrupted = corrupt_entries(store, corrupt, random.Random(chaos_seed))
     with faultplane.installed(plan):
         chaos = run_sweep(SweepConfig(
-            workloads=tuple(workloads), deadline_fracs=tuple(deadline_fracs),
-            seed=seed, jobs=jobs, cache_dir=str(cache_dir),
+            StreamGrid(workloads=workloads, deadline_fracs=deadline_fracs,
+                       seed=seed),
+            jobs=jobs, cache_dir=str(cache_dir),
             output_dir=str(output_dir / "chaos"),
             solver_budget_s=solver_budget_s, retries=retries,
         ), on_task=on_task)

@@ -24,11 +24,10 @@ mutually independent.  This package turns that shape into throughput:
 
 Quickstart::
 
-    from repro.runtime import SweepConfig, run_sweep
+    from repro.runtime import StreamGrid, SweepConfig, run_sweep
 
     report = run_sweep(SweepConfig(
-        workloads=("adpcm", "gsm"),
-        deadline_fracs=(0.35, 0.7),
+        StreamGrid(workloads=("adpcm", "gsm"), deadline_fracs=(0.35, 0.7)),
         jobs=4,
         cache_dir=".repro-cache",
         output_dir="sweep-results",
@@ -39,7 +38,9 @@ Quickstart::
 from repro.runtime.cache import ArtifactStore, CacheStats, default_store
 from repro.runtime.dag import (
     ExperimentSpec,
+    Grid,
     MachineSpec,
+    StreamGrid,
     Task,
     TaskGraph,
     build_task_graph,
@@ -60,21 +61,22 @@ from repro.runtime.hashing import (
     stable_hash,
     workload_fingerprint,
 )
-from repro.runtime.sweep import SweepConfig, SweepReport, build_grid, run_sweep
+from repro.runtime.sweep import SweepConfig, SweepReport, run_sweep
 
 __all__ = [
     "ArtifactStore",
     "CacheStats",
     "ExecutorConfig",
     "ExperimentSpec",
+    "Grid",
     "MachineSpec",
+    "StreamGrid",
     "SweepConfig",
     "SweepReport",
     "Task",
     "TaskGraph",
     "TaskResult",
     "artifact_key",
-    "build_grid",
     "build_task_graph",
     "canonical_json",
     "default_store",

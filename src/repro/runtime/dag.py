@@ -44,7 +44,10 @@ computations (entries of :data:`TASK_FNS`), the identity and ``ok``
 fields of its ``results.jsonl`` rows, and its fair-queue cost.
 :func:`build_task_graph`, :func:`execute_task` and
 :func:`repro.runtime.manifest.experiment_record` read only that
-declaration, so one graph may mix families.
+declaration, so one graph may mix families.  A family's grid is a
+:class:`Grid` value declared beside its spec class (:class:`StreamGrid`
+here): it checks the grid rules once, for the CLI, the server and the
+API alike, and expands into the family's specs.
 """
 
 from __future__ import annotations
@@ -53,12 +56,18 @@ import functools
 import importlib
 import logging
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Protocol
+from typing import TYPE_CHECKING, Any, Callable, Protocol
 
 from repro import observe
 from repro.core.analytical import savings_ratio_discrete
 from repro.core.continuous import continuous_bound
-from repro.errors import CacheError, OrchestrationError, ProfileError, ScheduleError
+from repro.errors import (
+    CacheError,
+    OrchestrationError,
+    ProfileError,
+    ReproError,
+    ScheduleError,
+)
 from repro.profiling.serialize import (
     profile_from_dict,
     profile_to_dict,
@@ -90,20 +99,39 @@ LIGHT_KINDS = ("verify",)
 
 @dataclass(frozen=True)
 class MachineSpec:
-    """A JSON-representable machine description (mirrors the CLI flags)."""
+    """A JSON-representable machine description (mirrors the CLI flags).
+
+    Construction checks the machine rules every grid, command and
+    request shares: a mode table has at least two levels (a deadline
+    fraction places the deadline between the fastest and the slowest
+    mode) and the regulator capacitance is positive.
+    """
 
     levels: int | None = None  # None -> the paper's XScale-3 table
     capacitance_uf: float = 10.0
-    # The fast path is bit-exact, so this is an execution knob, not part
-    # of the machine's observable identity: it must never enter cache
-    # keys, experiment ids or results.jsonl records.
-    fastpath: bool = True
+
+    def __post_init__(self) -> None:
+        levels, capacitance = self.levels, self.capacitance_uf
+        if levels is not None:
+            if isinstance(levels, bool) or not isinstance(levels, int):
+                raise OrchestrationError(f"mode-table levels must be integers "
+                                         f"or 'xscale', got {levels!r}")
+            if levels < 2:
+                raise OrchestrationError(
+                    f"mode tables need at least two levels, got {levels}")
+        if isinstance(capacitance, bool) or not isinstance(capacitance,
+                                                           (int, float)):
+            raise OrchestrationError(
+                f"capacitance_uf must be a number, got {capacitance!r}")
+        if not capacitance > 0:
+            raise OrchestrationError(
+                f"capacitance_uf must be positive, got {capacitance}")
+        object.__setattr__(self, "capacitance_uf", float(capacitance))
 
     def build(self) -> Machine:
         from repro.simulator.machine import Machine
 
-        return Machine(SCALE_CONFIG, self.mode_table(), self.transition_model(),
-                       fastpath=self.fastpath)
+        return Machine(SCALE_CONFIG, self.mode_table(), self.transition_model())
 
     def mode_table(self) -> ModeTable:
         """The machine's DVS mode table, without building the machine."""
@@ -129,8 +157,7 @@ class MachineSpec:
     @classmethod
     def from_payload(cls, payload: dict[str, Any]) -> MachineSpec:
         """The machine a worker payload (either family's) describes."""
-        return cls(payload["levels"], payload["capacitance_uf"],
-                   payload.get("fastpath", True))
+        return cls(payload["levels"], payload["capacitance_uf"])
 
 
 @dataclass(frozen=True)
@@ -209,7 +236,6 @@ class ExperimentSpec:
             "levels": self.machine.levels,
             "capacitance_uf": self.machine.capacitance_uf,
             "deadline_frac": self.deadline_frac,
-            "fastpath": self.machine.fastpath,
         }
 
     @classmethod
@@ -278,6 +304,143 @@ class ExperimentSpec:
             "baseline_energy_nj": verify["baseline_energy_nj"],
             "savings_vs_single_mode": verify["savings_vs_single_mode"],
         }
+
+
+# -- grids: each axis rule, checked once for the CLI, the server and the API ----
+
+
+def grid_axis(value: Any, what: str, rule: Callable[[Any], Any]) -> tuple:
+    """One canonical grid axis: a value or a list of values, each checked
+    and normalized by ``rule``, deduplicated and sorted (None first)."""
+    values = list(value) if isinstance(value, (list, tuple)) else [value]
+    if not values:
+        raise OrchestrationError(f"grid selects no {what}")
+    return tuple(sorted({rule(v) for v in values},
+                        key=lambda v: (v is not None, v)))
+
+
+def _deadline_frac(value: Any) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise OrchestrationError(
+            f"deadline fractions must be numbers, got {value!r}")
+    if not 0.0 <= value <= 1.0:
+        raise OrchestrationError(
+            f"deadline fraction {float(value)} outside [0, 1]")
+    return float(value)
+
+
+def _mode_table(value: Any) -> int | None:
+    if value in (None, "xscale", "xscale-3"):
+        return None
+    return MachineSpec(levels=value).levels
+
+
+def _workload(name: Any) -> str:
+    if not isinstance(name, str) or not name:
+        raise OrchestrationError(
+            f"workload names must be non-empty strings, got {name!r}")
+    try:
+        get_workload(name)
+    except ReproError:
+        raise OrchestrationError(
+            f"unknown workload {name!r} (see `repro list`)") from None
+    return name
+
+
+@dataclass(frozen=True, kw_only=True)
+class Grid:
+    """The axes every experiment family sweeps: deadline fractions, mode
+    tables (None is XScale-3), the input seed and the capacitance.
+
+    A grid is a canonical value.  Construction checks every axis rule
+    and stores each axis sorted and deduplicated (a single value is a
+    one-point axis), so ``repro sweep``, a served request and an API
+    caller that name the same axes build equal grids with the same
+    experiments.  A family's subclass adds its own axes and declares
+    :meth:`experiments`, :meth:`canonical` (the grid's part of a served
+    request's identity) and :meth:`manifest_fields` (its part of the
+    manifest header).
+    """
+
+    deadline_fracs: tuple[float, ...] = (0.35, 0.7)
+    levels: tuple[int | None, ...] = (None,)
+    seed: int = 0
+    capacitance_uf: float = 10.0
+
+    def __post_init__(self) -> None:
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise OrchestrationError(
+                f"seed must be an integer, got {self.seed!r}")
+        self._set(
+            deadline_fracs=grid_axis(self.deadline_fracs,
+                                     "deadline fractions", _deadline_frac),
+            levels=grid_axis(self.levels, "mode tables", _mode_table),
+            capacitance_uf=MachineSpec(
+                capacitance_uf=self.capacitance_uf).capacitance_uf)
+
+    def _set(self, **axes: Any) -> None:
+        for name, value in axes.items():
+            object.__setattr__(self, name, value)
+
+    def machines(self) -> list[MachineSpec]:
+        return [MachineSpec(levels, self.capacitance_uf)
+                for levels in self.levels]
+
+    def shared_fields(self) -> dict[str, Any]:
+        """The shared axes as JSON values."""
+        return {
+            "deadline_fracs": list(self.deadline_fracs),
+            "levels": ["xscale-3" if lv is None else lv for lv in self.levels],
+            "seed": self.seed,
+            "capacitance_uf": self.capacitance_uf,
+        }
+
+    def experiments(self) -> list[Experiment]:
+        raise NotImplementedError
+
+    def canonical(self) -> dict[str, Any]:
+        raise NotImplementedError
+
+    def manifest_fields(self) -> dict[str, Any]:
+        raise NotImplementedError
+
+
+@dataclass(frozen=True, kw_only=True)
+class StreamGrid(Grid):
+    """A single-stream grid: workloads × mode tables × deadline fractions,
+    on one input category (None: each workload's first)."""
+
+    workloads: tuple[str, ...]
+    category: str | None = None
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        workloads = grid_axis(self.workloads, "workloads", _workload)
+        category = self.category
+        if category is not None:
+            if not isinstance(category, str) or not category:
+                raise OrchestrationError(f"category must be a non-empty "
+                                         f"string, got {category!r}")
+            for name in workloads:
+                if category not in get_workload(name).categories:
+                    raise OrchestrationError(f"workload {name!r} has no "
+                                             f"input category {category!r}")
+        self._set(workloads=workloads)
+
+    def experiments(self) -> list[ExperimentSpec]:
+        machines = self.machines()
+        return [ExperimentSpec(workload=name, deadline_frac=frac,
+                               category=self.category, seed=self.seed,
+                               machine=machine)
+                for name in self.workloads for machine in machines
+                for frac in self.deadline_fracs]
+
+    def canonical(self) -> dict[str, Any]:
+        return {"workloads": list(self.workloads), "category": self.category,
+                **self.shared_fields()}
+
+    def manifest_fields(self) -> dict[str, Any]:
+        return {"workloads": list(self.workloads), **self.shared_fields()}
 
 
 @dataclass
@@ -354,10 +517,10 @@ def build_task_graph(
             the same artifact as an unbudgeted one, and degraded solves
             are never cached (``_cacheable``).
         solver_backend: MILP backend for solve stages ("auto", "scipy",
-            "native").  Like ``solver_budget_s`` (and the fastpath knob),
-            an execution hint excluded from cache keys: every backend
-            must produce the identical optimum, and the certificate and
-            replay checks enforce that.  The "continuous" backend is the
+            "native").  Like ``solver_budget_s`` (and
+            ``$REPRO_NO_FASTPATH``), an execution hint excluded from
+            cache keys: every backend must produce the identical
+            optimum, and the certificate and replay checks enforce that.  The "continuous" backend is the
             exception — it returns a different (round-up) schedule by
             design, so a family keys its artifacts apart (``stages``).
         continuous_prune: warm-start the native branch and bound with
@@ -442,7 +605,7 @@ def _load_stream(spec: dict[str, Any], cfg, machine: Machine,
     under ``verify.full_run.<why>``) when ``simulate`` must run in full."""
     from repro.perf.engine import fastpath_disabled_env
 
-    if not machine.fastpath or fastpath_disabled_env():
+    if fastpath_disabled_env():
         why = "fastpath_off"
     elif store is None:
         why = "no_store"

@@ -1,10 +1,12 @@
-"""Grid sweeps: suite × deadline fraction × mode-table level count.
+"""Grid sweeps: one grid, of either experiment family, run end to end.
 
-:func:`build_grid` expands a :class:`SweepConfig` into the cross-product
-of experiment specs; :func:`run_sweep` builds the merged task DAG, runs
-it through the parallel executor against the artifact store, and writes
-the manifest/results pair.  This is the engine behind ``repro sweep``
-and the scaling path for evaluations far larger than the paper's.
+A :class:`SweepConfig` is a grid (:class:`~repro.runtime.dag.StreamGrid`
+or :class:`~repro.taskgraph.pipeline.TaskGraphGrid`) plus execution and
+persistence settings.  :func:`run_sweep` expands the grid, builds the
+merged task DAG, runs it through the parallel executor against the
+artifact store, and writes the manifest/results pair.  This is the
+engine behind ``repro sweep`` and ``repro taskgraph sweep``, and the
+scaling path for evaluations far larger than the paper's.
 """
 
 from __future__ import annotations
@@ -13,24 +15,17 @@ import logging
 import signal
 import sys
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
 
 from repro import observe
-from repro.errors import OrchestrationError, ReproError
 from repro.resilience.journal import SweepJournal, run_fingerprint
 from repro.runtime import hashing
 from repro.runtime import manifest as manifest_mod
 from repro.runtime.cache import ArtifactStore
-from repro.runtime.dag import (
-    ExperimentSpec,
-    MachineSpec,
-    TaskGraph,
-    build_task_graph,
-)
+from repro.runtime.dag import Grid, TaskGraph, build_task_graph
 from repro.runtime.executor import ExecutorConfig, TaskResult, run_graph
-from repro.workloads import get_workload
 
 logger = logging.getLogger("repro.sweep")
 
@@ -39,12 +34,7 @@ logger = logging.getLogger("repro.sweep")
 class SweepConfig:
     """One sweep = a grid plus execution and persistence settings."""
 
-    workloads: tuple[str, ...]
-    deadline_fracs: tuple[float, ...] = (0.35, 0.7)
-    levels: tuple[int | None, ...] = (None,)  # None -> XScale-3
-    categories: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    seed: int = 0
-    capacitance_uf: float = 10.0
+    grid: Grid
     jobs: int = 1
     task_timeout_s: float | None = 600.0
     retries: int = 1
@@ -56,7 +46,6 @@ class SweepConfig:
     continuous_prune: bool = False  # warm-start B&B from the continuous round-up
     resume: bool = False  # replay the journal in output_dir
     trace: bool = False  # collect + export trace.jsonl / metrics.json
-    fastpath: bool = True  # bit-exact accelerated simulation (see repro.perf)
 
 
 @dataclass
@@ -98,42 +87,9 @@ class SweepReport:
         return not self.failures and not self.interrupted
 
 
-def build_grid(config: SweepConfig) -> list[ExperimentSpec]:
-    """Expand the sweep cross-product, validating every axis up front."""
-    if not config.workloads:
-        raise OrchestrationError("sweep needs at least one workload")
-    if not config.deadline_fracs:
-        raise OrchestrationError("sweep needs at least one deadline fraction")
-    for frac in config.deadline_fracs:
-        if not 0.0 <= frac <= 1.0:
-            raise OrchestrationError(
-                f"deadline fraction {frac} outside [0, 1]"
-            )
-    experiments: list[ExperimentSpec] = []
-    for name in config.workloads:
-        get_workload(name)  # raises ReproError for unknown names, early
-        categories = config.categories.get(name, (None,))
-        for category in categories:
-            for levels in config.levels:
-                machine = MachineSpec(levels=levels,
-                                      capacitance_uf=config.capacitance_uf,
-                                      fastpath=config.fastpath)
-                for frac in config.deadline_fracs:
-                    experiments.append(ExperimentSpec(
-                        workload=name,
-                        deadline_frac=frac,
-                        category=category,
-                        seed=config.seed,
-                        machine=machine,
-                    ))
-    return experiments
-
-
 def run_sweep(
     config: SweepConfig,
     on_task: Callable[[TaskResult], None] | None = None,
-    experiments: list | None = None,
-    run_info_extra: dict[str, Any] | None = None,
 ) -> SweepReport:
     """Run a full sweep and persist its manifest and results.
 
@@ -147,17 +103,10 @@ def run_sweep(
     complete runs.
 
     Args:
-        config: execution and persistence settings; its grid axes are
-            expanded via :func:`build_grid` unless ``experiments`` is
-            given.
+        config: the grid, and execution and persistence settings.
         on_task: per-task completion callback.
-        experiments: pre-built grid (any experiment family, e.g.
-            taskgraph specs) that bypasses :func:`build_grid`.
-        run_info_extra: extra fields merged into the manifest header
-            (family-specific axes the generic config cannot express).
     """
-    if experiments is None:
-        experiments = build_grid(config)
+    experiments = config.grid.experiments()
     graph = build_task_graph(experiments,
                              solver_budget_s=config.solver_budget_s,
                              solver_backend=config.solver_backend,
@@ -179,7 +128,7 @@ def run_sweep(
         # artifact semantics must not be replayed into this run.
         run_fingerprint({
             "experiments": sorted(e.experiment_id for e in experiments),
-            "seed": config.seed,
+            "seed": config.grid.seed,
             "key_version": hashing.KEY_VERSION,
         }),
     )
@@ -220,7 +169,6 @@ def run_sweep(
         observe.enable(reset=True)
     sweep_span = observe.start_span(
         "sweep", on_stack=True,
-        workloads=",".join(sorted(config.workloads)),
         experiments=len(experiments), jobs=config.jobs,
         resume=config.resume,
     )
@@ -249,11 +197,7 @@ def run_sweep(
     interrupted = len(results) < len(graph.tasks)
 
     run_info = {
-        "workloads": sorted(config.workloads),
-        "deadline_fracs": list(config.deadline_fracs),
-        "levels": ["xscale-3" if l is None else l for l in config.levels],
-        "seed": config.seed,
-        "capacitance_uf": config.capacitance_uf,
+        **config.grid.manifest_fields(),
         "jobs": config.jobs,
         "retries": config.retries,
         "cache_dir": config.cache_dir,
@@ -266,8 +210,6 @@ def run_sweep(
         "experiments": len(experiments),
         "tasks": len(graph.tasks),
     }
-    if run_info_extra:
-        run_info.update(run_info_extra)
     manifest_path = manifest_mod.write_manifest(
         output_dir / "manifest.jsonl", run_info, results, wall_time
     )

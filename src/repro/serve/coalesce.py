@@ -27,10 +27,13 @@ from typing import Any
 from repro import observe
 from repro.serve.protocol import ParsedRequest
 
-#: Default byte budget for the finished-job LRU (canonical JSON bytes of
-#: the stored response bodies).  Large sweep responses evict early so the
+#: Entry bound of the finished-job LRU.
+DONE_CAPACITY = 256
+
+#: Byte budget of the finished-job LRU (canonical JSON bytes of the
+#: stored response bodies).  Large sweep responses evict early so the
 #: LRU cannot grow without bound even at a small entry count.
-DEFAULT_DONE_MAX_BYTES = 64 * 1024 * 1024
+DONE_MAX_BYTES = 64 * 1024 * 1024
 
 
 def _result_bytes(result: dict[str, Any] | None) -> int:
@@ -112,19 +115,16 @@ class Job:
 class JobTable:
     """The single-flight map plus a bounded LRU of finished jobs.
 
-    The LRU is bounded twice over: by entry count (``done_capacity``)
+    The LRU is bounded twice over: by entry count (:data:`DONE_CAPACITY`)
     and by the canonical JSON bytes of the stored response bodies
-    (``done_max_bytes``), whichever bites first.  Evictions bump
+    (:data:`DONE_MAX_BYTES`), whichever bites first.  Evictions bump
     ``serve.coalesce.evictions``; the current payload total is the
     ``serve.coalesce.bytes`` gauge.
     """
 
-    def __init__(self, done_capacity: int = 256,
-                 done_max_bytes: int = DEFAULT_DONE_MAX_BYTES) -> None:
+    def __init__(self) -> None:
         self.inflight: dict[str, Job] = {}  # request key -> queued/running
         self.done: OrderedDict[str, Job] = OrderedDict()  # LRU, newest last
-        self.done_capacity = done_capacity
-        self.done_max_bytes = done_max_bytes
         self.done_bytes = 0
 
     def get(self, job_id: str) -> Job | None:
@@ -180,8 +180,8 @@ class JobTable:
         job.result_bytes = _result_bytes(job.result)
         self.done[key] = job
         self.done_bytes += job.result_bytes
-        while self.done and (len(self.done) > self.done_capacity
-                             or self.done_bytes > self.done_max_bytes):
+        while self.done and (len(self.done) > DONE_CAPACITY
+                             or self.done_bytes > DONE_MAX_BYTES):
             _, evicted = self.done.popitem(last=False)
             self.done_bytes -= evicted.result_bytes
             observe.add("serve.coalesce.evictions")

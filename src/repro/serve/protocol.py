@@ -34,6 +34,18 @@ sweep would use.
     ids (and artifact keys) as ``repro taskgraph sweep`` over the same
     axes.
 
+The grid rules (known workloads, categories and shapes, fractions in
+[0, 1], at least two mode levels, at least one core, a positive
+capacitance, duplicates merged) belong to the grid values,
+:class:`~repro.runtime.dag.StreamGrid` and
+:class:`~repro.taskgraph.pipeline.TaskGraphGrid`, which the CLI sweeps
+build too: a body and the same axes on the command line are accepted or
+refused alike, with the same message.  This module adds only what
+belongs to the service: the endpoints' required fields and singular
+spellings, the solver hints, and the ceilings on one request (``max_grid``
+experiments, :data:`ABSOLUTE_MAX_GRID`, :data:`MAX_GRAPH_TASKS` tasks
+per graph, :data:`MAX_CORES` cores).
+
 Optional non-identity fields: ``tenant`` (fair-queueing bucket,
 default ``"anon"``) and ``wait`` (block until the job finishes instead
 of returning 202).  Neither enters the request key.
@@ -43,13 +55,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any
 
-from repro.errors import ProtocolError, ReproError
-from repro.runtime.dag import Experiment
-from repro.runtime.sweep import SweepConfig, build_grid
-from repro.workloads import get_workload
+from repro.errors import OrchestrationError, ProtocolError
+from repro.runtime.dag import Experiment, Grid, StreamGrid
 
 #: Request schema version (bumped with incompatible changes).
 PROTOCOL_VERSION = 1
@@ -59,6 +69,10 @@ LISTEN_PREFIX = "repro serve listening on http://"
 
 #: Hard ceiling on experiments per request regardless of server config.
 ABSOLUTE_MAX_GRID = 256
+
+#: Service ceilings on one taskgraph request's graph size and core counts.
+MAX_GRAPH_TASKS = 32
+MAX_CORES = 64
 
 _BACKENDS = ("auto", "scipy", "native", "continuous")
 
@@ -96,79 +110,6 @@ def _fail(message: str) -> None:
     raise ProtocolError(message)
 
 
-def _as_list(value: Any, name: str) -> list[Any]:
-    if isinstance(value, (list, tuple)):
-        return list(value)
-    return [value]
-
-
-def _workloads(value: Any) -> list[str]:
-    names = _as_list(value, "workloads")
-    if not names:
-        _fail("request selects no workloads")
-    out = []
-    for name in names:
-        if not isinstance(name, str) or not name:
-            _fail(f"workload names must be non-empty strings, got {name!r}")
-        try:
-            get_workload(name)
-        except ReproError:
-            _fail(f"unknown workload {name!r} (see `repro list`)")
-        out.append(name)
-    return sorted(set(out))
-
-
-def _deadline_fracs(value: Any) -> list[float]:
-    fracs = _as_list(value, "deadline_fracs")
-    if not fracs:
-        _fail("request selects no deadline fractions")
-    out = []
-    for frac in fracs:
-        if isinstance(frac, bool) or not isinstance(frac, (int, float)):
-            _fail(f"deadline fractions must be numbers, got {frac!r}")
-        frac = float(frac)
-        if not 0.0 <= frac <= 1.0:
-            _fail(f"deadline fraction {frac} outside [0, 1]")
-        out.append(frac)
-    return sorted(set(out))
-
-
-def _levels(value: Any) -> list[int | None]:
-    if value is None:
-        return [None]
-    entries = _as_list(value, "levels")
-    out: list[int | None] = []
-    for entry in entries:
-        if entry is None or entry in ("xscale", "xscale-3"):
-            out.append(None)
-            continue
-        if isinstance(entry, bool) or not isinstance(entry, int):
-            _fail(f"mode-table levels must be integers or 'xscale', "
-                  f"got {entry!r}")
-        if entry < 2:
-            _fail(f"mode tables need at least 2 levels, got {entry}")
-        out.append(entry)
-    if not out:
-        _fail("request selects no mode tables")
-    # None (the XScale-3 table) sorts first; integer tables ascend.
-    return sorted(set(out), key=lambda lv: (-1 if lv is None else lv))
-
-
-def _seed(value: Any) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        _fail(f"seed must be an integer, got {value!r}")
-    return value
-
-
-def _capacitance(value: Any) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(f"capacitance_uf must be a number, got {value!r}")
-    value = float(value)
-    if not value > 0:
-        _fail(f"capacitance_uf must be positive, got {value}")
-    return value
-
-
 def _budget(value: Any) -> float | None:
     if value is None:
         return None
@@ -183,17 +124,6 @@ def _budget(value: Any) -> float | None:
 def _backend(value: Any) -> str:
     if value not in _BACKENDS:
         _fail(f"solver_backend must be one of {_BACKENDS}, got {value!r}")
-    return value
-
-
-def _category(value: Any, workloads: list[str]) -> str | None:
-    if value is None:
-        return None
-    if not isinstance(value, str) or not value:
-        _fail(f"category must be a non-empty string, got {value!r}")
-    for name in workloads:
-        if value not in get_workload(name).categories:
-            _fail(f"workload {name!r} has no input category {value!r}")
     return value
 
 
@@ -213,60 +143,60 @@ def _wait(value: Any) -> bool:
     return value
 
 
-def _shapes(value: Any) -> list[str]:
-    from repro.taskgraph.model import GRAPH_SHAPES
+#: Singular spellings a body may use for an axis (the plural wins).
+_SINGULAR = {"workloads": "workload", "deadline_fracs": "deadline_frac",
+             "shapes": "shape"}
 
-    names = _as_list(value, "shapes")
-    if not names:
-        _fail("request selects no graph shapes")
-    out = []
-    for name in names:
-        if name not in GRAPH_SHAPES:
-            _fail(f"unknown task-graph shape {name!r} "
-                  f"(want one of {', '.join(GRAPH_SHAPES)})")
-        out.append(name)
-    return sorted(set(out))
+#: Fields every endpoint accepts besides its grid's axes.
+_SERVICE_FIELDS = {"solver_budget_s", "solver_backend", "tenant", "wait"}
 
-
-def _graph_tasks(value: Any) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        _fail(f"tasks must be an integer, got {value!r}")
-    if not 3 <= value <= 32:
-        _fail(f"tasks must be in [3, 32], got {value}")
-    return value
-
-
-def _cores(value: Any) -> list[int]:
-    counts = _as_list(value, "cores")
-    if not counts:
-        _fail("request selects no core counts")
-    out = []
-    for count in counts:
-        if isinstance(count, bool) or not isinstance(count, int):
-            _fail(f"core counts must be integers, got {count!r}")
-        if not 1 <= count <= 64:
-            _fail(f"core counts must be in [1, 64], got {count}")
-        out.append(count)
-    return sorted(set(out))
-
-
-_KNOWN_FIELDS = {
-    "workload", "workloads", "deadline_frac", "deadline_fracs", "levels",
-    "category", "seed", "capacitance_uf", "solver_budget_s",
-    "solver_backend", "tenant", "wait",
-}
-
-#: Fields the taskgraph endpoint accepts instead of workload selectors.
-_TG_FIELDS = {
-    "shape", "shapes", "tasks", "cores", "deadline_frac", "deadline_fracs",
-    "levels", "seed", "capacitance_uf", "solver_budget_s",
-    "solver_backend", "tenant", "wait",
+#: Fields an endpoint requires, each as (accepted spellings, message).
+_REQUIRED = {
+    "sweep": [(("workloads", "workload"), "sweep request needs 'workloads'")],
+    "optimize": [(("workload", "workloads"),
+                  "optimize request needs a 'workload'"),
+                 (("deadline_frac", "deadline_fracs"),
+                  "optimize request needs a 'deadline_frac'")],
+    "taskgraph": [(("shapes", "shape"), "taskgraph request needs 'shapes'")],
 }
 
 
 def canonical_json(document: dict[str, Any]) -> str:
     """The canonical serialization the request key is computed over."""
     return json.dumps(document, sort_keys=True, separators=(",", ":"))
+
+
+def _grid_class(endpoint: str) -> type[Grid]:
+    if endpoint == "taskgraph":
+        from repro.taskgraph.pipeline import TaskGraphGrid
+
+        return TaskGraphGrid
+    return StreamGrid
+
+
+def _grid(grid_class: type[Grid], axes: list[str],
+          document: dict[str, Any]) -> Grid:
+    """The grid the body's axes name; a broken grid rule is a 400."""
+    values = {}
+    for axis in axes:
+        for spelling in (axis, _SINGULAR.get(axis)):
+            if spelling in document:
+                values[axis] = document[spelling]
+                break
+    try:
+        return grid_class(**values)
+    except OrchestrationError as error:
+        raise ProtocolError(str(error)) from None
+
+
+def _taskgraph_ceilings(grid) -> None:
+    """The service's limits on one taskgraph grid."""
+    if grid.tasks > MAX_GRAPH_TASKS:
+        _fail(f"this server accepts graphs of at most {MAX_GRAPH_TASKS} "
+              f"tasks, got {grid.tasks}")
+    if grid.cores[-1] > MAX_CORES:
+        _fail(f"this server accepts at most {MAX_CORES} cores, "
+              f"got {grid.cores[-1]}")
 
 
 def parse_request(body: bytes | str | dict[str, Any],
@@ -276,14 +206,15 @@ def parse_request(body: bytes | str | dict[str, Any],
 
     Args:
         body: raw JSON bytes/text, or an already-decoded document.
-        endpoint: ``"optimize"`` (single workload/deadline fields) or
-            ``"sweep"`` (plural fields).  Either endpoint accepts either
-            spelling; the endpoint only picks the *required* fields.
+        endpoint: ``"optimize"`` (single workload/deadline fields),
+            ``"sweep"`` (plural fields) or ``"taskgraph"``.  The first
+            two accept either spelling; the endpoint picks the
+            *required* fields.
         max_grid: server-configured ceiling on experiments per request.
 
     Raises:
-        ProtocolError: any malformed field, unknown workload, or a grid
-            larger than ``max_grid`` (status 400 in every case).
+        ProtocolError: any malformed field, a grid rule broken, or a
+            grid larger than ``max_grid`` (status 400 in every case).
     """
     if isinstance(body, (bytes, str)):
         if not body:
@@ -297,92 +228,30 @@ def parse_request(body: bytes | str | dict[str, Any],
     if not isinstance(document, dict):
         _fail(f"request body must be a JSON object, "
               f"got {type(document).__name__}")
-    if endpoint == "taskgraph":
-        return _parse_taskgraph(document, max_grid)
-    unknown = sorted(set(document) - _KNOWN_FIELDS)
-    if unknown:
-        _fail(f"unknown request field(s): {', '.join(unknown)}")
-
-    if endpoint == "optimize":
-        if "workload" not in document and "workloads" not in document:
-            _fail("optimize request needs a 'workload'")
-        if ("deadline_frac" not in document
-                and "deadline_fracs" not in document):
-            _fail("optimize request needs a 'deadline_frac'")
-    elif endpoint == "sweep":
-        if "workloads" not in document and "workload" not in document:
-            _fail("sweep request needs 'workloads'")
-    else:  # pragma: no cover - internal misuse
+    if endpoint not in _REQUIRED:  # pragma: no cover - internal misuse
         raise ProtocolError(f"unknown endpoint {endpoint!r}", status=404)
-
-    workloads = _workloads(document.get("workloads",
-                                        document.get("workload")))
-    fracs = _deadline_fracs(document.get(
-        "deadline_fracs", document.get("deadline_frac", [0.35, 0.7])))
-    levels = _levels(document.get("levels"))
-    category = _category(document.get("category"), workloads)
-    seed = _seed(document.get("seed", 0))
-    capacitance_uf = _capacitance(document.get("capacitance_uf", 10.0))
-    solver_budget_s = _budget(document.get("solver_budget_s"))
-    solver_backend = _backend(document.get("solver_backend", "auto"))
-    tenant = _tenant(document.get("tenant"))
-    wait = _wait(document.get("wait"))
-
-    canonical: dict[str, Any] = {
-        "version": PROTOCOL_VERSION,
-        "workloads": workloads,
-        "deadline_fracs": fracs,
-        "levels": ["xscale-3" if lv is None else lv for lv in levels],
-        "category": category,
-        "seed": seed,
-        "capacitance_uf": capacitance_uf,
-        "solver_budget_s": solver_budget_s,
-        "solver_backend": solver_backend,
-    }
-    return _parsed(canonical, tenant, wait, max_grid)
-
-
-def _parse_taskgraph(document: dict[str, Any], max_grid: int) -> ParsedRequest:
-    """Validate and canonicalize a ``/v1/taskgraph`` submission."""
-    unknown = sorted(set(document) - _TG_FIELDS)
+    grid_class = _grid_class(endpoint)
+    axes = [field.name for field in fields(grid_class)]
+    known = (_SERVICE_FIELDS | set(axes)
+             | {_SINGULAR[axis] for axis in axes if axis in _SINGULAR})
+    unknown = sorted(set(document) - known)
     if unknown:
         _fail(f"unknown request field(s): {', '.join(unknown)}")
-    if "shapes" not in document and "shape" not in document:
-        _fail("taskgraph request needs 'shapes'")
+    for spellings, message in _REQUIRED[endpoint]:
+        if not any(name in document for name in spellings):
+            _fail(message)
 
-    shapes = _shapes(document.get("shapes", document.get("shape")))
-    tasks = _graph_tasks(document.get("tasks", 6))
-    cores = _cores(document.get("cores", [1, 2]))
-    fracs = _deadline_fracs(document.get(
-        "deadline_fracs", document.get("deadline_frac", [0.35, 0.7])))
-    levels = _levels(document.get("levels"))
-    seed = _seed(document.get("seed", 0))
-    capacitance_uf = _capacitance(document.get("capacitance_uf", 10.0))
-    solver_budget_s = _budget(document.get("solver_budget_s"))
-    solver_backend = _backend(document.get("solver_backend", "auto"))
-    tenant = _tenant(document.get("tenant"))
-    wait = _wait(document.get("wait"))
-
+    grid = _grid(grid_class, axes, document)
+    if endpoint == "taskgraph":
+        _taskgraph_ceilings(grid)
     canonical: dict[str, Any] = {
         "version": PROTOCOL_VERSION,
-        "type": "taskgraph",
-        "shapes": shapes,
-        "tasks": tasks,
-        "cores": cores,
-        "deadline_fracs": fracs,
-        "levels": ["xscale-3" if lv is None else lv for lv in levels],
-        "seed": seed,
-        "capacitance_uf": capacitance_uf,
-        "solver_budget_s": solver_budget_s,
-        "solver_backend": solver_backend,
+        **({"type": "taskgraph"} if endpoint == "taskgraph" else {}),
+        **grid.canonical(),
+        "solver_budget_s": _budget(document.get("solver_budget_s")),
+        "solver_backend": _backend(document.get("solver_backend", "auto")),
     }
-    return _parsed(canonical, tenant, wait, max_grid)
-
-
-def _parsed(canonical: dict[str, Any], tenant: str, wait: bool,
-            max_grid: int) -> ParsedRequest:
-    """Expand a canonical document, enforce the grid ceiling and key it."""
-    experiments = build_experiments(canonical)
+    experiments = grid.experiments()
     limit = min(max_grid, ABSOLUTE_MAX_GRID)
     if len(experiments) > limit:
         _fail(f"request grid has {len(experiments)} experiments; "
@@ -393,8 +262,8 @@ def _parsed(canonical: dict[str, Any], tenant: str, wait: bool,
     return ParsedRequest(
         canonical=canonical,
         request_key=key,
-        tenant=tenant,
-        wait=wait,
+        tenant=_tenant(document.get("tenant")),
+        wait=_wait(document.get("wait")),
         experiments=tuple(experiments),
         solver_budget_s=canonical["solver_budget_s"],
         solver_backend=canonical["solver_backend"],
@@ -434,49 +303,3 @@ def from_canonical(document: dict[str, Any], tenant: str = "anon",
     body["tenant"] = tenant
     body["wait"] = wait
     return parse_request(body, endpoint=endpoint, max_grid=ABSOLUTE_MAX_GRID)
-
-
-def _stream_grid(canonical: dict[str, Any]) -> list[Experiment]:
-    category = canonical["category"]
-    return build_grid(SweepConfig(
-        workloads=tuple(canonical["workloads"]),
-        deadline_fracs=tuple(canonical["deadline_fracs"]),
-        levels=_machine_levels(canonical),
-        categories=({name: (category,) for name in canonical["workloads"]}
-                    if category is not None else {}),
-        seed=canonical["seed"],
-        capacitance_uf=canonical["capacitance_uf"],
-    ))
-
-
-def _taskgraph_grid(canonical: dict[str, Any]) -> list[Experiment]:
-    from repro.taskgraph.pipeline import build_tg_grid
-
-    return build_tg_grid(
-        shapes=tuple(canonical["shapes"]),
-        tasks=canonical["tasks"],
-        cores=tuple(canonical["cores"]),
-        deadline_fracs=tuple(canonical["deadline_fracs"]),
-        seed=canonical["seed"],
-        levels=_machine_levels(canonical),
-        capacitance_uf=canonical["capacitance_uf"],
-    )
-
-
-def _machine_levels(canonical: dict[str, Any]) -> tuple[int | None, ...]:
-    return tuple(None if lv == "xscale-3" else lv for lv in canonical["levels"])
-
-
-#: Grid expansion by the canonical document's type tag (None: a sweep).
-_GRIDS = {None: _stream_grid, "taskgraph": _taskgraph_grid}
-
-
-def build_experiments(canonical: dict[str, Any]) -> list[Experiment]:
-    """Expand a canonical request into its experiment grid.
-
-    The expansion is the CLI's own (:func:`repro.runtime.sweep.build_grid`
-    or :func:`repro.taskgraph.pipeline.build_tg_grid`), so a served
-    request and a CLI sweep over the same axes produce the same
-    experiment ids (and therefore identical ``results`` rows).
-    """
-    return _GRIDS[canonical.get("type")](canonical)

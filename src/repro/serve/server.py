@@ -53,7 +53,7 @@ from repro.runtime.cache import ArtifactStore
 from repro.runtime.dag import build_task_graph
 from repro.runtime.executor import ExecutorConfig, WorkerPool, run_graph
 from repro.serve import protocol
-from repro.serve.coalesce import DEFAULT_DONE_MAX_BYTES, Job, JobTable
+from repro.serve.coalesce import Job, JobTable
 from repro.serve.jobstore import JobStore, StoredJob
 from repro.serve.queueing import FairQueue, QueueFull
 
@@ -77,8 +77,6 @@ class ServeConfig:
     cache_dir: str | None = None  # artifact store; None disables caching
     store_dir: str | None = None  # job store; None disables durability
     resume: bool = False  # recover jobs from store_dir on start
-    done_capacity: int = 256  # finished-job LRU entry bound
-    done_max_bytes: int = DEFAULT_DONE_MAX_BYTES  # finished-job LRU byte bound
     task_timeout_s: float | None = 600.0
     retries: int = 1
     solver_backend: str = "auto"  # default when a request does not choose
@@ -139,8 +137,7 @@ class ReproServer:
                       if config.cache_dir else None)
         self.jobstore = JobStore(config.store_dir) if config.store_dir else None
         self.pool = WorkerPool(config.jobs)
-        self.table = JobTable(done_capacity=config.done_capacity,
-                              done_max_bytes=config.done_max_bytes)
+        self.table = JobTable()
         self.queue = FairQueue(max_queue=config.max_queue,
                                weights=dict(config.tenant_weights))
         self._run_threads = ThreadPoolExecutor(

@@ -360,7 +360,6 @@ class Machine:
         initial_mode: int | None = None,
         max_steps: int = 200_000_000,
         trace: list | None = None,
-        fastpath: bool | None = None,
         record: ExecutionStream | None = None,
     ) -> RunResult:
         """Execute a program.
@@ -379,9 +378,6 @@ class Machine:
                 mode)`` tuple at every block entry — the timeline data
                 :mod:`repro.simulator.trace` analyzes.  Tracing costs one
                 append per block execution; leave None for full speed.
-            fastpath: per-run override of the machine's ``fastpath``
-                setting (None keeps it).  On or off, the RunResult is
-                bit-identical.
             record: an empty :class:`ExecutionStream` to fill with this
                 run's block sequence and cache outcomes, for
                 :meth:`replay` at other modes.
@@ -391,11 +387,11 @@ class Machine:
         """
         if not observe.enabled():
             return self._run(cfg, inputs, registers, mode, schedule,
-                             initial_mode, max_steps, trace, fastpath, record)
+                             initial_mode, max_steps, trace, record)
         with observe.span("simulator.run", program=cfg.name,
                           scheduled=schedule is not None) as sp:
             result = self._run(cfg, inputs, registers, mode, schedule,
-                               initial_mode, max_steps, trace, fastpath, record)
+                               initial_mode, max_steps, trace, record)
             total_cycles = (result.overlap_cycles + result.dependent_cycles
                             + result.cache_cycles + result.dmiss_sync_cycles
                             + result.ifetch_cycles)
@@ -429,7 +425,6 @@ class Machine:
         initial_mode: int | None,
         max_steps: int,
         trace: list | None,
-        fastpath: bool | None = None,
         record: ExecutionStream | None = None,
     ) -> RunResult:
         # The uninstrumented interpreter loop; run() wraps it with the
@@ -453,7 +448,7 @@ class Machine:
         icache = CacheHierarchy(self.config.l1i, l2, name="i")
 
         # ---- fast-path setup (repro.perf) -----------------------------------
-        use_fast = self.fastpath if fastpath is None else bool(fastpath)
+        use_fast = self.fastpath
         pf = None
         fast_fns = None
         fast_consts = None

@@ -15,6 +15,8 @@ keys embed the full :func:`~repro.taskgraph.model.graph_fingerprint`
 (kernel source digests included), so editing a kernel invalidates the
 whole family.
 
+:class:`TaskGraphGrid` is the family's grid value (the one behind
+``repro taskgraph sweep`` and ``POST /v1/taskgraph``), and
 :class:`TaskGraphExperimentSpec` declares the family the way
 :class:`~repro.runtime.dag.ExperimentSpec` declares the single-stream
 one (:class:`repro.runtime.dag.Experiment`): its stages, its row fields
@@ -30,7 +32,7 @@ from typing import Any
 
 from repro.errors import OrchestrationError
 from repro.runtime import hashing
-from repro.runtime.dag import MachineSpec, Stage
+from repro.runtime.dag import Grid, MachineSpec, Stage, grid_axis
 from repro.taskgraph.heuristic import deadline_for, greedy_taskgraph
 from repro.taskgraph.model import GRAPH_SHAPES, TaskGraphSpec, build_graph, graph_fingerprint
 from repro.taskgraph.simulate import replay
@@ -82,7 +84,6 @@ class TaskGraphExperimentSpec:
             "deadline_frac": self.deadline_frac,
             "levels": self.machine.levels,
             "capacitance_uf": self.machine.capacitance_uf,
-            "fastpath": self.machine.fastpath,
         }
 
     def stages(self, solver_backend: str = "auto") -> list[Stage]:
@@ -137,47 +138,56 @@ class TaskGraphExperimentSpec:
         }
 
 
-def build_tg_grid(
-    shapes: tuple[str, ...],
-    tasks: int,
-    cores: tuple[int, ...],
-    deadline_fracs: tuple[float, ...],
-    seed: int = 0,
-    levels: tuple[int | None, ...] = (None,),
-    capacitance_uf: float = 10.0,
-    fastpath: bool = True,
-) -> list[TaskGraphExperimentSpec]:
-    """Expand the shape × levels × cores × deadline cross-product."""
-    if not shapes:
-        raise OrchestrationError("taskgraph sweep needs at least one shape")
-    if not cores:
-        raise OrchestrationError("taskgraph sweep needs at least one core count")
-    if not deadline_fracs:
+def _integer(value: Any, what: str, minimum: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise OrchestrationError(f"{what} must be an integer, got {value!r}")
+    if value < minimum:
         raise OrchestrationError(
-            "taskgraph sweep needs at least one deadline fraction")
-    for shape in shapes:
-        if shape not in GRAPH_SHAPES:
-            raise OrchestrationError(
-                f"unknown task-graph shape {shape!r} "
-                f"(want one of {GRAPH_SHAPES})")
-    for count in cores:
-        if count < 1:
-            raise OrchestrationError(f"core count {count} must be >= 1")
-    for frac in deadline_fracs:
-        if not 0.0 <= frac <= 1.0:
-            raise OrchestrationError(
-                f"deadline fraction {frac} outside [0, 1]")
-    experiments: list[TaskGraphExperimentSpec] = []
-    for shape in shapes:
-        for level in levels:
-            machine = MachineSpec(levels=level, capacitance_uf=capacitance_uf,
-                                  fastpath=fastpath)
-            for count in cores:
-                for frac in deadline_fracs:
-                    experiments.append(TaskGraphExperimentSpec(
-                        shape=shape, tasks=tasks, cores=count,
-                        deadline_frac=frac, seed=seed, machine=machine))
-    return experiments
+            f"{what} must be at least {minimum}, got {value}")
+    return value
+
+
+def _shape(name: Any) -> str:
+    if name not in GRAPH_SHAPES:
+        raise OrchestrationError(f"unknown task-graph shape {name!r} "
+                                 f"(want one of {', '.join(GRAPH_SHAPES)})")
+    return name
+
+
+@dataclass(frozen=True, kw_only=True)
+class TaskGraphGrid(Grid):
+    """A taskgraph grid: shapes × mode tables × core counts × deadline
+    fractions, over graphs of ``tasks`` tasks (at least 3: a fork-join
+    graph needs a source, a worker and a sink)."""
+
+    shapes: tuple[str, ...]
+    tasks: int = 6
+    cores: tuple[int, ...] = (1, 2)
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        self._set(shapes=grid_axis(self.shapes, "graph shapes", _shape),
+                  tasks=_integer(self.tasks, "tasks", 3),
+                  cores=grid_axis(self.cores, "core counts",
+                                  lambda n: _integer(n, "core count", 1)))
+
+    def experiments(self) -> list[TaskGraphExperimentSpec]:
+        machines = self.machines()
+        return [TaskGraphExperimentSpec(shape=shape, tasks=self.tasks,
+                                        cores=count, deadline_frac=frac,
+                                        seed=self.seed, machine=machine)
+                for shape in self.shapes for machine in machines
+                for count in self.cores for frac in self.deadline_fracs]
+
+    def canonical(self) -> dict[str, Any]:
+        return {"shapes": list(self.shapes), "tasks": self.tasks,
+                "cores": list(self.cores), **self.shared_fields()}
+
+    def manifest_fields(self) -> dict[str, Any]:
+        # "tasks" in the header counts the sweep's DAG tasks.
+        return {"family": "taskgraph", "shapes": list(self.shapes),
+                "graph_tasks": self.tasks, "cores": list(self.cores),
+                **self.shared_fields()}
 
 
 # -- task computations (run inside worker processes; see dag.TASK_FNS) --------

@@ -342,7 +342,8 @@ def verify_lp_case(case) -> list[OracleResult]:
               f"at {price!r}")
 
     def objectives_agree(native: float, highs: float) -> bool:
-        return abs(native - highs) <= 1e-6 * (1 + abs(highs))
+        return (abs(native - highs)
+                <= tolerances.LP_FUZZ_OBJECTIVE_TOL * (1 + abs(highs)))
 
     if case.integrality.any():
         rev = solve_milp(integrality=case.integrality, **kwargs)
@@ -380,13 +381,16 @@ def verify_lp_case(case) -> list[OracleResult]:
                     if kwargs["b_ub"] is not None else 1.0)
         violated = []
         if kwargs["a_ub"] is not None and np.any(
-                kwargs["a_ub"] @ rev.x > kwargs["b_ub"] + 1e-6 * scale):
+                kwargs["a_ub"] @ rev.x
+                > kwargs["b_ub"] + tolerances.FEAS_REL_TOL * scale):
             violated.append("a_ub")
         if kwargs["a_eq"] is not None and np.any(
-                np.abs(kwargs["a_eq"] @ rev.x - kwargs["b_eq"]) > 1e-6 * scale):
+                np.abs(kwargs["a_eq"] @ rev.x - kwargs["b_eq"])
+                > tolerances.FEAS_REL_TOL * scale):
             violated.append("a_eq")
         span = case.bounds[:, 1] - case.bounds[:, 0]
-        btol = 1e-8 * (1.0 + np.where(np.isfinite(span), np.abs(span), 0.0))
+        btol = tolerances.BOUND_FEAS_TOL * (
+            1.0 + np.where(np.isfinite(span), np.abs(span), 0.0))
         if np.any(rev.x < case.bounds[:, 0] - btol) or np.any(
                 rev.x > case.bounds[:, 1] + btol):
             violated.append("bounds")

@@ -420,7 +420,7 @@ def continuous_dominance(
 def never_worse_than_single_mode(
     optimizer: DVSOptimizer,
     outcome: OptimizationOutcome,
-    rel_tol: float = tolerances.DEADLINE_REL_SLACK,
+    rel_tol: float = tolerances.SINGLE_MODE_ENERGY_REL_TOL,
 ) -> OracleResult:
     """The MILP optimum never exceeds the best-single-mode energy."""
     name = "never-worse-than-single-mode"
@@ -453,8 +453,8 @@ def fastpath_matches_reference(
 ) -> OracleResult:
     """The accelerated simulator is bit-identical to the reference.
 
-    Runs the same (program, inputs, mode/schedule) point with the fast
-    path forced on and forced off and compares a *total* fingerprint of
+    Runs the same (program, inputs, mode/schedule) point on copies of
+    ``machine`` with the fast path on and off and compares a *total* fingerprint of
     both results: every RunResult field, every per-block statistic, the
     edge/path profile including dict iteration order (serialization
     preserves it), and the final memory image.  Any divergence — even
@@ -468,25 +468,29 @@ def fastpath_matches_reference(
     run (the pipeline's ``simulate`` task is such a replay).
     """
     from repro.perf.bench import result_fingerprint
-    from repro.simulator.machine import ExecutionStream
+    from repro.simulator.machine import ExecutionStream, Machine
 
     name = "fastpath-matches-reference"
+    parts = (machine.config, machine.mode_table, machine.transition_model)
+    fast_machine = Machine(*parts)
+    slow_machine = Machine(*parts, fastpath=False)
     kwargs = dict(inputs=inputs, registers=registers, mode=mode,
                   schedule=schedule, initial_mode=initial_mode)
     stream = ExecutionStream()
-    fast = machine.run(cfg, fastpath=True, record=stream, **kwargs)
-    stats = dict(machine.last_fastpath_stats)
-    reference = machine.run(cfg, fastpath=False, **kwargs)
+    fast = fast_machine.run(cfg, record=stream, **kwargs)
+    stats = dict(fast_machine.last_fastpath_stats)
+    reference = slow_machine.run(cfg, **kwargs)
     pairs = [("fast", fast, reference)]
     if mode is not None:
         for m in range(len(machine.mode_table)):
-            ref_m = reference if m == mode else machine.run(
-                cfg, fastpath=False, inputs=inputs, registers=registers, mode=m)
-            pairs.append((f"replay at mode {m}", machine.replay(stream, m), ref_m))
+            ref_m = reference if m == mode else slow_machine.run(
+                cfg, inputs=inputs, registers=registers, mode=m)
+            pairs.append((f"replay at mode {m}",
+                          fast_machine.replay(stream, m), ref_m))
     else:
         pairs.append(("scheduled replay",
-                      machine.replay(stream, schedule=schedule,
-                                     initial_mode=initial_mode),
+                      fast_machine.replay(stream, schedule=schedule,
+                                          initial_mode=initial_mode),
                       reference))
     for what, got, want in pairs:
         if result_fingerprint(got) != result_fingerprint(want):

@@ -36,12 +36,20 @@ FEAS_ABS_TOL = 1e-9
 #: entitled to return (rows are scaled to O(1) rhs at build time).
 FEAS_REL_TOL = 1e-6
 
+#: Absolute slack, scaled by ``1 + |span|``, on a variable bound of a
+#: fuzzed LP's native optimum (the revised simplex's bound residue).
+BOUND_FEAS_TOL = 1e-8
+
 #: How far a "binary" may sit from an integer before it is rejected.
 INTEGRALITY_TOL = 1e-6
 
 #: Relative mismatch allowed between a reported objective and its
 #: recomputation from the solution vector.
 OBJECTIVE_REL_TOL = 1e-6
+
+#: Mismatch allowed between the native and the HiGHS optimum of one
+#: fuzzed LP or MILP, scaled by ``1 + |HiGHS objective|``.
+LP_FUZZ_OBJECTIVE_TOL = 1e-6
 
 #: Relative mismatch allowed between simulated energy and the MILP's
 #: predicted energy for the same schedule.
@@ -56,8 +64,16 @@ DEADLINE_REL_SLACK = 1e-4
 #: The replay recomputes the schedule from the same task tables the MILP
 #: was built on, with no quantization, so only float summation order is
 #: forgiven.  Never merge it with ``DEADLINE_REL_SLACK``: on a 5 ms
-#: deadline the simulation slack would forgive a 0.5 us miss.
+#: deadline the simulation slack would forgive a 0.5 us miss.  The best
+#: single mode uses it too: a profiled mode's time against a deadline
+#: interpolated from those same profiled times.
 REPLAY_DEADLINE_REL_SLACK = 1e-9
+
+#: Relative amount the MILP optimum may exceed the best-single-mode
+#: energy before ``never-worse-than-single-mode`` fails.  Its value is
+#: borrowed from ``DEADLINE_REL_SLACK`` and awaits calibration against
+#: the residue the two energies actually show.
+SINGLE_MODE_ENERGY_REL_TOL = 1e-4
 
 #: Savings points by which the analytical bound may fall short of the
 #: MILP result before the dominance oracle fails (paper Section 6.5).

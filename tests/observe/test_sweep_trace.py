@@ -11,6 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro import observe
+from repro.runtime.dag import StreamGrid
 from repro.runtime.sweep import SweepConfig, run_sweep
 
 #: Generous slack for comparing perf_counter readings across processes.
@@ -22,8 +23,7 @@ SIM_CACHE_KEYS = ("l1_hits", "l1_misses", "l2_hits", "l2_misses",
 
 def sweep(tmp_path, tag, trace):
     config = SweepConfig(
-        workloads=("adpcm",),
-        deadline_fracs=(0.5,),
+        StreamGrid(workloads=("adpcm",), deadline_fracs=(0.5,)),
         jobs=4,
         cache_dir=str(tmp_path / f"cache-{tag}"),
         output_dir=str(tmp_path / f"out-{tag}"),

@@ -35,18 +35,16 @@ def test_env_kill_switch(cfg, monkeypatch):
     assert not fastpath_disabled_env()
 
 
-def test_per_run_override_beats_machine_flag(cfg):
+def test_machine_flag_switches_the_fast_path(cfg):
     machine = Machine(SCALE_CONFIG, XSCALE_3, TransitionCostModel(),
                       fastpath=False)
     machine.run(cfg, mode=0)
     assert machine.last_fastpath_stats["enabled"] == 0
-    machine.run(cfg, mode=0, fastpath=True)
-    assert machine.last_fastpath_stats["enabled"] == 1
-    assert machine.last_fastpath_stats["fast_blocks"] > 0
 
     default_on = Machine(SCALE_CONFIG, XSCALE_3, TransitionCostModel())
-    default_on.run(cfg, mode=0, fastpath=False)
-    assert default_on.last_fastpath_stats["enabled"] == 0
+    default_on.run(cfg, mode=0)
+    assert default_on.last_fastpath_stats["enabled"] == 1
+    assert default_on.last_fastpath_stats["fast_blocks"] > 0
 
 
 def test_program_cache_is_reused_and_invalidated(cfg):

@@ -15,6 +15,7 @@ from repro.errors import JournalError
 from repro.resilience.journal import JOURNAL_FORMAT, SweepJournal, run_fingerprint
 from repro.runtime import hashing
 from repro.runtime.cache import payload_digest
+from repro.runtime.dag import StreamGrid
 from repro.runtime.sweep import SweepConfig, run_sweep
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
@@ -117,14 +118,14 @@ class TestInProcessResume:
     def test_resume_replays_journal_and_is_byte_identical(self, tmp_path):
         out = tmp_path / "out"
         first = run_sweep(SweepConfig(
-            workloads=("adpcm",), deadline_fracs=(0.5,),
+            StreamGrid(workloads=("adpcm",), deadline_fracs=(0.5,)),
             cache_dir=None, output_dir=str(out),
         ))
         assert first.ok
         reference = first.results_path.read_bytes()
 
         resumed = run_sweep(SweepConfig(
-            workloads=("adpcm",), deadline_fracs=(0.5,),
+            StreamGrid(workloads=("adpcm",), deadline_fracs=(0.5,)),
             cache_dir=None, output_dir=str(out), resume=True,
         ))
         assert resumed.ok
@@ -134,10 +135,12 @@ class TestInProcessResume:
 
     def test_resume_against_different_grid_raises(self, tmp_path):
         out = tmp_path / "out"
-        run_sweep(SweepConfig(workloads=("adpcm",), deadline_fracs=(0.5,),
+        run_sweep(SweepConfig(StreamGrid(workloads=("adpcm",),
+                                         deadline_fracs=(0.5,)),
                               output_dir=str(out)))
         with pytest.raises(JournalError):
-            run_sweep(SweepConfig(workloads=("adpcm",), deadline_fracs=(0.7,),
+            run_sweep(SweepConfig(StreamGrid(workloads=("adpcm",),
+                                             deadline_fracs=(0.7,)),
                                   output_dir=str(out), resume=True))
 
     def test_resume_under_another_key_version_raises(self, tmp_path,
@@ -145,7 +148,8 @@ class TestInProcessResume:
         # Outputs journaled under other artifact semantics (say, verify
         # outputs without the bound fields) must never be replayed.
         out = tmp_path / "out"
-        config = dict(workloads=("adpcm",), deadline_fracs=(0.5,),
+        config = dict(grid=StreamGrid(workloads=("adpcm",),
+                                      deadline_fracs=(0.5,)),
                       cache_dir=None, output_dir=str(out))
         with monkeypatch.context() as patch:
             patch.setattr(hashing, "KEY_VERSION", hashing.KEY_VERSION - 1)

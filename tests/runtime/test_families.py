@@ -2,27 +2,42 @@
 experiment family: a grid may mix single-stream and taskgraph points."""
 
 import json
+from dataclasses import dataclass
 
 import pytest
 
 from repro.errors import OrchestrationError
-from repro.runtime.dag import ExperimentSpec, MachineSpec, execute_task
-from repro.runtime.sweep import SweepConfig, build_grid, run_sweep
-from repro.taskgraph.pipeline import build_tg_grid
+from repro.runtime.dag import ExperimentSpec, MachineSpec, StreamGrid, execute_task
+from repro.runtime.sweep import SweepConfig, run_sweep
+from repro.taskgraph.pipeline import TaskGraphGrid
 
 
 def _stream():
-    return build_grid(SweepConfig(workloads=("adpcm",), deadline_fracs=(0.5,)))
+    return StreamGrid(workloads=("adpcm",), deadline_fracs=(0.5,)).experiments()
 
 
 def _taskgraph():
-    return build_tg_grid(shapes=("fork-join",), tasks=4, cores=(1,),
-                         deadline_fracs=(0.5,))
+    return TaskGraphGrid(shapes=("fork-join",), tasks=4, cores=(1,),
+                         deadline_fracs=(0.5,)).experiments()
+
+
+@dataclass(frozen=True)
+class _Points:
+    """A grid of given points, of any families."""
+
+    points: tuple
+    seed: int = 0
+
+    def experiments(self):
+        return list(self.points)
+
+    def manifest_fields(self):
+        return {}
 
 
 def _sweep(tmp_path, tag, experiments):
-    report = run_sweep(SweepConfig(workloads=(), output_dir=str(tmp_path / tag)),
-                       experiments=experiments)
+    report = run_sweep(SweepConfig(_Points(tuple(experiments)),
+                                   output_dir=str(tmp_path / tag)))
     return report, report.results_path.read_text().splitlines()
 
 

@@ -141,3 +141,77 @@ class TestPinnedStageKeys:
         for spec in (MachineSpec(), MachineSpec(levels=7, capacitance_uf=5.0)):
             assert spec.fingerprint() == hashing.machine_fingerprint(
                 spec.build())
+
+
+class TestPinnedRequestKeys:
+    """Served request identities, pinned to literal values: the canonical
+    document, its key and the job id a body gets must not move when the
+    grid rules move between modules.  Each stored request must also
+    re-parse onto the key it was admitted under."""
+
+    @pytest.mark.parametrize("endpoint, body, canonical, key, experiments", [
+        ("sweep", {"workload": "adpcm", "deadline_frac": 0.5},
+         '{"capacitance_uf":10.0,"category":null,"deadline_fracs":[0.5],'
+         '"levels":["xscale-3"],"seed":0,"solver_backend":"auto",'
+         '"solver_budget_s":null,"version":1,"workloads":["adpcm"]}',
+         "d8df9fce704d10929b3bb08cad68970ddc59ee48de48a62d24ee0f67ad90de33",
+         1),
+        ("optimize", {"workload": "mpeg", "deadline_fracs": 1,
+                      "levels": None, "solver_backend": "native",
+                      "solver_budget_s": 2},
+         '{"capacitance_uf":10.0,"category":null,"deadline_fracs":[1.0],'
+         '"levels":["xscale-3"],"seed":0,"solver_backend":"native",'
+         '"solver_budget_s":2.0,"version":1,"workloads":["mpeg"]}',
+         "8ff5951a2b6afd70c191c6e58a97a8197fc8a5b4688c776c1382b767bfaa8b4d",
+         1),
+        ("sweep", {"workloads": ["mpeg", "mpeg"],
+                   "deadline_fracs": [0.7, 0.35, 0.7],
+                   "levels": [7, "xscale"], "category": "with_b",
+                   "seed": 3, "capacitance_uf": 5},
+         '{"capacitance_uf":5.0,"category":"with_b","deadline_fracs":'
+         '[0.35,0.7],"levels":["xscale-3",7],"seed":3,"solver_backend":'
+         '"auto","solver_budget_s":null,"version":1,"workloads":["mpeg"]}',
+         "b62703710adaf5aa474c5324a9115394caf3bf48c01984b8e542d29c765bb6c4",
+         4),
+        ("sweep", {"workloads": ["gsm", "adpcm", "gsm"], "deadline_frac": 0,
+                   "levels": [13, 3, "xscale-3", 3], "tenant": "x",
+                   "wait": True},
+         '{"capacitance_uf":10.0,"category":null,"deadline_fracs":[0.0],'
+         '"levels":["xscale-3",3,13],"seed":0,"solver_backend":"auto",'
+         '"solver_budget_s":null,"version":1,"workloads":["adpcm","gsm"]}',
+         "3a7b6d500a15fadf739c9df0f37f747970636f757a13a591bd1b8e7e1e4af3c3",
+         6),
+        ("taskgraph", {"shapes": ["layered", "fork-join"], "tasks": 5,
+                       "cores": [2, 1, 2], "deadline_fracs": [0.5, 0.0]},
+         '{"capacitance_uf":10.0,"cores":[1,2],"deadline_fracs":[0.0,0.5],'
+         '"levels":["xscale-3"],"seed":0,"shapes":["fork-join","layered"],'
+         '"solver_backend":"auto","solver_budget_s":null,"tasks":5,'
+         '"type":"taskgraph","version":1}',
+         "d2fe6d222c695715ec2b8038629d52018b2c312d16d3df83d3209ba4530e4340",
+         8),
+        ("taskgraph", {"shape": "kernels", "levels": [13, "xscale-3"],
+                       "seed": 2, "capacitance_uf": 2.5,
+                       "solver_backend": "scipy"},
+         '{"capacitance_uf":2.5,"cores":[1,2],"deadline_fracs":[0.35,0.7],'
+         '"levels":["xscale-3",13],"seed":2,"shapes":["kernels"],'
+         '"solver_backend":"scipy","solver_budget_s":null,"tasks":6,'
+         '"type":"taskgraph","version":1}',
+         "7b4ccafa12c6d2a7a839bfd8887cf8e7b1e17c54fe640b676dc878e19c3aaa2c",
+         8),
+    ])
+    def test_request_keys(self, endpoint, body, canonical, key, experiments):
+        from repro.serve.protocol import (
+            canonical_json,
+            from_canonical,
+            parse_request,
+        )
+
+        parsed = parse_request(body, endpoint=endpoint)
+        assert canonical_json(parsed.canonical) == canonical
+        assert parsed.request_key == key
+        assert parsed.job_id == f"job-{key[:16]}"
+        assert len(parsed.experiments) == experiments
+        recovered = from_canonical(parsed.canonical)
+        assert recovered.request_key == key
+        assert ([e.experiment_id for e in recovered.experiments]
+                == [e.experiment_id for e in parsed.experiments])

@@ -10,15 +10,15 @@ are derived from the grid spec alone, never from worker state.
 import pytest
 
 from repro.runtime import manifest as manifest_mod
-from repro.runtime.sweep import SweepConfig, build_grid, run_sweep
+from repro.runtime.dag import StreamGrid
+from repro.runtime.sweep import SweepConfig, run_sweep
 
 WORKLOADS = ("adpcm", "dijkstra", "ghostscript")
 
 
 def sweep(tmp_path, tag, jobs):
     config = SweepConfig(
-        workloads=WORKLOADS,
-        deadline_fracs=(0.5,),
+        StreamGrid(workloads=WORKLOADS, deadline_fracs=(0.5,)),
         jobs=jobs,
         cache_dir=str(tmp_path / f"cache-{tag}"),
         output_dir=str(tmp_path / f"out-{tag}"),
@@ -91,12 +91,11 @@ class TestDeterminism:
 
 class TestGrid:
     def test_grid_is_the_full_cross_product(self):
-        config = SweepConfig(
+        grid = StreamGrid(
             workloads=("adpcm", "gsm"),
             deadline_fracs=(0.3, 0.7),
             levels=(None, 7),
-        )
-        grid = build_grid(config)
+        ).experiments()
         assert len(grid) == 8
         assert len({e.experiment_id for e in grid}) == 8
 
@@ -104,11 +103,10 @@ class TestGrid:
         from repro.errors import OrchestrationError
 
         with pytest.raises(OrchestrationError):
-            build_grid(SweepConfig(workloads=("adpcm",),
-                                   deadline_fracs=(1.5,)))
+            StreamGrid(workloads=("adpcm",), deadline_fracs=(1.5,))
 
     def test_unknown_workload_rejected(self):
         from repro.errors import ReproError
 
         with pytest.raises(ReproError):
-            build_grid(SweepConfig(workloads=("doom",)))
+            StreamGrid(workloads=("doom",))

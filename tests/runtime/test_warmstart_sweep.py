@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from repro import observe
+from repro.runtime.dag import StreamGrid
 from repro.runtime.sweep import SweepConfig, run_sweep
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
@@ -30,8 +31,7 @@ FRACS = (0.35, 0.55, 0.75)
 def _sweep(out_dir, backend="native", jobs=1, fracs=FRACS,
                   cache_dir=None):
     config = SweepConfig(
-        workloads=WORKLOADS,
-        deadline_fracs=fracs,
+        StreamGrid(workloads=WORKLOADS, deadline_fracs=fracs),
         jobs=jobs,
         solver_backend=backend,
         cache_dir=cache_dir,

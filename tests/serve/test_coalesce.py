@@ -7,7 +7,9 @@ import threading
 import pytest
 
 from repro import observe
+from repro.runtime.dag import StreamGrid
 from repro.runtime.sweep import SweepConfig, run_sweep
+from repro.serve import coalesce
 from repro.serve.coalesce import JobTable
 from repro.serve.protocol import parse_request
 
@@ -81,7 +83,7 @@ class TestConcurrentCoalescing:
         ]
         tmp = tmp_path_factory.mktemp("solo-sweep")
         report = run_sweep(SweepConfig(
-            workloads=("adpcm",), deadline_fracs=(0.5,),
+            StreamGrid(workloads=("adpcm",), deadline_fracs=(0.5,)),
             output_dir=str(tmp / "out"), cache_dir=None))
         assert report.ok
         sweep_lines = report.results_path.read_text().splitlines()
@@ -119,8 +121,9 @@ class TestJobTable:
         _, disposition = table.submit(self.make())
         assert disposition == "new"
 
-    def test_lru_is_bounded(self):
-        table = JobTable(done_capacity=2)
+    def test_lru_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(coalesce, "DONE_CAPACITY", 2)
+        table = JobTable()
         fracs = (0.1, 0.2, 0.3)
         jobs = []
         for frac in fracs:

@@ -10,6 +10,7 @@ import json
 import pytest
 
 from repro import observe
+from repro.runtime.dag import StreamGrid
 from repro.runtime.sweep import SweepConfig, run_sweep
 from repro.serve.server import ServeConfig
 
@@ -67,8 +68,8 @@ def test_served_rows_are_the_sweep_results_bytes(served, tmp_path):
     served_lines = [json.dumps(row, sort_keys=True, separators=(",", ":"))
                     for row in rows]
     report = run_sweep(SweepConfig(
-        workloads=tuple(WARM["workloads"]),
-        deadline_fracs=tuple(WARM["deadline_fracs"]),
+        StreamGrid(workloads=WARM["workloads"],
+                   deadline_fracs=WARM["deadline_fracs"]),
         output_dir=str(tmp_path / "out"), cache_dir=None))
     assert report.ok
     assert served_lines == report.results_path.read_text().splitlines()

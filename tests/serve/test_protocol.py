@@ -5,9 +5,8 @@ import json
 import pytest
 
 from repro.errors import ProtocolError
-from repro.runtime.dag import build_task_graph
-from repro.runtime.sweep import SweepConfig, build_grid
-from repro.serve.protocol import build_experiments, parse_request
+from repro.runtime.dag import StreamGrid, build_task_graph
+from repro.serve.protocol import from_canonical, parse_request
 
 
 class TestCanonicalization:
@@ -77,7 +76,7 @@ class TestValidation:
 
     def test_rejects_bad_levels(self):
         self.rejects({"workloads": ["adpcm"], "levels": [1]},
-                     "at least 2")
+                     "at least two")
 
     def test_rejects_bad_backend(self):
         self.rejects({"workloads": ["adpcm"], "solver_backend": "cplex"},
@@ -117,18 +116,18 @@ class TestGridEquivalence:
         parsed = parse_request({"workloads": ["adpcm", "gsm"],
                                 "deadline_fracs": [0.35, 0.7],
                                 "levels": ["xscale", 7]})
-        cli_grid = build_grid(SweepConfig(
+        cli_grid = StreamGrid(
             workloads=("adpcm", "gsm"), deadline_fracs=(0.35, 0.7),
-            levels=(None, 7)))
+            levels=(None, 7)).experiments()
         assert ([e.experiment_id for e in parsed.experiments]
                 == [e.experiment_id for e in cli_grid])
 
     def test_expansion_round_trips_canonical_json(self):
         parsed = parse_request({"workloads": ["adpcm"],
                                 "deadline_fracs": [0.5]})
-        again = build_experiments(
-            json.loads(json.dumps(parsed.canonical)))
-        assert [e.experiment_id for e in again] \
+        again = from_canonical(json.loads(json.dumps(parsed.canonical)))
+        assert again.request_key == parsed.request_key
+        assert [e.experiment_id for e in again.experiments] \
             == [e.experiment_id for e in parsed.experiments]
 
     def test_graph_builds_from_served_experiments(self):

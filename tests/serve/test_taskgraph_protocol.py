@@ -3,13 +3,9 @@
 import pytest
 
 from repro.errors import ProtocolError
-from repro.serve.protocol import (
-    build_experiments,
-    from_canonical,
-    parse_request,
-)
+from repro.serve.protocol import from_canonical, parse_request
 from repro.serve.queueing import FairQueue
-from repro.taskgraph.pipeline import build_tg_grid
+from repro.taskgraph.pipeline import TaskGraphGrid
 
 REQUEST = {"shapes": ["fork-join"], "tasks": 5, "cores": [1, 2],
            "deadline_fracs": [0.0, 0.5]}
@@ -67,8 +63,8 @@ class TestCanonicalization:
 class TestGrid:
     def test_grid_matches_the_cli_sweep(self):
         parsed = parse()
-        cli = build_tg_grid(shapes=("fork-join",), tasks=5, cores=(1, 2),
-                            deadline_fracs=(0.0, 0.5))
+        cli = TaskGraphGrid(shapes=("fork-join",), tasks=5, cores=(1, 2),
+                            deadline_fracs=(0.0, 0.5)).experiments()
         assert ([e.experiment_id for e in parsed.experiments]
                 == [e.experiment_id for e in cli])
 
@@ -77,9 +73,9 @@ class TestGrid:
             parse_request(dict(REQUEST, cores=list(range(1, 33))),
                           endpoint="taskgraph", max_grid=8)
 
-    def test_build_experiments_round_trips_canonical(self):
+    def test_canonical_round_trips_to_the_same_experiments(self):
         parsed = parse()
-        rebuilt = build_experiments(parsed.canonical)
+        rebuilt = from_canonical(parsed.canonical).experiments
         assert ([e.experiment_id for e in rebuilt]
                 == [e.experiment_id for e in parsed.experiments])
 

@@ -25,15 +25,13 @@ class TestTaskgraphRoundTrip:
     def test_rows_match_a_direct_sweep_of_the_same_grid(self, live_server,
                                                         tmp_path):
         from repro.runtime.sweep import SweepConfig, run_sweep
-        from repro.taskgraph.pipeline import build_tg_grid
+        from repro.taskgraph.pipeline import TaskGraphGrid
 
         _, body = live_server.post_json("/v1/taskgraph", REQUEST)
-        grid = build_tg_grid(shapes=("fork-join",), tasks=4, cores=(1,),
+        grid = TaskGraphGrid(shapes=("fork-join",), tasks=4, cores=(1,),
                              deadline_fracs=(0.5,))
         report = run_sweep(
-            SweepConfig(workloads=(), jobs=1,
-                        output_dir=str(tmp_path / "direct")),
-            experiments=grid)
+            SweepConfig(grid, jobs=1, output_dir=str(tmp_path / "direct")))
         assert body["results"] == report.experiment_records
 
     def test_invalid_taskgraph_request_is_400(self, live_server):

@@ -216,9 +216,9 @@ def test_replay_generates_no_code():
     cfg = miss_shadow_program()
     cfg.name = "miss-shadow-codegen"
     cfg.blocks["done"].instructions.insert(0, Const("pad", 1.0))
-    fast, _ = _machines()
+    fast, slow = _machines()
     stream = ExecutionStream()
-    fast.run(cfg, mode=0, record=stream, fastpath=False)
+    slow.run(cfg, mode=0, record=stream)
     observe.enable(reset=True)
     try:
         fast.replay(stream, 2)

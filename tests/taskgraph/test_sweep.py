@@ -12,46 +12,44 @@ from repro.errors import OrchestrationError
 from repro.runtime import manifest as manifest_mod
 from repro.runtime.dag import build_task_graph
 from repro.runtime.sweep import SweepConfig, run_sweep
-from repro.taskgraph.pipeline import TaskGraphExperimentSpec, build_tg_grid
+from repro.taskgraph.pipeline import TaskGraphExperimentSpec, TaskGraphGrid
 
 GRID = dict(shapes=("fork-join",), tasks=5, cores=(1, 2),
             deadline_fracs=(0.0, 0.5))
 
 
 def tg_sweep(tmp_path, tag, jobs, cache_dir=None, resume=False):
-    grid = build_tg_grid(**GRID)
     config = SweepConfig(
-        workloads=(),
+        TaskGraphGrid(**GRID),
         jobs=jobs,
         cache_dir=cache_dir,
         output_dir=str(tmp_path / f"out-{tag}"),
         resume=resume,
     )
-    report = run_sweep(config, experiments=grid)
+    report = run_sweep(config)
     return report
 
 
 class TestGrid:
     def test_grid_is_the_cartesian_product(self):
-        grid = build_tg_grid(**GRID)
+        grid = TaskGraphGrid(**GRID).experiments()
         assert len(grid) == 4
         assert all(isinstance(e, TaskGraphExperimentSpec) for e in grid)
         assert len({e.experiment_id for e in grid}) == 4
 
     def test_grid_rejects_bad_axes(self):
         with pytest.raises(OrchestrationError):
-            build_tg_grid(shapes=("mesh",), tasks=5, cores=(1,),
+            TaskGraphGrid(shapes=("mesh",), tasks=5, cores=(1,),
                           deadline_fracs=(0.5,))
         with pytest.raises(OrchestrationError):
-            build_tg_grid(shapes=("fork-join",), tasks=5, cores=(0,),
+            TaskGraphGrid(shapes=("fork-join",), tasks=5, cores=(0,),
                           deadline_fracs=(0.5,))
         with pytest.raises(OrchestrationError):
-            build_tg_grid(shapes=("fork-join",), tasks=5, cores=(1,),
+            TaskGraphGrid(shapes=("fork-join",), tasks=5, cores=(1,),
                           deadline_fracs=(1.5,))
 
     def test_tables_task_is_shared_per_graph(self):
-        grid = build_tg_grid(**GRID)
-        graph = build_task_graph(grid)
+        graph = build_task_graph(TaskGraphGrid(**GRID).experiments())
         kinds = {}
         for task in graph.tasks.values():
             kinds[task.kind] = kinds.get(task.kind, 0) + 1

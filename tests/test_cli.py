@@ -234,6 +234,41 @@ class TestFuzzCommand:
         assert "all oracles passed" in out
         assert "2/2 programs" in out
 
+    def test_one_level_table_is_refused_before_any_program(
+            self, capsys, monkeypatch):
+        import repro.verify.fuzz as fuzz_module
+
+        generated = []
+        monkeypatch.setattr(fuzz_module, "fuzz",
+                            lambda **kwargs: generated.append(kwargs))
+        assert main(["fuzz", "--levels", "1", "--runs", "1",
+                     "--no-backends", "--no-metamorphic"]) == 1
+        captured = capsys.readouterr()
+        assert generated == [] and captured.out == ""
+        assert captured.err == ("error: mode tables need at least two "
+                                "levels, got 1\n")
+
+
+class TestNoFastpathFlag:
+    """``--no-fastpath`` is ``$REPRO_NO_FASTPATH=1`` for one command."""
+
+    @pytest.mark.parametrize("before", [None, "0"])
+    def test_sets_the_variable_only_while_the_command_runs(
+            self, monkeypatch, before):
+        import repro.cli as cli
+
+        if before is None:
+            monkeypatch.delenv("REPRO_NO_FASTPATH", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_NO_FASTPATH", before)
+        seen = []
+        monkeypatch.setattr(cli, "cmd_run", lambda args: seen.append(
+            os.environ.get("REPRO_NO_FASTPATH")) or 0)
+        assert main(["run", "adpcm", "--no-fastpath"]) == 0
+        assert main(["run", "adpcm"]) == 0
+        assert seen == ["1", before]
+        assert os.environ.get("REPRO_NO_FASTPATH") == before
+
 
 class TestInputValidation:
     """Satellite: missing/unreadable/malformed input files exit with a

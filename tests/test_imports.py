@@ -112,6 +112,23 @@ def test_warm_sweep_loads_no_compiler_simulator_or_scheduler(filled, jobs):
             == (filled / "cold" / "results.jsonl").read_bytes())
 
 
+def test_warm_sweep_loads_neither_the_server_nor_the_taskgraph_family(filled):
+    warm = _repro(_sweep(filled / "cache", filled / "warm-families"),
+                  ("repro.serve", "repro.taskgraph"))
+    assert warm == {"code": 0, "loaded": []}
+
+
+def test_a_single_stream_request_loads_no_taskgraph_module():
+    probe = ("import sys; from repro.runtime.dag import build_task_graph; "
+             "from repro.serve.protocol import parse_request; "
+             "parsed = parse_request({'workloads': ['adpcm', 'gsm'], "
+             "'deadline_fracs': [0.35, 0.7], 'levels': ['xscale', 7]}); "
+             "build_task_graph(list(parsed.experiments)); "
+             "print(sorted(m for m in sys.modules "
+             "if m.startswith('repro.taskgraph')))")
+    assert _python("-c", probe).strip() == "[]"
+
+
 def test_budgeted_solve_does_not_spend_its_budget_on_imports():
     """The backends' scipy import (about half a second) is loaded before
     the anytime budget starts, so a small solve finishes well inside a
