@@ -62,10 +62,6 @@ class InfeasibleError(SolverError):
     """The LP/MILP has no feasible point."""
 
 
-class UnboundedError(SolverError):
-    """The LP/MILP objective is unbounded below."""
-
-
 class SolverLimitError(SolverError):
     """Iteration/node limit was exhausted before proving optimality."""
 

@@ -181,6 +181,8 @@ def render_stats(metrics: dict[str, Any]) -> str:
             abandoned = [f"{name[len(why):]} {int(take(name))}"
                          for name in sorted(counters) if name.startswith(why)]
             row("warm starts abandoned (why)", ", ".join(abandoned) or "none")
+            row("warm starts on parent's factor",
+                int(take("solver.revised.warm_factor_reused")))
             for part in ("factor", "ftran", "btran", "pricing"):
                 seconds = take(f"solver.revised.{part}_s")
                 if seconds:

@@ -33,9 +33,9 @@ import types
 
 from repro import observe
 from repro.ir.loops import find_natural_loops
+from repro.lru import BoundedLRU
 from repro.perf.blockc import compile_block
 from repro.perf.loopc import compile_loop
-from repro.runtime.cache import BoundedLRU
 from repro.simulator.timing import TimingTables, fold_block
 
 #: Most :class:`ProgramFast` instances kept per process (least recently

@@ -68,6 +68,7 @@ from repro.errors import (
     ReproError,
     ScheduleError,
 )
+from repro.lru import BoundedLRU
 from repro.profiling.serialize import (
     profile_from_dict,
     profile_to_dict,
@@ -79,7 +80,7 @@ from repro.profiling.serialize import (
     stream_to_dict,
 )
 from repro.runtime import hashing
-from repro.runtime.cache import BoundedLRU, read_only_copy
+from repro.runtime.cache import read_only_copy
 from repro.simulator.config import SCALE_CONFIG
 from repro.simulator.dvs import ModeTable, TransitionCostModel, XSCALE_3, make_mode_table
 from repro.verify import tolerances

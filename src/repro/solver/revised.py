@@ -27,7 +27,9 @@ Key pieces:
   pivots the factor is rebuilt and the basic values recomputed, bounding
   drift; a sparse refactor is cheap enough that short eta files win.
   No dense ``B^-1`` exists, and no threaded BLAS touches the pivot path,
-  so pivot choices do not depend on the BLAS thread count.
+  so pivot choices do not depend on the BLAS thread count.  An optimal
+  solve hands its final factor on with its basis, so a branch-and-bound
+  child (same problem, same basic columns) starts without a refactor.
 * primal simplex with Dantzig or devex (steepest-edge flavoured)
   pricing, falling back to Bland's rule after a stall budget so
   termination is guaranteed; bound flips handle boxed variables without
@@ -64,6 +66,9 @@ _PIVOT_TOL = 1e-9
 _DEADLINE_CHECK_EVERY = 32
 #: Pivots between refactorizations (eta-file length cap).
 REFACTOR_EVERY = 16
+#: A warm basis whose estimated 1-norm condition number reaches this is
+#: refused (the warm start goes cold).
+CONDITION_LIMIT = 1e9
 #: Iterations before pricing falls back to Bland's anti-cycling rule.
 BLAND_AFTER = 2000
 
@@ -174,22 +179,47 @@ class SparseColumns:
         return out
 
 
+@dataclass(frozen=True, eq=False)
+class _Factor:
+    """The LU factor of one problem's basis matrix for one ``order``.
+
+    Branch and bound re-solves one :class:`RevisedProblem` with new
+    bounds only, so a child's warm basis is its parent's final
+    ``order`` over the same columns: the parent's factor *is* the
+    child's, and the child installs it instead of refactoring.
+    """
+
+    problem: "RevisedProblem"
+    order: np.ndarray  # the basic columns the factor was built from
+    lu: object
+
+    def fits(self, problem: "RevisedProblem", order: np.ndarray) -> bool:
+        return self.problem is problem and np.array_equal(self.order, order)
+
+
 @dataclass
 class Basis:
     """A restartable snapshot of the simplex basis.
 
     ``status`` holds one of BASIC/AT_LB/AT_UB/FREE_NB/FIXED per column
     (structural + slack + artificial); ``order`` maps each row to its
-    basic column.  The snapshot carries no factorization — a warm start
-    refactorizes against the *current* matrix, which is what makes a
-    basis transferable across deadlines whose constraint coefficients
-    differ (row scaling preserves which basis is optimal, not the
-    numbers).  Ephemeral by design: per-sweep state, never cached.
+    basic column.  A warm start refactorizes against the *current*
+    matrix and checks the factor, which is what makes a basis
+    transferable across deadlines whose constraint coefficients differ
+    (row scaling preserves which basis is optimal, not the numbers).
+
+    An optimal solve's basis also carries that solve's final factor,
+    bound to its problem object and ``order``; a warm start on the same
+    problem with the same ``order`` (a branch-and-bound child) uses it
+    as is.  :meth:`copy` drops the factor, so a stored or edited basis
+    always takes the checked path.  Ephemeral by design: per-sweep
+    state, never cached.
     """
 
     status: np.ndarray
     order: np.ndarray
     signature: tuple[int, int]  # (ncols, nrows) shape guard
+    factor: _Factor | None = field(default=None, repr=False, compare=False)
 
     def copy(self) -> "Basis":
         return Basis(self.status.copy(), self.order.copy(), self.signature)
@@ -228,6 +258,8 @@ class _State:
         self.btran_count = 0
         self.refactor_count = 0
         self.bound_flips = 0
+        # The warm start ran on its parent's factor (no refactor).
+        self.factor_reused = False
         # Why a warm start was given up for a cold solve (None: it was not).
         self.abandoned: str | None = None
         # Section timings, read only when tracing (flushed once per solve).
@@ -265,13 +297,9 @@ class _State:
         with np.errstate(divide="ignore", over="ignore"):
             if not np.all(np.isfinite(1.0 / lu.U.diagonal())):
                 return None  # a pivot so small its inverse overflows
-        if check:
-            identity = np.eye(len(self.order))
-            with np.errstate(all="ignore"):
-                residual = basis_matrix @ lu.solve(identity) - identity
-            # NaN/inf entries compare False, so a non-finite B^-1 fails.
-            if not np.all(np.abs(residual) < 1e-6):
-                return None
+        if check and not (_condition_estimate(lu, basis_matrix)
+                          < CONDITION_LIMIT):
+            return None  # NaN compares False: a non-finite estimate fails
         return lu
 
     def compute_xb(self) -> None:
@@ -644,9 +672,12 @@ class RevisedProblem:
                            lower, upper)
             states.append(state)
             self._normalize_statuses(state.status, lower, upper)
-            if not state.refactor(check=True):
+            if warm.factor is not None and warm.factor.fits(self, state.order):
+                state.lu = warm.factor.lu
+                state.factor_reused = True
+            elif not state.refactor(check=True):
                 state.abandoned = "refactor_rejected"
-            else:
+            if state.abandoned is None:
                 state.compute_xb()
                 dual_cap = min(max_iter, 200 + 2 * self.m)
                 dstatus, diters = self._dual(
@@ -771,6 +802,7 @@ class RevisedProblem:
             # basis report bit-identical solutions).
             if state.refactor():
                 state.compute_xb()
+                basis.factor = _Factor(self, state.order, state.lu)
             x_full = state.full_x()
             objective = float(self.cost @ x_full)
             y = state.btran(self.cost[state.order])
@@ -795,6 +827,8 @@ class RevisedProblem:
             observe.add("solver.revised.btran", state.btran_count)
             observe.add("solver.revised.refactor", state.refactor_count)
             observe.add("solver.revised.bound_flips", state.bound_flips)
+            if state.factor_reused:
+                observe.add("solver.revised.warm_factor_reused")
             if state.abandoned is not None:
                 observe.add(f"solver.revised.warm_abandoned.{state.abandoned}")
             if state.timed:
@@ -846,6 +880,42 @@ def _bound_flipping_ratio_test(
     rest = by_ratio[first:]
     ties = np.sort(rest[ratios[rest] <= best + _TOL * (1.0 + abs(best))])
     return by_ratio[:first], int(ties[np.argmax(pivots[ties])])
+
+
+def _condition_estimate(lu, basis_matrix) -> float:
+    """``‖B‖₁·‖B⁻¹‖₁`` with ``‖B⁻¹‖₁`` estimated from a few solves.
+
+    Hager's estimator as LAPACK's ``xLACON`` runs it: from the uniform
+    vector, alternate a solve with ``B`` and one with ``Bᵀ``, moving to
+    the unit vector the transposed solve points at, until it stops
+    improving (at most five rounds); then one more solve against an
+    alternating ramp that catches the cases the iteration can miss.
+    The estimate never exceeds the true norm and is usually within a
+    small factor of it.  Deterministic: no random start vectors.
+    """
+    m = basis_matrix.shape[0]
+    x = np.full(m, 1.0 / m)
+    estimate = 0.0
+    with np.errstate(all="ignore"):
+        for rounds in range(5):
+            y = lu.solve(x)
+            # Every ‖B⁻¹x‖₁ with ‖x‖₁ = 1 is a lower bound: keep the best.
+            estimate = max(estimate, _norm1(y))
+            z = lu.solve(np.where(y >= 0.0, 1.0, -1.0), trans="T")
+            j = int(np.argmax(np.abs(z)))
+            if rounds and abs(z[j]) <= z @ x:
+                break
+            x = _unit(m, j)
+        ramp = (1.0 + np.arange(m) / max(m - 1, 1)) * np.where(
+            np.arange(m) % 2, -1.0, 1.0)
+        estimate = max(estimate, 2.0 * _norm1(lu.solve(ramp)) / (3 * m))
+    return float(abs(basis_matrix).sum(axis=0).max()) * estimate
+
+
+def _norm1(v: np.ndarray) -> float:
+    """``‖v‖₁``, or inf when ``v`` holds a NaN or an inf."""
+    size = float(np.sum(np.abs(v)))
+    return size if np.isfinite(size) else _INF
 
 
 def _unit(m: int, row: int) -> np.ndarray:

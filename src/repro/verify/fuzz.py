@@ -25,7 +25,6 @@ from repro.lang import compile_program
 from repro.simulator import SCALE_CONFIG, TransitionCostModel, XSCALE_3
 from repro.simulator.machine import Machine
 from repro.verify import metamorphic, oracles, tolerances
-from repro.verify.certificate import verify_certificate
 from repro.verify.generators import (
     LP_PROFILES,
     GeneratedProgram,

@@ -45,6 +45,21 @@ class TestSolverSection:
                                "solver.revised.pivots": 10})
         assert clean["warm starts abandoned (why)"] == "none"
 
+    def test_parent_factor_reuse_renders_beside_abandons(self):
+        rows = _solver_lines({
+            "solver.solves": 3,
+            "solver.revised.pivots": 2796,
+            "solver.revised.refactor": 201,
+            "solver.revised.warm_factor_reused": 48,
+        })
+        labels = list(rows)
+        reused = labels.index("warm starts on parent's factor")
+        assert labels[reused - 1] == "warm starts abandoned (why)"
+        assert rows["warm starts on parent's factor"] == "48"
+        clean = _solver_lines({"solver.solves": 1,
+                               "solver.revised.pivots": 10})
+        assert clean["warm starts on parent's factor"] == "0"
+
     def test_lp_section_timings_render_per_pivot(self):
         rows = _solver_lines({
             "solver.solves": 1,

@@ -196,6 +196,68 @@ class TestGeneratedProgramDifferential:
             verify_certificate(formulation, revised).raise_if_invalid()
 
 
+def _dense_check_accepts(problem, order) -> bool:
+    """The warm-start check this core used to run: form ``B⁻¹`` densely,
+    one solve per column, and require ``|B·B⁻¹ − I| < 1e-6`` entrywise
+    (after the factor's own singular and overflowing-pivot refusals)."""
+    import numpy as np
+    from scipy.sparse.linalg import splu
+
+    basis_matrix = problem.columns.submatrix(order)
+    try:
+        lu = splu(basis_matrix)
+    except RuntimeError:
+        return False
+    identity = np.eye(len(order))
+    with np.errstate(all="ignore"):
+        if not np.all(np.isfinite(1.0 / lu.U.diagonal())):
+            return False
+        residual = basis_matrix @ lu.solve(identity) - identity
+    return bool(np.all(np.abs(residual) < 1e-6))
+
+
+class TestWarmCheckDifferential:
+    """The warm-start check refuses every basis the dense check refused.
+
+    Over the 300 instances ``repro fuzz --lp-runs 300`` solves, the warm
+    bases are each instance's optimal basis and its neighbours one and
+    two column swaps away: the near-singular, rank-deficient and
+    degenerate profiles make many of those ill-conditioned.
+    """
+
+    def test_rejects_every_basis_the_dense_check_rejects(self):
+        import numpy as np
+
+        from repro.solver.revised import BASIC, RevisedProblem, _State
+        from repro.verify.generators import LP_PROFILES, generate_lp
+
+        rng = np.random.default_rng(0)
+        judged = dense_rejected = 0
+        for index in range(300):
+            case = generate_lp(index, LP_PROFILES[index % len(LP_PROFILES)])
+            problem = RevisedProblem(**case.lp_kwargs())
+            optimal = problem.solve().basis.order
+            nonbasic = np.setdiff1d(np.arange(problem.ncols), optimal)
+            bases = [optimal]
+            for _ in range(8):
+                swapped = optimal.copy()
+                for _ in range(2):
+                    swapped[rng.integers(len(swapped))] = rng.choice(nonbasic)
+                    bases.append(swapped.copy())
+            lower, upper = problem._working_bounds(None)
+            for order in bases:
+                status = np.zeros(problem.ncols, dtype=np.int8)
+                status[order] = BASIC
+                state = _State(problem, status, order, lower, upper)
+                accepted = state.refactor(check=True)
+                if not _dense_check_accepts(problem, order):
+                    dense_rejected += 1
+                    assert not accepted, (case.profile, case.seed, order)
+                judged += 1
+        assert judged == 300 * 17
+        assert dense_rejected > 1000  # the comparison is not vacuous
+
+
 class TestTortureFuzz:
     """The seeded pathological-LP differential (repro fuzz --lp-runs)."""
 

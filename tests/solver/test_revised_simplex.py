@@ -425,6 +425,24 @@ class TestWarmAbandonReasons:
         reasons = self._abandoned(lambda: problem.solve(warm=corrupt))
         assert reasons == {"refactor_rejected": 1}
 
+    def test_near_singular_basis_rejected(self):
+        # Two rows whose structural columns differ by 1e-12: the basis
+        # {x1, x2} factors without a zero pivot, but its condition
+        # number is ~4e12, so the warm start must refuse it.  A dense
+        # B·B⁻¹ − I test would pass it: its residuals round to zero.
+        a_ub = [[1.0, 1.0], [1.0, 1.0 + 1e-12]]
+        problem = RevisedProblem([-1.0, -1.0], a_ub=a_ub, b_ub=[1.0, 1.0])
+        near_singular = Basis(
+            np.array([BASIC, BASIC, AT_LB, AT_LB, FIXED, FIXED],
+                     dtype=np.int8),
+            np.array([0, 1], dtype=np.int64), (problem.ncols, problem.m))
+        reasons = self._abandoned(
+            lambda: problem.solve(warm=near_singular))
+        assert reasons == {"refactor_rejected": 1}
+        warm = problem.solve(warm=near_singular)
+        assert not warm.warm_used
+        assert np.array_equal(warm.result.x, problem.solve().result.x)
+
     def test_dual_cap(self):
         problem = _cover(2.5)
         basis = _cover(0.0).solve().basis
@@ -440,6 +458,77 @@ class TestWarmAbandonReasons:
         state.ftran = lambda column: np.zeros(problem.m)
         assert problem._dual(state, problem.cost, 10, None) == (None, 0)
         assert state.abandoned == "ftran_mismatch"
+
+
+class TestParentFactorReuse:
+    """A branch-and-bound child warm-starts on its parent's final factor:
+    same problem object, same ``order``, so the same matrix."""
+
+    def _counters(self, solve):
+        """The solve's outcome and the observe counters it added."""
+        observe.enable(reset=True)
+        try:
+            outcome = solve()
+            counters = observe.snapshot(reset=True)["counters"]
+        finally:
+            observe.disable()
+        return outcome, counters
+
+    def _problem(self) -> RevisedProblem:
+        return RevisedProblem(TestWarmStart.C, a_ub=TestWarmStart.A_UB,
+                              b_ub=[10.0, 8.0, 12.0])
+
+    PINNED = np.array([[0.0, 10.0], [1.0, 1.0], [0.0, 10.0]])
+
+    def test_child_reuses_factor_and_matches_checked_path(self):
+        problem = self._problem()
+        root = problem.solve()
+        assert root.basis.factor is not None
+        reused, counters = self._counters(
+            lambda: problem.solve(warm=root.basis, bounds=self.PINNED))
+        checked, checked_counters = self._counters(
+            lambda: problem.solve(warm=root.basis.copy(),
+                                  bounds=self.PINNED))
+        assert counters["solver.revised.warm_factor_reused"] == 1
+        assert "solver.revised.warm_factor_reused" not in checked_counters
+        assert (counters["solver.revised.refactor"]
+                == checked_counters["solver.revised.refactor"] - 1)
+        assert reused.warm_used and checked.warm_used
+        assert reused.result.iterations == checked.result.iterations
+        assert reused.result.x.tobytes() == checked.result.x.tobytes()
+
+    def test_copy_and_registry_drop_the_factor(self):
+        from repro.solver.warmstart import WarmStartRegistry
+
+        basis = self._problem().solve().basis
+        assert basis.copy().factor is None
+        registry = WarmStartRegistry()
+        registry.put_basis("k", basis)
+        assert registry.get_basis("k").factor is None
+        assert registry._bases["k"].factor is None
+
+    def test_another_problem_takes_the_checked_path(self):
+        # Same matrix, another problem object (another deadline's
+        # problem in a sweep): the factor is not trusted.
+        basis = self._problem().solve().basis
+        other = self._problem()
+        _, counters = self._counters(lambda: other.solve(warm=basis))
+        assert "solver.revised.warm_factor_reused" not in counters
+
+    def test_order_edited_in_place_takes_the_checked_path(self):
+        problem = self._problem()
+        basis = problem.solve().basis
+        basis.order[:] = basis.order[0]  # duplicated basic column
+        outcome, counters = self._counters(lambda: problem.solve(warm=basis))
+        assert "solver.revised.warm_factor_reused" not in counters
+        assert counters["solver.revised.warm_abandoned.refactor_rejected"] == 1
+        assert outcome.result.status is SolveStatus.OPTIMAL
+
+    def test_only_an_optimal_solve_attaches_its_factor(self):
+        problem = self._problem()
+        limited = problem.solve(max_iter=1)
+        assert limited.result.status is SolveStatus.LIMIT
+        assert limited.basis.factor is None
 
 
 class TestFixedColumnInvariant:

@@ -81,6 +81,15 @@ def test_sweep_and_serve_import_no_bench_module():
     assert _python("-c", probe).strip() == "[]"
 
 
+def test_the_fast_path_engine_loads_no_runtime_module():
+    """The simulator's fast path shares only the leaf LRU with the sweep
+    runtime; loading the engine must not pull in the orchestration."""
+    probe = ("import sys, repro.perf.engine; "
+             "print(sorted(m for m in sys.modules "
+             "if m == 'repro.runtime' or m.startswith('repro.runtime.')))")
+    assert _python("-c", probe).strip() == "[]"
+
+
 @pytest.fixture(scope="module")
 def filled(tmp_path_factory):
     """A cold dijkstra x 0.5 sweep: its cache and its results.jsonl."""
